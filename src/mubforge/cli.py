@@ -93,6 +93,9 @@ def _cmd_search(args) -> int:
     if not 1 <= args.m <= 16:
         print("mubforge search: error: --m must be in 1..16", file=sys.stderr)
         return 1
+    if args.count < 1:
+        print("mubforge search: error: --count must be >= 1", file=sys.stderr)
+        return 1
     if args.exhaustive:
         mode, seed = "exhaustive", None
     else:

@@ -19,7 +19,6 @@ import random
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from . import backend, poly2
@@ -74,6 +73,19 @@ class _ZBasis:
 
 
 Z_BASIS = _ZBasis()
+
+
+def _matrix_from_json(obj: dict, name: str) -> BitMatrix:
+    """The 0/1 row lists under obj[name] as a BitMatrix, or a schema error."""
+    rows = obj[name]
+    if not (isinstance(rows, list) and rows and all(isinstance(r, list) and r for r in rows)):
+        raise SpecValidationError("schema", f'"{name}" must be a non-empty list of non-empty rows')
+    if any(type(v) is not int for r in rows for v in r):
+        raise SpecValidationError("schema", f'"{name}" entries must be the integers 0 or 1')
+    try:
+        return BitMatrix.from_rows(rows)
+    except ValueError as exc:
+        raise SpecValidationError("schema", f'"{name}": {exc}') from exc
 
 
 @dataclass(frozen=True)
@@ -160,12 +172,27 @@ class StabilizerSpec:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "StabilizerSpec":
-        kind = obj["kind"]
-        m = obj["m"]
-        B = BitMatrix.from_rows(obj["B"])
-        R = BitMatrix.from_rows(obj["R"]) if "R" in obj else BitMatrix.identity(m)
-        A = BitMatrix.from_rows(obj["A"]) if "A" in obj else BitMatrix.zero(m)
+    def from_json_dict(cls, obj) -> "StabilizerSpec":
+        """Parse the wire format; malformed input raises SpecValidationError("schema")."""
+        if not isinstance(obj, dict):
+            raise SpecValidationError(
+                "schema", f"spec must be a JSON object, not {type(obj).__name__}"
+            )
+        missing = [key for key in ("kind", "m", "B") if key not in obj]
+        if missing:
+            raise SpecValidationError("schema", f"missing key(s) {', '.join(missing)}")
+        kind, m = obj["kind"], obj["m"]
+        if not isinstance(kind, str):
+            raise SpecValidationError(
+                "schema", f'"kind" must be a string, not {type(kind).__name__}'
+            )
+        if type(m) is not int:
+            raise SpecValidationError("schema", f'"m" must be an integer, not {type(m).__name__}')
+        if not 1 <= m <= MAX_M:
+            raise SpecValidationError("m-range", f"m = {m} outside 1..{MAX_M}")
+        B = _matrix_from_json(obj, "B")
+        R = _matrix_from_json(obj, "R") if "R" in obj else BitMatrix.identity(m)
+        A = _matrix_from_json(obj, "A") if "A" in obj else BitMatrix.zero(m)
         return cls(kind, m, B, R, A)
 
     @classmethod
@@ -500,13 +527,9 @@ def _thread_count() -> int:
     return n
 
 
-def _good_poly_masks(m: int) -> tuple[int, ...]:
-    return tuple(p.mask for p in poly2.stabilizer_char_polys(m))
-
-
 def _scan_exhaustive(m: int, count: int | None) -> Iterator[int]:
     """Ascending candidate indices of valid symmetric matrices."""
-    polys = _good_poly_masks(m)
+    polys = tuple(p.mask for p in poly2.stabilizer_char_polys(m))
     if not polys:
         return
     total = 1 << (m * (m + 1) // 2)
@@ -545,26 +568,25 @@ def _scan_exhaustive(m: int, count: int | None) -> Iterator[int]:
 
 
 def _scan_random(m: int, seed: int, max_attempts: int) -> Iterator[int]:
-    """Seeded uniform sampling of symmetric candidates; yields distinct hits."""
-    polys = _good_poly_masks(m)
-    if not polys:
-        return
-    # With few admissible polynomials, testing p(B) = 0 per candidate is
-    # cheapest; once their number outgrows the cost of one characteristic
-    # polynomial (large m), membership of char_poly(B) wins by a wide margin.
-    poly_set = set(polys) if len(polys) > 16 else None
+    """Seeded uniform sampling of symmetric candidates; yields distinct hits.
+
+    Each new sample is tested directly: its characteristic polynomial must be
+    irreducible with Fibonacci index d + 1.  Verdicts are memoized per
+    polynomial, so no table of all admissible polynomials is built.
+    """
+    target = (1 << m) + 1
     npairs = m * (m + 1) // 2
     rng = random.Random(seed)
     seen: set[int] = set()
+    verdicts: dict[int, bool] = {}
     for _ in range(max_attempts):
         k = rng.getrandbits(npairs)
         if k in seen:
             continue
-        if poly_set is not None:
-            mat = BitMatrix(m, m, backend.decode_symmetric(m, k))
-            hit = char_poly(mat).mask in poly_set
-        else:
-            hit = bool(backend.scan_symmetric(m, polys, k, k + 1))
+        p = char_poly(BitMatrix(m, m, backend.decode_symmetric(m, k)))
+        hit = verdicts.get(p.mask)
+        if hit is None:
+            hit = verdicts[p.mask] = poly2.is_irreducible(p) and poly2.has_index(p, target)
         if hit:
             seen.add(k)
             yield k

@@ -241,14 +241,6 @@ def mat_mul(lhs: BitMatrix, rhs: BitMatrix) -> BitMatrix:
     return BitMatrix(lhs.rows, rhs.cols, out)
 
 
-def transpose(a: BitMatrix) -> BitMatrix:
-    return a.transpose()
-
-
-def is_symmetric(a: BitMatrix) -> bool:
-    return a.is_symmetric()
-
-
 def _echelon(data: list[int], n_rows: int, pivot_cols: int) -> tuple[list[int], list[int]]:
     """In-place reduced row echelon over the first pivot_cols columns.
 

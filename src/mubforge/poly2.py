@@ -143,22 +143,6 @@ ONE = Poly2(1)
 X = Poly2(2)
 
 
-def poly_add(a: Poly2, b: Poly2) -> Poly2:
-    return a + b
-
-
-def poly_mul(a: Poly2, b: Poly2) -> Poly2:
-    return a * b
-
-
-def poly_mod(a: Poly2, b: Poly2) -> Poly2:
-    return a % b
-
-
-def poly_gcd(a: Poly2, b: Poly2) -> Poly2:
-    return Poly2(_gcd(a.mask, b.mask))
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -248,32 +232,33 @@ def fibonacci_poly_mod(n: int, p: Poly2) -> Poly2:
     return Poly2(_fib_pair_mod(n, p.mask)[0])
 
 
-def _divisors(n: int) -> list[int]:
-    from sympy import divisors as _sympy_divisors
-
-    return list(_sympy_divisors(n))
-
-
-INDEX_DEGREE_CAP = 64
+INDEX_DEGREE_CAP = 32
 
 
 def fibonacci_index(p: Poly2) -> int:
     """Least n >= 1 such that the irreducible p divides F_n.
 
     For every irreducible p of degree m other than p(x) = x, the index is a
-    divisor of 2^m - 1 or of 2^m + 1, so only those candidates are probed.
-    The single exception p(x) = x (index 2, dividing neither) is rejected;
-    it never arises as the characteristic polynomial of an invertible matrix.
+    divisor of 2^m - 1 or of 2^m + 1.  Since gcd(F_a, F_b) = F_gcd(a,b), the
+    n with p | F_n are exactly the multiples of the index, so p divides F_N
+    for at most one N = 2^m -+ 1 (the two are coprime and F_1 = 1), and the
+    index is reached from that N by stripping prime factors q while p still
+    divides F_{N/q}.  The cap keeps the trial-division factoring of N below
+    ~65k steps.  The single exception p(x) = x (index 2, dividing neither)
+    is rejected; it never arises as the characteristic polynomial of an
+    invertible matrix.
     """
     if not is_irreducible(p):
         raise ValueError(f"{p!r} is not irreducible")
     m = p.degree
     if m > INDEX_DEGREE_CAP:
         raise ValueError(f"degree {m} exceeds the index-query cap {INDEX_DEGREE_CAP}")
-    candidates = sorted(set(_divisors((1 << m) - 1)) | set(_divisors((1 << m) + 1)))
     pm = p.mask
-    for n in candidates:
+    for n in ((1 << m) - 1, (1 << m) + 1):
         if _fib_pair_mod(n, pm)[0] == 0:
+            for q in _prime_factors(n):
+                while n % q == 0 and _fib_pair_mod(n // q, pm)[0] == 0:
+                    n //= q
             return n
     raise ValueError(
         f"{p!r} divides no F_n with n | 2^{m}-1 or n | 2^{m}+1 "

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from mubforge import cli
 from mubforge.construct import StabilizerSpec, search_B, search_specs
 
 CLI = [sys.executable, "-m", "mubforge.cli"]
@@ -96,6 +97,13 @@ class TestSearch:
         res = run_cli("search", "--m", "17", "--kind", "field", "--exhaustive")
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_is_usage_error(self, count):
+        res = run_cli("search", "--m", "3", "--kind", "field", "--seed", "1", "--count", count)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "--count must be >= 1" in res.stderr
+
 
 class TestBuild:
     def test_single_qubit_report(self, spec_files):
@@ -164,3 +172,44 @@ class TestEquiv:
         res = run_cli("equiv", str(spec_files["field1"]), str(spec_files["field3"]))
         assert res.returncode == 2
         assert "different qubit counts" in res.stderr
+
+
+MALFORMED_SPECS = {
+    "top-level-list": ("[]", "JSON object"),
+    "empty-B": ('{"m": 2, "kind": "field", "B": []}', '"B" must be a non-empty list'),
+    "string-m": ('{"m": "2", "kind": "field", "B": [[1, 1], [1, 0]]}', '"m" must be an integer'),
+}
+
+
+class TestMalformedSpecs:
+    """Schema errors exit 2 and name the condition instead of raising."""
+
+    @pytest.mark.parametrize("command", ["build", "classify", "equiv"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+    def test_schema_error_exits_2(self, tmp_path, capsys, spec_files, command, case):
+        text, detail = MALFORMED_SPECS[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = [command, str(bad)]
+        if command == "equiv":
+            argv.append(str(spec_files["field3"]))
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "schema" in err and detail in err
+
+
+def test_cli_never_imports_sympy(tmp_path):
+    spec = tmp_path / "field4.json"
+    spec.write_text(StabilizerSpec.field(search_B(4, 1, "exhaustive")[0]).to_json())
+    code = (
+        "import sys\n"
+        "from mubforge import cli\n"
+        f"assert cli.main(['build', {str(spec)!r}, '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "assert cli.main(['search', '--m', '16', '--kind', 'field', '--seed', '3',"
+        f" '--out', {str(tmp_path / 's.jsonl')!r}]) == 0\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+    assert (tmp_path / "s.jsonl").read_text().count("\n") == 1

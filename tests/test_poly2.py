@@ -13,7 +13,6 @@ from mubforge.poly2 import (
     has_index,
     irreducibles,
     is_irreducible,
-    poly_gcd,
     stabilizer_char_polys,
 )
 
@@ -53,7 +52,7 @@ class TestArithmetic:
         assert x1 * x1 == Poly2.from_coeffs([1, 0, 1])
 
     def test_gcd(self):
-        assert poly_gcd(Poly2.from_coeffs([1, 0, 1]), Poly2.from_coeffs([1, 1])) == Poly2.from_coeffs([1, 1])
+        assert poly2._gcd(0b101, 0b11) == 0b11
 
     def test_divmod(self):
         q, r = divmod(Poly2.from_coeffs([1, 0, 0, 1]), Poly2.from_coeffs([1, 1]))
@@ -147,7 +146,7 @@ class TestFibonacciPolynomials:
         F = [fibonacci_poly(n) for n in range(41)]
         for a in range(1, 41):
             for b in range(1, 41):
-                assert poly_gcd(F[a], F[b]) == F[math.gcd(a, b)]
+                assert poly2._gcd(F[a].mask, F[b].mask) == F[math.gcd(a, b)].mask
 
 
 class TestFibonacciIndex:
@@ -188,6 +187,52 @@ class TestFibonacciIndex:
             assert idx is not None
             assert lo % idx == 0 or hi % idx == 0, (p, idx)
             assert fibonacci_index(p) == idx
+
+
+def divisors(n: int) -> list[int]:
+    """All divisors of n, ascending, by trial division."""
+    small = [k for k in range(1, int(n**0.5) + 1) if n % k == 0]
+    return sorted(set(small) | {n // k for k in small})
+
+
+def divisor_scan_index(p: Poly2) -> int:
+    """Oracle: the least divisor n of 2^m - 1 or 2^m + 1 with p | F_n."""
+    m = p.degree
+    for n in sorted(set(divisors((1 << m) - 1)) | set(divisors((1 << m) + 1))):
+        if fibonacci_poly_mod(n, p).is_zero():
+            return n
+    raise AssertionError(f"{p!r} divides no candidate F_n")
+
+
+def sample_irreducibles(degree: int, count: int, seed: int) -> list[Poly2]:
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = Poly2((1 << degree) | rng.getrandbits(degree) | 1)
+        if is_irreducible(p) and p not in out:
+            out.append(p)
+    return out
+
+
+class TestFibonacciIndexOracle:
+    """The prime-stripping index against a full divisor scan, with no sympy."""
+
+    def test_every_irreducible_up_to_degree_12(self):
+        for degree in range(1, 13):
+            for p in irreducibles(degree):
+                if p != poly2.X:
+                    assert fibonacci_index(p) == divisor_scan_index(p), p
+
+    @pytest.mark.parametrize("degree", [16, 32])
+    def test_sampled_irreducibles(self, degree):
+        for p in sample_irreducibles(degree, 6, seed=degree):
+            assert fibonacci_index(p) == divisor_scan_index(p), p
+
+    def test_degree_above_cap_raises(self):
+        assert poly2.INDEX_DEGREE_CAP == 32
+        (p,) = sample_irreducibles(33, 1, seed=33)
+        with pytest.raises(ValueError, match="cap"):
+            fibonacci_index(p)
 
 
 class TestHasIndex:
