@@ -9,7 +9,6 @@ complex oracle independently verifies unbiasedness and the entanglement
 classification of everything the symbolic layer produces.
 """
 
-from .backend import available_backends, backend_name
 from .construct import (
     GeneratorSet,
     SpecValidationError,

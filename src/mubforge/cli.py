@@ -14,8 +14,8 @@ import sys
 import time
 from pathlib import Path
 
-from . import backend
 from .construct import (
+    MAX_M,
     SpecValidationError,
     StabilizerSpec,
     StandardFormError,
@@ -27,7 +27,7 @@ from .construct import (
 )
 from .entangle import entanglement_vector
 from .equiv import equivalence_map
-from .pauli import mub_from_generators, verify_mub
+from .pauli import NUMERIC_QUBIT_CAP, mub_from_generators, verify_mub
 
 DEFAULT_TOL = 1e-10
 DEFAULT_NUMERIC_CAP = 5
@@ -46,7 +46,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_search = sub.add_parser("search", help="search for stabilizer specifications")
-    p_search.add_argument("--m", type=int, required=True, help="number of qubits (1..16)")
+    p_search.add_argument("--m", type=int, required=True, help=f"number of qubits (1..{MAX_M})")
     p_search.add_argument("--kind", required=True, choices=["field", "group", "semigroup"])
     p_search.add_argument("--count", type=int, default=1, help="maximum number of specs")
     p_search.add_argument(
@@ -62,7 +62,8 @@ def _build_parser() -> _Parser:
         "--numeric-cap",
         type=int,
         default=DEFAULT_NUMERIC_CAP,
-        help="skip numeric MUB verification above this qubit count",
+        help="skip numeric MUB verification above this qubit count "
+        f"(at most {NUMERIC_QUBIT_CAP})",
     )
     p_build.add_argument("--out", type=Path)
 
@@ -78,11 +79,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
+def _emit(args, text: str) -> bool:
+    """Write `text` to `args.out`, or stdout; False, reported on stderr, if that fails."""
+    if args.out is None:
         sys.stdout.write(text)
-    else:
-        out.write_text(text, encoding="utf-8")
+        return True
+    try:
+        args.out.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"mubforge {args.command}: cannot write output: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _load_spec(path: Path) -> StabilizerSpec:
@@ -90,8 +97,8 @@ def _load_spec(path: Path) -> StabilizerSpec:
 
 
 def _cmd_search(args) -> int:
-    if not 1 <= args.m <= 16:
-        print("mubforge search: error: --m must be in 1..16", file=sys.stderr)
+    if not 1 <= args.m <= MAX_M:
+        print(f"mubforge search: error: --m must be in 1..{MAX_M}", file=sys.stderr)
         return 1
     if args.count < 1:
         print("mubforge search: error: --count must be >= 1", file=sys.stderr)
@@ -114,7 +121,8 @@ def _cmd_search(args) -> int:
     except ValueError as exc:
         print(f"mubforge search: error: {exc}", file=sys.stderr)
         return 1
-    _emit("".join(line + "\n" for line in lines), args.out)
+    if not _emit(args, "".join(line + "\n" for line in lines)):
+        return 2
     if not lines:
         hints = {
             "field": "no symmetric matrix with an admissible characteristic polynomial",
@@ -129,6 +137,12 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    if args.numeric_cap > NUMERIC_QUBIT_CAP:
+        print(
+            f"mubforge build: error: --numeric-cap must be at most {NUMERIC_QUBIT_CAP}",
+            file=sys.stderr,
+        )
+        return 1
     try:
         spec = _load_spec(args.spec)
     except (OSError, ValueError, KeyError) as exc:
@@ -177,7 +191,8 @@ def _cmd_build(args) -> int:
     else:
         report["mub_verification"] = f"skipped (m > {args.numeric_cap})"
     report["timings"] = timings
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    if not _emit(args, json.dumps(report, indent=2) + "\n"):
+        return 2
     if cyclic_ok and bandy_ok and numeric_ok:
         return 0
     print("mubforge build: one or more checks failed", file=sys.stderr)
@@ -202,8 +217,8 @@ def _cmd_classify(args) -> int:
     header = ("file", "kind", "m", "counts")
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows]
-    _emit("".join(line.rstrip() + "\n" for line in lines), args.out)
-    return 2 if failed else 0
+    written = _emit(args, "".join(line.rstrip() + "\n" for line in lines))
+    return 2 if failed or not written else 0
 
 
 def _cmd_equiv(args) -> int:
@@ -221,13 +236,11 @@ def _cmd_equiv(args) -> int:
         f, reason = equivalence_map(spec_a, spec_b)
     except ValueError as exc:
         verdict = {"equivalent": False, "not_expressible": True, "reason": str(exc)}
-        _emit(json.dumps(verdict, indent=2) + "\n", args.out)
-        return 0
+        return 0 if _emit(args, json.dumps(verdict, indent=2) + "\n") else 2
     verdict = {"equivalent": f is not None, "reason": reason}
     if f is not None:
         verdict["f"] = f.matrix.to_lists()
-    _emit(json.dumps(verdict, indent=2) + "\n", args.out)
-    return 0
+    return 0 if _emit(args, json.dumps(verdict, indent=2) + "\n") else 2
 
 
 def main(argv=None) -> int:

@@ -14,10 +14,7 @@ matrix of the form p(B) R + diagonal (semigroup).
 from __future__ import annotations
 
 import json
-import os
 import random
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -517,54 +514,15 @@ def find_addend(B: BitMatrix, R: BitMatrix) -> BitMatrix | None:
 # -- search ------------------------------------------------------------------
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("MUBFORGE_THREADS", "").strip()
-    if not raw:
-        return 1
-    n = int(raw)
-    if n < 1:
-        raise ValueError("MUBFORGE_THREADS must be >= 1")
-    return n
-
-
-def _scan_exhaustive(m: int, count: int | None) -> Iterator[int]:
-    """Ascending candidate indices of valid symmetric matrices."""
+def _scan_exhaustive(m: int) -> Iterator[int]:
+    """Ascending candidate indices of valid symmetric matrices, one block at a time."""
     polys = tuple(p.mask for p in poly2.stabilizer_char_polys(m))
     if not polys:
         return
     total = 1 << (m * (m + 1) // 2)
-    chunk = 1 << 14
-    threads = _thread_count()
-    starts = range(0, total, chunk)
-    emitted = 0
-    if threads == 1:
-        for s in starts:
-            for k in backend.scan_symmetric(m, polys, s, min(s + chunk, total)):
-                yield k
-                emitted += 1
-                if count is not None and emitted >= count:
-                    return
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        it = iter(starts)
-        exhausted = False
-        while True:
-            while not exhausted and len(pending) < threads:
-                s = next(it, None)
-                if s is None:
-                    exhausted = True
-                    break
-                pending.append(
-                    pool.submit(backend.scan_symmetric, m, polys, s, min(s + chunk, total))
-                )
-            if not pending:
-                return
-            for k in pending.popleft().result():
-                yield k
-                emitted += 1
-                if count is not None and emitted >= count:
-                    return
+    chunk = 1 << backend.BLOCK_BITS
+    for s in range(0, total, chunk):
+        yield from backend.scan_symmetric(m, polys, s, min(s + chunk, total))
 
 
 def _scan_random(m: int, seed: int, max_attempts: int) -> Iterator[int]:
@@ -609,7 +567,7 @@ def search_B(
     if mode == "exhaustive":
         if m > EXHAUSTIVE_CAP:
             raise ValueError(f"exhaustive search is capped at m = {EXHAUSTIVE_CAP}; use random mode")
-        ks = _scan_exhaustive(m, count)
+        ks = _scan_exhaustive(m)
     elif mode == "random":
         if seed is None:
             raise ValueError("random mode requires a seed")

@@ -104,6 +104,13 @@ class TestSearch:
         assert res.stdout == ""
         assert "--count must be >= 1" in res.stderr
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        argv = ["search", "--m", "2", "--kind", "field", "--exhaustive", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and str(out) in err
+
 
 class TestBuild:
     def test_single_qubit_report(self, spec_files):
@@ -132,6 +139,20 @@ class TestBuild:
     def test_missing_file(self, tmp_path):
         res = run_cli("build", str(tmp_path / "nope.json"))
         assert res.returncode == 2
+
+    def test_numeric_cap_above_oracle_cap_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "field7.json"
+        spec.write_text(StabilizerSpec.field(search_B(7, 1, "random", seed=1)[0]).to_json())
+        assert cli.main(["build", str(spec), "--numeric-cap", "7"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--numeric-cap must be at most 6" in err
+
+    def test_unwritable_out_exits_2(self, spec_files, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert cli.main(["build", str(spec_files["field1"]), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and str(out) in err
 
 
 class TestClassify:

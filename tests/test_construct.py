@@ -390,11 +390,6 @@ class TestSearch:
         for mat in a:
             StabilizerSpec.field(mat).validate()
 
-    def test_threads_do_not_change_results(self, monkeypatch):
-        base = search_B(4, None, "exhaustive")
-        monkeypatch.setenv("MUBFORGE_THREADS", "3")
-        assert search_B(4, None, "exhaustive") == base
-
     def test_group_search_empty_small_m(self):
         assert list(search_specs(1, "group", 5, "exhaustive")) == []
         assert list(search_specs(2, "group", 5, "exhaustive")) == []

@@ -1,0 +1,142 @@
+"""The numpy scan kernel against a scalar Horner oracle, and golden search output."""
+
+import hashlib
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mubforge import backend, cli
+from mubforge.gf2 import BitMatrix, char_poly
+from mubforge.poly2 import fibonacci_index, stabilizer_char_polys
+
+
+def good_masks(m):
+    return tuple(p.mask for p in stabilizer_char_polys(m))
+
+
+def annihilates(rows, poly, m):
+    """True iff p(B) = 0, by Horner's rule on the whole matrix."""
+    deg = poly.bit_length() - 1
+    acc = [1 << i for i in range(m)]
+    for bit in range(deg - 1, -1, -1):
+        nxt = []
+        for i in range(m):
+            r = acc[i]
+            v = 0
+            while r:
+                low = r & -r
+                v ^= rows[low.bit_length() - 1]
+                r ^= low
+            nxt.append(v)
+        if (poly >> bit) & 1:
+            for i in range(m):
+                nxt[i] ^= 1 << i
+        acc = nxt
+    return all(v == 0 for v in acc)
+
+
+def horner_scan(m, good_polys, start, stop):
+    """Oracle: candidates in [start, stop) annihilated by some good poly."""
+    return [
+        k
+        for k in range(start, stop)
+        if any(annihilates(backend.decode_symmetric(m, k), p, m) for p in good_polys)
+    ]
+
+
+class TestEncoding:
+    def test_decode_encode_round_trip(self):
+        rng = random.Random(3)
+        for m in (1, 2, 3, 5, 12):
+            n = m * (m + 1) // 2
+            for _ in range(20):
+                k = rng.getrandbits(n)
+                rows = backend.decode_symmetric(m, k)
+                assert backend.encode_symmetric(m, rows) == k
+                mat_sym = all(
+                    ((rows[i] >> j) & 1) == ((rows[j] >> i) & 1)
+                    for i in range(m)
+                    for j in range(m)
+                )
+                assert mat_sym
+
+    def test_lexicographic_encoding(self):
+        # k = 0 is the zero matrix; the top bit is entry (0, 0).
+        m = 2
+        assert backend.decode_symmetric(m, 0) == (0, 0)
+        n = m * (m + 1) // 2
+        assert backend.decode_symmetric(m, 1 << (n - 1)) == (1, 0)  # only (0,0) set
+
+
+class TestScan:
+    def test_scan_single_qubit(self):
+        assert backend.scan_symmetric(1, good_masks(1), 0, 2) == [1]
+
+    def test_scan_finds_valid_matrices(self):
+        m = 3
+        hits = backend.scan_symmetric(m, good_masks(m), 0, 1 << 6)
+        assert hits
+        for k in hits:
+            B = BitMatrix(m, m, backend.decode_symmetric(m, k))
+            assert fibonacci_index(char_poly(B)) == (1 << m) + 1
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_full_space_matches_oracle(self, m):
+        total = 1 << (m * (m + 1) // 2)
+        polys = good_masks(m)
+        assert backend.scan_symmetric(m, polys, 0, total) == horner_scan(m, polys, 0, total)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), m=st.sampled_from([5, 6]))
+    def test_unaligned_slices_match_oracle(self, data, m):
+        total = 1 << (m * (m + 1) // 2)
+        start = data.draw(st.integers(0, total))
+        stop = data.draw(st.integers(start, min(start + 400, total)))
+        polys = good_masks(m)
+        assert backend.scan_symmetric(m, polys, start, stop) == horner_scan(m, polys, start, stop)
+
+    @pytest.mark.parametrize("m", [6, 12])
+    def test_slice_across_a_block_boundary(self, m):
+        # At m = 12 the index has 78 bits, beyond one machine word; the
+        # oracle there is the characteristic polynomial itself.
+        block = 1 << backend.BLOCK_BITS
+        start = random.Random(m).getrandbits(m * (m + 1) // 2) // block * block + block - 300
+        polys = good_masks(m)
+        expected = [
+            k
+            for k in range(start, start + 600)
+            if char_poly(BitMatrix(m, m, backend.decode_symmetric(m, k))).mask in polys
+        ]
+        assert expected
+        assert backend.scan_symmetric(m, polys, start, start + 600) == expected
+
+
+# sha256 of `mubforge search --m M --kind KIND --exhaustive --count COUNT`,
+# recorded with the earlier pure-Python scan kernel.
+ALL = 1 << 20  # above every exhaustive total
+GOLDEN_SHA256 = {
+    ("field", 1, ALL): "3e2ad2734be76087ddc2c6d6be7e4d3367a0a28cb0266eb6ee3a5ae998ebf1fa",
+    ("field", 2, ALL): "0e4b6b55cccea06617c83bc1be9e4c832366e3f68f333b7df15ca04c48d3d51d",
+    ("field", 3, ALL): "293232602ebc0cb8f7dca4dfafbaef01f371f0b4021185c7379d1febc4cca106",
+    ("field", 4, ALL): "5636df41d6ef1fcc15b81b0b7c9b3f6f581b6af08c3fc69c2d827b272285fa57",
+    ("field", 5, ALL): "abfdf88f5e7597afaa9f0e21f42c417da434140604e45ae4a14468619602be0e",
+    ("field", 6, 3000): "c3657bbb6f8c298bb50ddabb107ed35a1403c41d6672c6aba8f1b108c3613b12",
+    ("group", 1, ALL): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("group", 2, ALL): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("group", 3, ALL): "a3dcc41f5315e6c4074cdaa66ee3b35a98fe491fd0d73c89d00df40a799cb400",
+    ("group", 4, ALL): "9d2120acb3d86ca4189dfdb747f066a9274d6d991ba781524cc36707e1188041",
+    ("semigroup", 1, ALL): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("semigroup", 2, ALL): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("semigroup", 3, ALL): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("semigroup", 4, ALL): "cb4754d2f667822e4cfa20fbf7cacaff17e3904846b98746a6ab079c08ff2400",
+}
+
+
+@pytest.mark.parametrize("kind,m,count", sorted(GOLDEN_SHA256))
+def test_exhaustive_search_output_is_byte_identical(tmp_path, kind, m, count):
+    out = tmp_path / "specs.jsonl"
+    argv = ["search", "--m", str(m), "--kind", kind, "--exhaustive", "--count", str(count)]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[kind, m, count]
