@@ -25,7 +25,6 @@ from .construct import (
     is_polynomial_in,
     search_B,
     search_specs,
-    stabilizer_power,
     symmetrizer_space,
 )
 from .entangle import EntanglementVector, count_factorizable, entanglement_vector, partition_of

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -137,6 +138,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print("mubforge build: error: --tol must be a finite number > 0", file=sys.stderr)
+        return 1
     if args.numeric_cap > NUMERIC_QUBIT_CAP:
         print(
             f"mubforge build: error: --numeric-cap must be at most {NUMERIC_QUBIT_CAP}",

@@ -14,6 +14,7 @@ matrix of the form p(B) R + diagonal (semigroup).
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -29,7 +30,6 @@ from .gf2 import (
     lower_block,
     mat_inverse,
     mat_mul,
-    poly_of_matrix,
     solve_affine,
     upper_block,
     vstack,
@@ -223,22 +223,18 @@ def build_stabilizer(spec: StabilizerSpec) -> BitMatrix:
     return block2x2(ul, ur, rinv, mat_mul(rinv, spec.A))
 
 
-def stabilizer_power(C: BitMatrix, j: int) -> BitMatrix:
-    """C^j for j >= 0."""
-    if j < 0:
-        raise ValueError("negative power")
-    return C**j
-
-
 def cyclicity_check(C: BitMatrix, d: int) -> bool:
-    """True iff C has order exactly d + 1."""
+    """True iff C has order exactly d + 1.
+
+    An order test: C^(d+1) = I while C^((d+1)/q) != I for every prime q
+    dividing d + 1 (any proper divisor of d + 1 divides one of those
+    quotients), so it costs O(log d) products instead of d.
+    """
+    n = d + 1
     eye = BitMatrix.identity(C.rows)
-    acc = C
-    for _ in range(d):
-        if acc == eye:
-            return False
-        acc = acc * C
-    return acc == eye
+    if C**n != eye:
+        return False
+    return all(C ** (n // q) != eye for q in poly2._prime_factors(n))
 
 
 def standard_form(gen: BitMatrix):
@@ -275,58 +271,34 @@ def generators(spec: StabilizerSpec) -> GeneratorSet:
 # -- class-level checks ------------------------------------------------------
 
 
-def class_labels(gen: BitMatrix) -> list[int]:
-    """All nonzero Pauli labels G c (c != 0) as packed 2m-bit integers."""
-    m = gen.cols
-    cols = [gen.column(j).bits for j in range(m)]
-    out = []
-    for c in range(1, 1 << m):
-        v = 0
-        cc = c
-        while cc:
-            low = cc & -cc
-            v ^= cols[low.bit_length() - 1]
-            cc ^= low
-        out.append(v)
-    return out
-
-
-def _symplectic_bits(a: int, b: int, m: int) -> int:
-    lo = (1 << m) - 1
-    az, ax = a & lo, a >> m
-    bz, bx = b & lo, b >> m
-    return bin((az & bx) ^ (ax & bz)).count("1") & 1
-
-
-def class_partition_check(gens: GeneratorSet) -> bool:
-    """Classes are pairwise disjoint, cover all 4^m - 1 labels, and commute within."""
-    m = gens.m
-    d = 1 << m
-    seen: set[int] = set()
-    for gen in gens.generators:
-        labels = class_labels(gen)
-        if len(set(labels)) != d - 1 or 0 in labels:
-            return False
-        if seen.intersection(labels):
-            return False
-        seen.update(labels)
-        cols = [gen.column(j).bits for j in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                if _symplectic_bits(cols[i], cols[j], m):
-                    return False
-    return len(seen) == (d + 1) * (d - 1)
-
-
 def bandyopadhyay_check(gens: GeneratorSet) -> bool:
-    """Symmetric, pairwise-distinct standard forms plus the partition property."""
+    """Bandyopadhyay's criterion on the standard forms of an orbit.
+
+    True iff there are d + 1 classes, class 0 is the only Z_BASIS class and
+    every other standard form is symmetric.  For a set that is the orbit of
+    G_0 = (I; 0) under an invertible C, this is exactly the partition of the
+    4^m - 1 nonzero Pauli labels into d + 1 commuting classes of d - 1:
+
+    - `generators` builds G_t = C^t G_0 with C invertible: for field,
+      C^-1 = [[0, I], [I, B]]; for group, `validate` checks that R is
+      invertible; for semigroup, C = T C_group T with T = [[I, A], [0, I]].
+      So every class has dimension m.
+    - `standard_form` returns a matrix only when the lower block is
+      invertible (and raises otherwise), so class 0 = {(x; 0)} meets every
+      later class only in 0.
+    - For i < j, class i meets class j in C^i applied to the meet of class 0
+      and class j - i, so all classes are pairwise disjoint apart from 0.
+    - A symmetric form M makes its class (M; I) isotropic, since the
+      symplectic product of columns a and b is M_ab + M_ba.  Counting
+      (d + 1)(d - 1) = 4^m - 1 distinct nonzero labels gives the cover.
+
+    `transport` by a block-triangular f keeps every step: the result is the
+    orbit of (I; 0) under f C f^-1.
+    """
     forms = gens.standard_forms
-    mats = [f for f in forms if f is not Z_BASIS]
-    if any(not f.is_symmetric() for f in mats):
+    if len(forms) != (1 << gens.m) + 1 or forms[0] is not Z_BASIS:
         return False
-    if len({f.data for f in mats}) != len(mats) or sum(1 for f in forms if f is Z_BASIS) != 1:
-        return False
-    return class_partition_check(gens)
+    return all(f is not Z_BASIS and f.is_symmetric() for f in forms[1:])
 
 
 def field_closure_check(gens: GeneratorSet) -> bool:
@@ -587,7 +559,7 @@ def _derived_seed(seed: int, salt: int) -> int:
 
 
 def _iter_conjugators(m: int, mode: str, seed: int | None, max_attempts: int) -> Iterator[BitMatrix]:
-    """Invertible matrices u, exhaustively (row-major lexicographic) or sampled."""
+    """Invertible matrices u, each once, exhaustively (row-major lexicographic) or sampled."""
     nbits = m * m
     if mode == "exhaustive":
         if m > EXHAUSTIVE_CONJ_CAP:
@@ -599,7 +571,11 @@ def _iter_conjugators(m: int, mode: str, seed: int | None, max_attempts: int) ->
     else:
         rng = random.Random(_derived_seed(seed, 0xC0))
         candidates = (rng.getrandbits(nbits) for _ in range(max_attempts))
+    order = math.prod((1 << m) - (1 << i) for i in range(m))  # |GL(m, 2)|
+    seen: set[int] = set()
     for k in candidates:
+        if k in seen:
+            continue
         rows = []
         for i in range(m):
             mask = 0
@@ -609,7 +585,10 @@ def _iter_conjugators(m: int, mode: str, seed: int | None, max_attempts: int) ->
             rows.append(mask)
         u = BitMatrix(m, m, rows)
         if is_invertible(u):
+            seen.add(k)
             yield u
+            if len(seen) == order:
+                return
 
 
 def search_specs(
@@ -626,7 +605,9 @@ def search_specs(
     over invertible u, with B0 the first field-kind hit: every symmetrizer
     expressible as a Gram product arises this way, and the non-polynomial
     filter (two factorizable bases) plus the addend filter (one factorizable
-    basis) are applied before anything is emitted.
+    basis) are applied before anything is emitted.  Distinct u give distinct
+    (B, R): w = u^-1 u' commutes with B0, so w lies in the field F2[B0], and
+    w w^t = w^2 = I forces w = I.  So no spec repeats once no u does.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -643,7 +624,6 @@ def search_specs(
         return
     b0 = anchors[0]
     emitted = 0
-    seen: set[str] = set()
     for u in _iter_conjugators(m, mode, seed, max_attempts):
         if count is not None and emitted >= count:
             return
@@ -658,9 +638,5 @@ def search_specs(
             if A is None:
                 return  # no admissible addend exists at this m
             spec = StabilizerSpec.semigroup(B, R, A)
-        key = spec.to_json()
-        if key in seen:
-            continue
-        seen.add(key)
         emitted += 1
         yield spec

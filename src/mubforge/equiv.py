@@ -24,6 +24,7 @@ from .gf2 import (
     BitMatrix,
     BitVec,
     block2x2,
+    blocks_of,
     is_invertible,
     mat_inverse,
     mat_mul,
@@ -53,8 +54,6 @@ class SymplecticMap:
 
     @classmethod
     def from_matrix(cls, f: BitMatrix) -> "SymplecticMap":
-        from .gf2 import blocks_of
-
         return cls(*blocks_of(f))
 
     @classmethod

@@ -18,7 +18,6 @@ from mubforge.construct import (
     Z_BASIS,
     bandyopadhyay_check,
     build_stabilizer,
-    class_labels,
     cyclicity_check,
     find_addend,
     generators,
@@ -46,6 +45,7 @@ from mubforge.poly2 import (
     fibonacci_poly_mod,
     irreducibles,
 )
+from oracles import class_labels
 
 
 def _report(n: int, label: str) -> None:

@@ -148,6 +148,25 @@ class TestBuild:
         assert err.count("\n") == 1
         assert "--numeric-cap must be at most 6" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_meaningless_tol_is_usage_error(self, spec_files, capsys, tol):
+        assert cli.main(["build", str(spec_files["field3"]), f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--tol must be a finite number > 0" in captured.err
+
+    def test_semigroup_twelve_qubits(self, tmp_path, capsys):
+        # 4097 classes: the checks run on the standard forms and the order of C,
+        # not on the 4^12 - 1 Pauli labels.
+        spec = tmp_path / "semigroup12.json"
+        spec.write_text(next(iter(search_specs(12, "semigroup", 1, "random", 1))).to_json())
+        assert cli.main(["build", str(spec)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["cyclic_ok"] is True and report["bandyopadhyay_ok"] is True
+        assert report["entanglement"]["counts"][0] == 1
+        assert report["mub_verification"] == "skipped (m > 5)"
+
     def test_unwritable_out_exits_2(self, spec_files, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
         assert cli.main(["build", str(spec_files["field1"]), "--out", str(out)]) == 2

@@ -1,16 +1,20 @@
 """Stabilizer construction, lemma-condition filters, and the searches."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubforge.construct import (
+    KINDS,
+    GeneratorSet,
     SpecValidationError,
     StabilizerSpec,
     Z_BASIS,
     bandyopadhyay_check,
     build_stabilizer,
-    class_labels,
     cyclicity_check,
     field_closure_check,
     find_addend,
@@ -19,7 +23,7 @@ from mubforge.construct import (
     is_polynomial_in,
     search_B,
     search_specs,
-    stabilizer_power,
+    standard_form,
     symmetrizer_space,
 )
 from mubforge.equiv import class_canonical, symplectic_form
@@ -31,8 +35,10 @@ from mubforge.gf2 import (
     mat_inverse,
     mat_mul,
     poly_of_matrix,
+    vstack,
 )
-from mubforge.poly2 import Poly2, fibonacci_poly
+from mubforge.poly2 import Poly2, fibonacci_poly, is_irreducible
+from oracles import bandyopadhyay_oracle, class_labels, cyclicity_walk
 
 B1 = BitMatrix.from_rows([[1]])
 B2 = BitMatrix.from_rows([[1, 1], [1, 0]])
@@ -50,6 +56,22 @@ def group_spec(m=3):
 
 def semigroup_spec(m=4):
     return next(iter(search_specs(m, "semigroup", 1, "exhaustive")))
+
+
+def orbit(C, m):
+    """GeneratorSet of G_t = C^t (I; 0), t = 0..d, without any spec."""
+    gens = [vstack(BitMatrix.identity(m), BitMatrix.zero(m))]
+    for _ in range(1 << m):
+        gens.append(mat_mul(C, gens[-1]))
+    return GeneratorSet(m, tuple(gens), tuple(standard_form(g) for g in gens))
+
+
+def random_irreducible_matrix(rng, m):
+    """Uniform m x m matrix, not necessarily symmetric, with irreducible char(B)."""
+    while True:
+        B = BitMatrix(m, m, [rng.getrandbits(m) for _ in range(m)])
+        if is_irreducible(char_poly(B)):
+            return B
 
 
 class TestValidation:
@@ -125,15 +147,15 @@ class TestStabilizer:
 
     def test_power_basics(self):
         C = build_stabilizer(field_spec(2))
-        assert stabilizer_power(C, 0) == BitMatrix.identity(4)
-        assert stabilizer_power(C, 3) == C * C * C
+        assert C**0 == BitMatrix.identity(4)
+        assert C**3 == C * C * C
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_field_power_blocks_are_fibonacci(self, m):
         spec = field_spec(m)
         C = build_stabilizer(spec)
         for j in range(1, spec.d + 2):
-            Cj = stabilizer_power(C, j)
+            Cj = C**j
             upper_left = BitMatrix(m, m, (Cj.data[i] & ((1 << m) - 1) for i in range(m)))
             assert upper_left == poly_of_matrix(fibonacci_poly(j + 1), spec.B)
 
@@ -158,6 +180,15 @@ class TestCyclicity:
         C = block2x2(B3_INDEX7, eye, eye, zero)
         assert not cyclicity_check(C, 8)
         assert C**7 == BitMatrix.identity(6)
+
+    def test_order_dividing_d_plus_one_fails(self):
+        # C = [[I, I], [I, 0]] has order 3, which divides d + 1 = 9: C^9 = I,
+        # so only the prime-divisor step (C^3 = I) rejects it.
+        eye, zero = BitMatrix.identity(3), BitMatrix.zero(3)
+        C = block2x2(eye, eye, eye, zero)
+        assert C**9 == BitMatrix.identity(6)
+        assert not cyclicity_check(C, 8)
+        assert not cyclicity_walk(C, 8)
 
     @pytest.mark.parametrize("make", [lambda: field_spec(3), group_spec, semigroup_spec])
     def test_constructed_specs_are_cyclic(self, make):
@@ -204,6 +235,27 @@ class TestGenerators:
         labels = [lab for g in gens.generators for lab in class_labels(g)]
         assert len(labels) == len(set(labels)) == (1 << (2 * gens.m)) - 1
 
+    def test_nonsymmetric_form_fails(self):
+        # Companion matrix of x^3 + x + 1 (index 9): a full orbit of d + 1
+        # classes with invertible lower blocks, but G_1 = (B; I) has the
+        # non-symmetric form B, so its class is not isotropic.
+        B = BitMatrix.from_rows([[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+        eye, zero = BitMatrix.identity(3), BitMatrix.zero(3)
+        gens = orbit(block2x2(B, eye, eye, zero), 3)
+        assert sum(f is Z_BASIS for f in gens.standard_forms) == 1
+        assert gens.standard_forms[1] == B
+        assert not bandyopadhyay_check(gens)
+        assert not bandyopadhyay_oracle(gens)
+
+    def test_second_z_basis_fails(self):
+        # C of order 3 < d + 1 = 5 returns to (I; 0) at t = 3.
+        eye, zero = BitMatrix.identity(2), BitMatrix.zero(2)
+        gens = orbit(block2x2(eye, eye, eye, zero), 2)
+        assert gens.standard_forms[3] is Z_BASIS
+        assert all(f is Z_BASIS or f.is_symmetric() for f in gens.standard_forms)
+        assert not bandyopadhyay_check(gens)
+        assert not bandyopadhyay_oracle(gens)
+
     @pytest.mark.parametrize(
         "make", [lambda: field_spec(2), lambda: field_spec(4), group_spec]
     )
@@ -213,11 +265,39 @@ class TestGenerators:
         gens = generators(spec)
         d = spec.d
         for j in range(d + 1):
-            Cj = stabilizer_power(C, j)
+            Cj = C**j
             for k in range(d + 1):
                 image = mat_mul(Cj, gens.generators[k])
                 target = gens.generators[(j + k) % (d + 1)]
                 assert class_canonical(image) == class_canonical(target)
+
+
+class TestChecksAgainstOracles:
+    """The form-level checks agree with label enumeration and the d-step walk."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(KINDS), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_searched_specs(self, kind, m, seed):
+        specs = list(search_specs(m, kind, 1, "random", seed))
+        for spec in specs:
+            C = build_stabilizer(spec)
+            gens = generators(spec)
+            assert bandyopadhyay_check(gens) == bandyopadhyay_oracle(gens)
+            for d in (spec.d - 1, spec.d, 2 * spec.d + 1):
+                assert cyclicity_check(C, d) == cyclicity_walk(C, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_orbits_of_arbitrary_b(self, m, seed):
+        # For irreducible char(B) every Fibonacci polynomial F_t(B) is zero or
+        # invertible, so each class of C = [[B, I], [I, 0]] has a standard form.
+        # Non-symmetric B and indices below d + 1 give the False cases.
+        B = random_irreducible_matrix(random.Random(seed), m)
+        eye, zero = BitMatrix.identity(m), BitMatrix.zero(m)
+        C = block2x2(B, eye, eye, zero)
+        gens = orbit(C, m)
+        assert bandyopadhyay_check(gens) == bandyopadhyay_oracle(gens)
+        assert cyclicity_check(C, 1 << m) == cyclicity_walk(C, 1 << m)
 
 
 class TestFieldClosure:

@@ -16,6 +16,7 @@ from mubforge.pauli import (
     symplectic_product,
     verify_mub,
 )
+from oracles import class_labels
 
 
 def field_gens(m):
@@ -112,8 +113,6 @@ class TestClassEigenbasis:
         gens = field_gens(m)
         for gen in gens.generators:
             basis = class_eigenbasis(gen)
-            from mubforge.construct import class_labels
-
             for packed in class_labels(gen):
                 op = pauli_matrix(PauliLabel.from_bits(m, packed))
                 conj = basis.conj().T @ op @ basis

@@ -43,6 +43,18 @@ def test_search_output_is_byte_identical(tmp_path, kind, m, seed):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[kind, m, seed]
 
 
+def test_group_search_with_repeated_draws_is_byte_identical(tmp_path):
+    # All 126 group specs at m = 3; random mode draws many conjugators twice.
+    # sha256 recorded when duplicates were filtered by their JSON line.
+    out = tmp_path / "specs.jsonl"
+    argv = ["search", "--m", "3", "--kind", "group", "--seed", "1", "--count", "126"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "78de19dd960d4a9ece0befbc4932cd92a56ed59768fa4f4aaf13ded880970e44"
+    )
+
+
 def table_scan_random(m, seed, max_attempts):
     """Oracle: the same sampling, with hits looked up in the admissible table."""
     table = set(poly2.stabilizer_char_polys(m))
