@@ -20,14 +20,11 @@ from .construct import (
     cyclicity_check,
     field_closure_check,
     find_addend,
-    find_symmetrizer,
     generators,
-    is_polynomial_in,
     search_B,
     search_specs,
-    symmetrizer_space,
 )
-from .entangle import EntanglementVector, count_factorizable, entanglement_vector, partition_of
+from .entangle import EntanglementVector, entanglement_vector, partition_of
 from .equiv import (
     SymplecticMap,
     classes_equal,
@@ -63,7 +60,6 @@ from .poly2 import (
     Poly2,
     fibonacci_index,
     fibonacci_poly,
-    fibonacci_poly_mod,
     is_irreducible,
     stabilizer_char_polys,
 )

@@ -9,6 +9,13 @@ that single condition makes the stabilizer matrix C cyclic of order d + 1.
 The three kinds produce sets with three, two and one completely factorizable
 bases once R is not a polynomial in B (group) and A additionally avoids every
 matrix of the form p(B) R + diagonal (semigroup).
+
+Search builds group and semigroup specs from one field-kind anchor B0 and a
+change of basis u: B = u B0 u^-1 and R = u u^t, so the standard forms are
+p(B) R + A = u p(B0) u^t + A.  R is a polynomial in B exactly when u^t u is
+one in B0, which is one membership test in a span built once per search,
+and the addend is the first pair matrix E_ij + E_ji outside
+span{B^k R} + diagonals, found in at most 2m + 1 tests.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from typing import Iterator
 from . import backend, poly2
 from .gf2 import (
     BitMatrix,
-    BitVec,
     NotInvertibleError,
     block2x2,
     char_poly,
@@ -30,7 +36,6 @@ from .gf2 import (
     lower_block,
     mat_inverse,
     mat_mul,
-    solve_affine,
     upper_block,
     vstack,
 )
@@ -322,52 +327,7 @@ def field_closure_check(gens: GeneratorSet) -> bool:
     return True
 
 
-# -- symmetrizers and the semigroup addend ----------------------------------
-
-
-def _sym_positions(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m) for j in range(i, m)]
-
-
-def _sym_from_packed(m: int, bits: int) -> BitMatrix:
-    rows = [0] * m
-    for b, (i, j) in enumerate(_sym_positions(m)):
-        if (bits >> b) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return BitMatrix(m, m, rows)
-
-
-def symmetrizer_space(B: BitMatrix) -> list[BitMatrix]:
-    """Basis of {R : R symmetric and B R symmetric}, via one affine solve.
-
-    For a symmetric B with irreducible characteristic polynomial this space
-    is exactly span{I, B, ..., B^(m-1)}: B R symmetric forces R B = B R, and
-    the centralizer of a matrix whose characteristic polynomial equals its
-    minimal polynomial is its polynomial algebra.  Non-polynomial
-    symmetrizers therefore only occur for non-symmetric B.
-    """
-    m = B.rows
-    positions = _sym_positions(B.rows)
-    if m == 1:
-        return [BitMatrix.identity(1)]
-    n_unknowns = len(positions)
-    pos_index = {pos: k for k, pos in enumerate(positions)}
-    rows = []
-    for i in range(m):
-        for k in range(i + 1, m):
-            # (BR)_{ik} + (BR)_{ki} = 0, linear in the packed entries of R
-            mask = 0
-            for j in range(m):
-                if B[i, j]:
-                    mask ^= 1 << pos_index[(min(j, k), max(j, k))]
-                if B[k, j]:
-                    mask ^= 1 << pos_index[(min(j, i), max(j, i))]
-            rows.append(mask)
-    coeff = BitMatrix(len(rows), n_unknowns, rows)
-    solution = solve_affine(coeff, BitVec(len(rows), 0))
-    assert solution is not None  # homogeneous system
-    return [_sym_from_packed(m, v.bits) for v in solution.nullspace_basis]
+# -- the semigroup addend ---------------------------------------------------
 
 
 def _vec(mat: BitMatrix) -> int:
@@ -403,83 +363,40 @@ class _SpanReducer:
         return self.reduce(v) == 0
 
 
-def is_polynomial_in(B: BitMatrix, X: BitMatrix) -> bool:
-    """Membership of X in span{I, B, ..., B^(m-1)}."""
-    m = B.rows
-    if X.rows != m or X.cols != m:
-        raise ValueError("shape mismatch")
-    power = BitMatrix.identity(m)
-    vecs = []
-    for _ in range(m):
-        vecs.append(_vec(power))
-        power = mat_mul(power, B)
-    return _SpanReducer(vecs).contains(_vec(X))
-
-
-def find_symmetrizer(B: BitMatrix, require_nonpoly: bool = False) -> BitMatrix | None:
-    """Invertible symmetrizer for B, preferring square roots of identity.
-
-    With require_nonpoly, only R outside the polynomial algebra of B qualify
-    (such R exist only for non-symmetric B).  Candidates are ranked with
-    R^2 = I first, then lexicographically by the packed upper triangle;
-    None when the filtered space has no invertible element.
-    """
-    basis = symmetrizer_space(B)
-    if len(basis) > 20:
-        raise ValueError("symmetrizer space too large to enumerate")
-    m = B.rows
-    eye = BitMatrix.identity(m)
-    best: tuple[int, int] | None = None
-    best_mat = None
-    for mask in range(1, 1 << len(basis)):
-        cand = BitMatrix.zero(m)
-        mm = mask
-        while mm:
-            low = mm & -mm
-            cand = cand + basis[low.bit_length() - 1]
-            mm ^= low
-        if not is_invertible(cand):
-            continue
-        if require_nonpoly and is_polynomial_in(B, cand):
-            continue
-        key = (0 if mat_mul(cand, cand) == eye else 1, backend.encode_symmetric(m, cand.data))
-        if best is None or key < best:
-            best = key
-            best_mat = cand
-    return best_mat
-
-
 def addend_excluded_span(B: BitMatrix, R: BitMatrix) -> _SpanReducer:
     """Span of {p(B) R} + {diagonal matrices}, as packed vectors."""
     m = B.rows
-    vecs = []
-    power = BitMatrix.identity(m)
+    vecs = [1 << (i * m + i) for i in range(m)]
+    power_r = R
     for _ in range(m):
-        vecs.append(_vec(mat_mul(power, R)))
-        power = mat_mul(power, B)
-    for i in range(m):
-        vecs.append(1 << (i * m + i))
+        vecs.append(_vec(power_r))
+        power_r = mat_mul(B, power_r)
     return _SpanReducer(vecs)
 
 
 def find_addend(B: BitMatrix, R: BitMatrix) -> BitMatrix | None:
-    """First symmetric A (lexicographic) with A != p(B) R + D for all p, D.
+    """First symmetric A in candidate order with A != p(B) R + D for all p, D.
 
-    The excluded matrices form the subspace spanned by {B^k R} and the
-    diagonals, so exclusion is one span-membership test; the scan needs at
-    most 4^m + 1 candidates before a non-member must appear.
+    The excluded matrices form the subspace W = span{B^k R} + diagonals, and
+    the first candidate outside W is a pair matrix E_ij + E_ji, found by
+    trying the upper-triangle positions from the last one backwards:
+
+    - Candidate indices (`backend.decode_symmetric`) add as XOR, like the
+      matrices they encode, so the indices inside W form a subspace.  If b
+      is the lowest bit whose unit matrix lies outside W, every smaller
+      index is a sum of lower unit matrices, all inside W; so the least
+      index outside W is 2^b.
+    - The b unit matrices below it are independent members of W and
+      dim W <= 2m, so b <= 2m: at most 2m + 1 membership tests.
+    - None means W contains every symmetric matrix, which needs
+      m(m + 1)/2 <= 2m, i.e. m <= 3.
     """
     m = B.rows
     span = addend_excluded_span(B, R)
-    npairs = m * (m + 1) // 2
-    limit = min(1 << npairs, (1 << (2 * m)) + 1)
-    for k in range(limit):
-        rows = backend.decode_symmetric(m, k)
-        v = 0
-        for i, r in enumerate(rows):
-            v |= r << (i * m)
-        if not span.contains(v):
-            return BitMatrix(m, m, rows)
+    for b in range(m * (m + 1) // 2):
+        A = BitMatrix(m, m, backend.decode_symmetric(m, 1 << b))
+        if not span.contains(_vec(A)):
+            return A
     return None
 
 
@@ -502,23 +419,27 @@ def _scan_random(m: int, seed: int, max_attempts: int) -> Iterator[int]:
 
     Each new sample is tested directly: its characteristic polynomial must be
     irreducible with Fibonacci index d + 1.  Verdicts are memoized per
-    polynomial, so no table of all admissible polynomials is built.
+    polynomial, so no table of all admissible polynomials is built.  Every
+    drawn index is recorded, so a repeat is skipped, and the scan stops once
+    all 2^(m(m+1)/2) candidates have been drawn.
     """
     target = (1 << m) + 1
     npairs = m * (m + 1) // 2
     rng = random.Random(seed)
-    seen: set[int] = set()
+    drawn: set[int] = set()
     verdicts: dict[int, bool] = {}
     for _ in range(max_attempts):
+        if len(drawn) == 1 << npairs:
+            return
         k = rng.getrandbits(npairs)
-        if k in seen:
+        if k in drawn:
             continue
+        drawn.add(k)
         p = char_poly(BitMatrix(m, m, backend.decode_symmetric(m, k)))
         hit = verdicts.get(p.mask)
         if hit is None:
             hit = verdicts[p.mask] = poly2.is_irreducible(p) and poly2.has_index(p, target)
         if hit:
-            seen.add(k)
             yield k
 
 
@@ -623,20 +544,29 @@ def search_specs(
     if not anchors:
         return
     b0 = anchors[0]
+    # R = u u^t is a polynomial in B = u B0 u^-1 iff u^t u is one in B0:
+    # F2[B] = u F2[B0] u^-1, so u u^t = u p(B0) u^-1 <=> u^t u = p(B0).
+    # So the span of I, B0, ..., B0^(m-1) is built once per search.
+    field = _SpanReducer([_vec(b0**k) for k in range(m)])
     emitted = 0
     for u in _iter_conjugators(m, mode, seed, max_attempts):
         if count is not None and emitted >= count:
             return
-        R = mat_mul(u, u.transpose())
-        B = mat_mul(mat_mul(u, b0), mat_inverse(u))
-        if is_polynomial_in(B, R):
+        ut = u.transpose()
+        if field.contains(_vec(mat_mul(ut, u))):
             continue
+        R = mat_mul(u, ut)
+        B = mat_mul(mat_mul(u, b0), mat_inverse(u))
         if kind == "group":
             spec = StabilizerSpec.group(B, R)
         else:
             A = find_addend(B, R)
             if A is None:
-                return  # no admissible addend exists at this m
+                # No nonzero p(B) R is diagonal: it would be an invertible
+                # diagonal matrix, so I, and R = p(B)^-1 would lie in F2[B].
+                # So W = span{B^k R} + diagonals has dim 2m for every u here,
+                # and None means m(m + 1)/2 <= 2m, i.e. m <= 3, for all u.
+                return
             spec = StabilizerSpec.semigroup(B, R, A)
         emitted += 1
         yield spec

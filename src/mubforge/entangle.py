@@ -77,7 +77,3 @@ def entanglement_vector(gens: GeneratorSet) -> EntanglementVector:
         counts[index[partition_of(entry, gens.m)]] += 1
     return EntanglementVector(gens.m, parts, tuple(counts))
 
-
-def count_factorizable(gens: GeneratorSet) -> int:
-    """Number of completely factorizable bases in the set."""
-    return entanglement_vector(gens).factorizable()

@@ -11,6 +11,7 @@ equivalence executable in both directions.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .construct import (
@@ -28,6 +29,7 @@ from .gf2 import (
     is_invertible,
     mat_inverse,
     mat_mul,
+    rank,
     solve_affine,
     vstack,
     upper_block,
@@ -133,24 +135,16 @@ def gram_factor(R: BitMatrix) -> BitMatrix | None:
         v = units.pop()
         # Gram of (v, a, c) is [[1,0,0],[0,0,1],[0,1,0]]; re-orthonormalize the patch.
         combos = [v ^ a, v ^ c, v ^ a ^ c, v, a, c, a ^ c]
-        repaired = None
-        for trio in itertools.combinations(combos, 3):
-            if not all(form_bits(x, x) for x in trio):
-                continue
-            if any(form_bits(x, y) for x, y in itertools.combinations(trio, 2)):
-                continue
-            span: list[int] = []
-            ok = True
-            for x in trio:
-                for b in span:
-                    x = min(x, x ^ b)
-                if x == 0:
-                    ok = False
-                    break
-                span.append(x)
-            if ok:
-                repaired = trio
-                break
+        repaired = next(
+            (
+                trio
+                for trio in itertools.combinations(combos, 3)
+                if all(form_bits(x, x) for x in trio)
+                and not any(form_bits(x, y) for x, y in itertools.combinations(trio, 2))
+                and rank(BitMatrix(3, m, trio)) == 3
+            ),
+            None,
+        )
         assert repaired is not None, "hyperbolic patch must re-diagonalize"
         units.extend(repaired)
     # Columns of Q are the orthonormal basis vectors; then Q^t R Q = I,
@@ -181,33 +175,16 @@ def transport(f: SymplecticMap, gens: GeneratorSet) -> GeneratorSet:
     return GeneratorSet(gens.m, tuple(normalized), forms)
 
 
-def class_canonical(gen: BitMatrix) -> tuple[int, ...]:
-    """Canonical form of a class: reduced echelon basis of its column space."""
-    m = gen.cols
-    cols = [gen.column(j).bits for j in range(m)]
-    basis: list[int] = []
-    for v in cols:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    basis.sort(reverse=True)
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if i != j and basis[i] != 0:
-                lead = basis[j].bit_length() - 1
-                if (basis[i] >> lead) & 1:
-                    basis[i] ^= basis[j]
-    return tuple(sorted(basis, reverse=True))
-
-
 def classes_equal(a: GeneratorSet, b: GeneratorSet) -> bool:
-    """Unordered equality of the two collections of class column spaces."""
+    """Unordered equality of the two collections of classes, by standard form.
+
+    The class of (M; I) is the graph {(M c; c)} of M, and Z_BASIS stands for
+    {(x; 0)}, so a standard form names its class uniquely; `generators` and
+    `transport` raise on a class that has no standard form.
+    """
     if a.m != b.m:
         raise ValueError("qubit count mismatch")
-    return sorted(class_canonical(g) for g in a.generators) == sorted(
-        class_canonical(g) for g in b.generators
-    )
+    return Counter(a.standard_forms) == Counter(b.standard_forms)
 
 
 def field_anchor(spec: StabilizerSpec) -> tuple[SymplecticMap, StabilizerSpec]:

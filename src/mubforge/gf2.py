@@ -185,14 +185,6 @@ class BitMatrix:
             n >>= 1
         return acc
 
-    def mul_vec(self, v: BitVec) -> BitVec:
-        if v.n != self.cols:
-            raise ValueError("shape mismatch in matrix-vector product")
-        out = 0
-        for i, r in enumerate(self.data):
-            out |= (bin(r & v.bits).count("1") & 1) << i
-        return BitVec(self.rows, out)
-
     def transpose(self) -> "BitMatrix":
         return BitMatrix(
             self.cols,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import GeneratorSet
-from .gf2 import BitMatrix, BitVec
+from .gf2 import BitMatrix, BitVec, rank
 
 NUMERIC_QUBIT_CAP = 6
 
@@ -98,14 +98,8 @@ def class_eigenbasis(gen: BitMatrix) -> np.ndarray:
     if gen.rows != 2 * m:
         raise ValueError("expected a 2m x m generator")
     labels = [PauliLabel.from_bitvec(gen.column(j)) for j in range(m)]
-    packed = [(lab.z | (lab.x << m)) for lab in labels]
-    reducer: list[int] = []
-    for v in packed:
-        for b in reducer:
-            v = min(v, v ^ b)
-        if v == 0:
-            raise ValueError("class generators are dependent")
-        reducer.append(v)
+    if rank(gen) < m:
+        raise ValueError("class generators are dependent")
     for i in range(m):
         for j in range(i + 1, m):
             if symplectic_product(labels[i], labels[j]):
@@ -153,16 +147,6 @@ def verify_mub(bases: list[np.ndarray], tol: float = 1e-10) -> MubVerification:
             overlaps = np.abs(bases[i].conj().T @ bases[j]) ** 2
             dev = max(dev, float(np.max(np.abs(overlaps - 1.0 / d))))
     return MubVerification(dev, unit_dev, dev <= tol and unit_dev <= tol)
-
-
-def basis_to_json_dict(basis: np.ndarray) -> dict:
-    """Export a basis as JSON-ready columns of (re, im) pairs, 17 significant digits."""
-    d = basis.shape[0]
-    columns = [
-        [[float(f"{basis[i, j].real:.17g}"), float(f"{basis[i, j].imag:.17g}")] for i in range(d)]
-        for j in range(d)
-    ]
-    return {"dimension": d, "columns": columns}
 
 
 def schmidt_rank(vector: np.ndarray, block: tuple[int, ...] | list[int], tol: float = 1e-10) -> int:

@@ -78,14 +78,6 @@ class Poly2:
             mask |= c << i
         return cls(mask)
 
-    @classmethod
-    def from_hex(cls, text: str) -> "Poly2":
-        """Parse the hex coefficient-bitstring format, e.g. 'B' for x^3+x+1."""
-        return cls(int(text, 16))
-
-    def to_hex(self) -> str:
-        return format(self.mask, "X")
-
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
@@ -221,15 +213,6 @@ def _fib_pair_mod(n: int, p: int) -> tuple[int, int]:
             nc = _mod(_mul(gb, gb) ^ _mul(gc, gc), p)
             ga, gb, gc = na, nb, nc
     return rb, ra
-
-
-def fibonacci_poly_mod(n: int, p: Poly2) -> Poly2:
-    """F_n(x) mod p(x) in O(log n) polynomial products."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    if p.degree < 1:
-        raise ValueError("modulus must have degree >= 1")
-    return Poly2(_fib_pair_mod(n, p.mask)[0])
 
 
 INDEX_DEGREE_CAP = 32

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from mubforge.backend import decode_symmetric
 from mubforge.construct import (
     StabilizerSpec,
     Z_BASIS,
@@ -23,9 +24,8 @@ from mubforge.construct import (
     generators,
     search_B,
     search_specs,
-    symmetrizer_space,
 )
-from mubforge.entangle import count_factorizable, entanglement_vector
+from mubforge.entangle import entanglement_vector
 from mubforge.equiv import (
     SymplecticMap,
     classes_equal,
@@ -42,7 +42,6 @@ from mubforge.poly2 import (
     X,
     fibonacci_index,
     fibonacci_poly,
-    fibonacci_poly_mod,
     irreducibles,
 )
 from oracles import class_labels
@@ -148,10 +147,10 @@ def test_criterion_04_addition_identity():
 
 def test_criterion_05_entanglement_counts(field_specs, group3):
     for m in range(1, 6):
-        assert count_factorizable(generators(field_specs[m])) == 3
+        assert entanglement_vector(generators(field_specs[m])).factorizable() == 3
     # m = 3, group kind: existence settled by the exhaustive search (it found
     # a non-polynomial symmetrizer), and the count drops to exactly two.
-    assert count_factorizable(generators(group3)) == 2
+    assert entanglement_vector(generators(group3)).factorizable() == 2
     # m = 3, semigroup kind: no admissible addend exists -- every symmetric A
     # is of the excluded form p(B) R + D, verified here, so the
     # one-factorizable case is reported as unattainable at m = 3.
@@ -160,7 +159,7 @@ def test_criterion_05_entanglement_counts(field_specs, group3):
     print("[acceptance] criterion  5: note: no semigroup addend exists at m = 3 "
           "(every symmetric A is excluded); first semigroup sets appear at m = 4")
     sg = list(search_specs(4, "semigroup", 1, "exhaustive"))
-    assert sg and count_factorizable(generators(sg[0])) == 1
+    assert sg and entanglement_vector(generators(sg[0])).factorizable() == 1
     _report(5, "factorizable counts: field 3 (m<=5); group 2 (m=3); semigroup 1 (m=4)")
 
 
@@ -200,17 +199,15 @@ def test_criterion_07_two_qubit_negative_result():
     hits = search_B(2, None, "exhaustive")
     assert hits
     for B in hits:
-        basis = symmetrizer_space(B)
-        spanned = set()
-        for mask in range(1 << len(basis)):
-            acc = BitMatrix.zero(2)
-            for i, vec in enumerate(basis):
-                if (mask >> i) & 1:
-                    acc = acc + vec
-            spanned.add(acc.data)
+        # brute force over the 8 symmetric 2 x 2 matrices R
+        symmetrizers = set()
+        for k in range(8):
+            R = BitMatrix(2, 2, decode_symmetric(2, k))
+            if mat_mul(B, R).is_symmetric():
+                symmetrizers.add(R.data)
         eye = BitMatrix.identity(2)
         polys = {BitMatrix.zero(2).data, eye.data, B.data, (B + eye).data}
-        assert spanned == polys
+        assert symmetrizers == polys
     proc = subprocess.run(
         [sys.executable, "-m", "mubforge.cli", "search", "--m", "2", "--kind",
          "group", "--exhaustive", "--count", "5"],

@@ -7,26 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mubforge.backend import decode_symmetric
 from mubforge.construct import (
     KINDS,
     GeneratorSet,
     SpecValidationError,
     StabilizerSpec,
     Z_BASIS,
+    _iter_conjugators,
+    _SpanReducer,
+    _vec,
     bandyopadhyay_check,
     build_stabilizer,
     cyclicity_check,
     field_closure_check,
     find_addend,
-    find_symmetrizer,
     generators,
-    is_polynomial_in,
     search_B,
     search_specs,
     standard_form,
-    symmetrizer_space,
 )
-from mubforge.equiv import class_canonical, symplectic_form
+from mubforge.equiv import symplectic_form
 from mubforge.gf2 import (
     BitMatrix,
     block2x2,
@@ -38,7 +39,15 @@ from mubforge.gf2 import (
     vstack,
 )
 from mubforge.poly2 import Poly2, fibonacci_poly, is_irreducible
-from oracles import bandyopadhyay_oracle, class_labels, cyclicity_walk
+from oracles import (
+    bandyopadhyay_oracle,
+    class_canonical,
+    class_labels,
+    cyclicity_walk,
+    find_addend_scan,
+    is_polynomial_in,
+    search_specs_oracle,
+)
 
 B1 = BitMatrix.from_rows([[1]])
 B2 = BitMatrix.from_rows([[1, 1], [1, 0]])
@@ -64,6 +73,17 @@ def orbit(C, m):
     for _ in range(1 << m):
         gens.append(mat_mul(C, gens[-1]))
     return GeneratorSet(m, tuple(gens), tuple(standard_form(g) for g in gens))
+
+
+def random_invertible(rng, m):
+    while True:
+        u = BitMatrix(m, m, [rng.getrandbits(m) for _ in range(m)])
+        if is_invertible(u):
+            return u
+
+
+def random_symmetric(rng, m):
+    return BitMatrix(m, m, decode_symmetric(m, rng.getrandbits(m * (m + 1) // 2)))
 
 
 def random_irreducible_matrix(rng, m):
@@ -310,22 +330,6 @@ class TestFieldClosure:
 
 
 class TestSymmetrizers:
-    def test_one_qubit_space(self):
-        assert symmetrizer_space(B1) == [BitMatrix.identity(1)]
-
-    def test_two_qubit_space_is_polynomials(self):
-        basis = symmetrizer_space(B2)
-        spanned = set()
-        for mask in range(1 << len(basis)):
-            acc = BitMatrix.zero(2)
-            for i, vec in enumerate(basis):
-                if (mask >> i) & 1:
-                    acc = acc + vec
-            spanned.add(acc.data)
-        eye = BitMatrix.identity(2)
-        polys = {BitMatrix.zero(2).data, eye.data, B2.data, (B2 + eye).data}
-        assert spanned == polys
-
     def test_symmetric_matrix_admits_only_polynomial_symmetrizers(self):
         # Brute force at m = 3: for symmetric B the solutions of
         # "R and BR symmetric" are exactly the 2^m polynomials in B.
@@ -349,34 +353,6 @@ class TestSymmetrizers:
             polys.add(acc.data)
         assert brute == polys
         assert all(is_polynomial_in(B, BitMatrix(3, 3, r)) for r in brute)
-
-    def test_defining_property_of_space(self):
-        g = group_spec()
-        for R0 in symmetrizer_space(g.B):
-            assert R0.is_symmetric()
-            assert mat_mul(g.B, R0).is_symmetric()
-
-    def test_find_symmetrizer_single_qubit(self):
-        assert find_symmetrizer(B1) == BitMatrix.identity(1)
-
-    def test_find_symmetrizer_nonpoly_small_m_empty(self):
-        assert find_symmetrizer(B2, require_nonpoly=True) is None
-        assert find_symmetrizer(field_spec(3).B, require_nonpoly=True) is None
-
-    def test_find_symmetrizer_nonpoly_on_conjugated_matrix(self):
-        g = group_spec()
-        R = find_symmetrizer(g.B, require_nonpoly=True)
-        assert R is not None
-        assert R.is_symmetric() and is_invertible(R)
-        assert mat_mul(g.B, R).is_symmetric()
-        assert not is_polynomial_in(g.B, R)
-
-    def test_find_symmetrizer_prefers_involutions(self):
-        g = group_spec()
-        R = find_symmetrizer(g.B, require_nonpoly=True)
-        # The conjugation family always contains an involutory candidate
-        # (a square root of unity); the preference must pick one.
-        assert mat_mul(R, R) == BitMatrix.identity(3)
 
 
 class TestAddend:
@@ -436,6 +412,99 @@ class TestAddend:
         for k in range(k_found):
             earlier = BitMatrix(4, 4, decode_symmetric(4, k))
             assert span.contains(_vec(earlier))
+
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_closed_form_matches_scan_on_searched_specs(self, m):
+        specs = list(search_specs(m, "group", 8, "random", seed=m))
+        if m <= 4:
+            specs += list(search_specs(m, "group", 40, "exhaustive"))
+        assert specs
+        for spec in specs:
+            assert find_addend(spec.B, spec.R) == find_addend_scan(spec.B, spec.R)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_matches_scan_on_random_conjugates(self, m, seed):
+        # B = u B0 u^-1 and R = u u^t for any invertible u, polynomial or not,
+        # and the same B with an arbitrary symmetric R.
+        rng = random.Random(seed)
+        b0 = search_B(m, 1, "random", seed)[0]
+        u = random_invertible(rng, m)
+        B = mat_mul(mat_mul(u, b0), mat_inverse(u))
+        for R in (mat_mul(u, u.transpose()), random_symmetric(rng, m)):
+            assert find_addend(B, R) == find_addend_scan(B, R)
+
+    def test_no_addend_for_any_nonpolynomial_conjugator_at_three_qubits(self):
+        # The early return of search_specs: at m = 3 every non-polynomial R
+        # leaves no admissible addend, so stopping at the first one drops nothing.
+        b0 = search_B(3, 1, "exhaustive")[0]
+        pairs = []
+        for u in _iter_conjugators(3, "exhaustive", None, 1 << 18):
+            B = mat_mul(mat_mul(u, b0), mat_inverse(u))
+            R = mat_mul(u, u.transpose())
+            if not is_polynomial_in(B, R):
+                pairs.append((B, R))
+        assert len(pairs) == 126
+        assert all(find_addend(B, R) is None for B, R in pairs)
+
+
+class TestAnchorField:
+    """u^t u in F2[B0] decides whether u u^t is a polynomial in u B0 u^-1."""
+
+    @staticmethod
+    def anchor_field_test(b0, u):
+        field = _SpanReducer([_vec(b0**k) for k in range(b0.rows)])
+        return field.contains(_vec(mat_mul(u.transpose(), u)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), polynomial=st.booleans())
+    def test_matches_oracle(self, m, seed, polynomial):
+        rng = random.Random(seed)
+        b0 = search_B(m, 1, "random", seed)[0]
+        if polynomial:
+            # u = P q(B0) with P a permutation: u^t u = q(B0)^2 lies in F2[B0].
+            q = BitMatrix.zero(m)
+            while q.is_zero():
+                q = poly_of_matrix(Poly2(rng.getrandbits(m)), b0)
+            perm = rng.sample(range(m), m)
+            u = mat_mul(BitMatrix(m, m, [1 << j for j in perm]), q)
+        else:
+            u = random_invertible(rng, m)
+        B = mat_mul(mat_mul(u, b0), mat_inverse(u))
+        R = mat_mul(u, u.transpose())
+        assert self.anchor_field_test(b0, u) == is_polynomial_in(B, R)
+        if polynomial:
+            assert is_polynomial_in(B, R)
+
+    def test_every_conjugator_at_three_qubits(self):
+        b0 = search_B(3, 1, "exhaustive")[0]
+        verdicts = []
+        for u in _iter_conjugators(3, "exhaustive", None, 1 << 18):
+            B = mat_mul(mat_mul(u, b0), mat_inverse(u))
+            verdict = is_polynomial_in(B, mat_mul(u, u.transpose()))
+            assert self.anchor_field_test(b0, u) == verdict
+            verdicts.append(verdict)
+        assert len(verdicts) == 168 and verdicts.count(False) == 126
+
+    @pytest.mark.parametrize("kind", ["group", "semigroup"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_exhaustive_search_matches_oracle(self, kind, m):
+        assert list(search_specs(m, kind, 150, "exhaustive")) == search_specs_oracle(
+            m, kind, 150, "exhaustive"
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["group", "semigroup"]),
+        m=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 4),
+    )
+    def test_random_search_matches_oracle(self, kind, m, seed, count):
+        assert list(search_specs(m, kind, count, "random", seed)) == search_specs_oracle(
+            m, kind, count, "random", seed
+        )
 
 
 class TestSearch:

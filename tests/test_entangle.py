@@ -7,7 +7,6 @@ import pytest
 from mubforge.construct import StabilizerSpec, Z_BASIS, generators, search_specs
 from mubforge.entangle import (
     EntanglementVector,
-    count_factorizable,
     entanglement_vector,
     partition_of,
     partitions_of,
@@ -67,15 +66,15 @@ class TestEntanglementVector:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_field_has_three_factorizable(self, m):
-        assert count_factorizable(generators(field_spec(m))) == 3
+        assert entanglement_vector(generators(field_spec(m))).factorizable() == 3
 
     def test_group_has_two_factorizable(self):
         spec = next(iter(search_specs(3, "group", 1, "exhaustive")))
-        assert count_factorizable(generators(spec)) == 2
+        assert entanglement_vector(generators(spec)).factorizable() == 2
 
     def test_semigroup_has_one_factorizable(self):
         spec = next(iter(search_specs(4, "semigroup", 1, "exhaustive")))
-        assert count_factorizable(generators(spec)) == 1
+        assert entanglement_vector(generators(spec)).factorizable() == 1
 
     @pytest.mark.parametrize(
         "kind,m", [("field", 1), ("field", 2), ("field", 3), ("field", 4), ("group", 3), ("semigroup", 4)]

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubforge.construct import (
     StabilizerSpec,
@@ -14,7 +16,6 @@ from mubforge.construct import (
 )
 from mubforge.equiv import (
     SymplecticMap,
-    class_canonical,
     classes_equal,
     equivalence_map,
     field_anchor,
@@ -31,6 +32,7 @@ from mubforge.gf2 import (
     rank,
     vstack,
 )
+from oracles import class_canonical, is_polynomial_in
 
 
 def random_invertible(rng, m):
@@ -193,8 +195,6 @@ class TestClassesEqual:
         )
 
     def test_outside_polynomial_algebra_differs(self):
-        from mubforge.construct import is_polynomial_in
-
         hits = search_B(3, None, "exhaustive")
         base = hits[0]
         other = next((b for b in hits if not is_polynomial_in(base, b)), None)
@@ -209,6 +209,50 @@ class TestClassesEqual:
         b = generators(StabilizerSpec.field(search_B(2, 1, "exhaustive")[0]))
         with pytest.raises(ValueError):
             classes_equal(a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_matches_canonical_oracle(self, m, seed):
+        # Equal pairs: B and B^2 span one field, and a group or semigroup set
+        # is its field anchor's set transported.  From m = 3 on, the group and
+        # field sets differ in their number of factorizable bases.
+        rng = random.Random(seed)
+        B = search_B(m, 1, "random", seed)[0]
+        field = generators(StabilizerSpec.field(B))
+        u = random_invertible(rng, m)
+        sets = [
+            field,
+            generators(StabilizerSpec.field(mat_mul(B, B))),
+            generators(StabilizerSpec.field(search_B(m, 1, "random", seed + 1)[0])),
+            transport(SymplecticMap.triangular(u, BitMatrix.zero(m)), field),
+        ]
+        for kind in ("group", "semigroup"):
+            for spec in search_specs(m, kind, 1, "random", seed):
+                f, anchor = field_anchor(spec)
+                sets += [generators(spec), transport(f, generators(anchor))]
+        outcomes = set()
+        for a in sets:
+            for b in sets:
+                oracle = sorted(map(class_canonical, a.generators)) == sorted(
+                    map(class_canonical, b.generators)
+                )
+                assert classes_equal(a, b) == oracle
+                outcomes.add(oracle)
+        assert outcomes == {True, False} or m <= 2
+
+    def test_multiplicities_count(self):
+        # Same classes, different multiplicities: unequal as multisets.
+        from mubforge.construct import GeneratorSet, Z_BASIS
+
+        eye, zero = BitMatrix.identity(2), BitMatrix.zero(2)
+        z, x = vstack(eye, zero), vstack(zero, eye)
+        a = GeneratorSet(2, (z, x, x), (Z_BASIS, zero, zero))
+        b = GeneratorSet(2, (z, z, x), (Z_BASIS, Z_BASIS, zero))
+        assert sorted(map(class_canonical, a.generators)) != sorted(
+            map(class_canonical, b.generators)
+        )
+        assert not classes_equal(a, b)
+        assert classes_equal(a, a)
 
     def test_canonical_form_ignores_column_operations(self):
         rng = random.Random(13)
@@ -273,8 +317,6 @@ class TestEquivalenceMap:
     def test_conjugate_class_families_are_linked(self):
         # Distinct polynomial algebras, same characteristic polynomial: the
         # classes differ but an orthogonal change of anchor still links them.
-        from mubforge.construct import is_polynomial_in
-
         hits = search_B(3, None, "exhaustive")
         base = hits[0]
         other = next(b for b in hits if not is_polynomial_in(base, b))

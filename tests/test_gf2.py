@@ -122,7 +122,8 @@ class TestSolveAffine:
             brute = {
                 bits
                 for bits in range(1 << n)
-                if coeff.mul_vec(BitVec(n, bits)) == rhs
+                if mat_mul(coeff, BitMatrix(n, 1, ((bits >> j) & 1 for j in range(n))))
+                == BitMatrix(m, 1, rhs)
             }
             sol = solve_affine(coeff, rhs)
             if sol is None:

@@ -159,21 +159,6 @@ class TestVerifyMub:
         assert result.passed
 
 
-class TestBasisExport:
-    def test_round_trip_structure(self):
-        import json
-
-        from mubforge.pauli import basis_to_json_dict
-
-        basis = mub_from_generators(field_gens(1))[1]
-        payload = json.loads(json.dumps(basis_to_json_dict(basis)))
-        assert payload["dimension"] == 2
-        rebuilt = np.array(
-            [[complex(re, im) for re, im in col] for col in payload["columns"]]
-        ).T
-        np.testing.assert_allclose(rebuilt, basis, atol=0)  # 17 digits is exact
-
-
 class TestSchmidtRank:
     def test_product_state(self):
         v = np.zeros(4, dtype=complex)

@@ -55,6 +55,42 @@ def test_group_search_with_repeated_draws_is_byte_identical(tmp_path):
     )
 
 
+def test_field_search_past_the_last_candidate_is_byte_identical(tmp_path):
+    # All 6 field specs at m = 3 out of 64 candidates; `--count 100` asks for
+    # more than exist.  sha256 recorded when the search drew all 2^18 attempts.
+    out = tmp_path / "specs.jsonl"
+    argv = ["search", "--m", "3", "--kind", "field", "--seed", "0", "--count", "100"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "0379d6d55ba86343d5141474a06d0343eb890d7cbd231e320cc0964025c771d3"
+    )
+
+
+def test_random_search_stops_once_every_candidate_is_drawn(monkeypatch):
+    # At m = 2 there are 8 candidates: the search must stop at the draw that
+    # completes them, not run on to max_attempts.
+    first_complete = 0
+    seen = set()
+    replay = random.Random(0)
+    while len(seen) < 8:
+        seen.add(replay.getrandbits(3))
+        first_complete += 1
+    draws = []
+
+    class CountingRandom(random.Random):
+        def getrandbits(self, k):
+            draws.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    hits = construct.search_B(2, None, "random", seed=0)
+    assert sorted(b.data for b in hits) == sorted(
+        b.data for b in construct.search_B(2, None, "exhaustive")
+    )
+    assert len(draws) == first_complete
+
+
 def table_scan_random(m, seed, max_attempts):
     """Oracle: the same sampling, with hits looked up in the admissible table."""
     table = set(poly2.stabilizer_char_polys(m))
