@@ -18,7 +18,6 @@ from .construct import (
     bandyopadhyay_check,
     build_stabilizer,
     cyclicity_check,
-    field_closure_check,
     find_addend,
     generators,
     search_B,
@@ -52,7 +51,6 @@ from .pauli import (
     class_eigenbasis,
     mub_from_generators,
     pauli_matrix,
-    schmidt_rank,
     symplectic_product,
     verify_mub,
 )

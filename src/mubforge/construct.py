@@ -10,6 +10,9 @@ The three kinds produce sets with three, two and one completely factorizable
 bases once R is not a polynomial in B (group) and A additionally avoids every
 matrix of the form p(B) R + diagonal (semigroup).
 
+A set's classes are held by their standard forms: (I; 0) and the d
+matrices p(B) R + A with deg p < m, read off the two additive matrices.
+
 Search builds group and semigroup specs from one field-kind anchor B0 and a
 change of basis u: B = u B0 u^-1 and R = u u^t, so the standard forms are
 p(B) R + A = u p(B0) u^t + A.  R is a polynomial in B exactly when u^t u is
@@ -199,16 +202,26 @@ class StabilizerSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "StabilizerSpec":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            return cls.from_json_dict(json.loads(text))
+        except RecursionError as exc:
+            raise SpecValidationError("schema", "spec JSON is nested too deeply") from exc
 
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The d + 1 class generators of one set, with their standard forms."""
+    """The d + 1 classes of one set, each held by its standard form."""
 
     m: int
-    generators: tuple[BitMatrix, ...]
     standard_forms: tuple
+
+    @property
+    def generators(self) -> tuple[BitMatrix, ...]:
+        """One 2m x m generator per class: (I; 0) for Z_BASIS, (M; I) for a form M."""
+        eye, zero = BitMatrix.identity(self.m), BitMatrix.zero(self.m)
+        return tuple(
+            vstack(eye, zero) if f is Z_BASIS else vstack(f, eye) for f in self.standard_forms
+        )
 
 
 def build_stabilizer(spec: StabilizerSpec) -> BitMatrix:
@@ -262,69 +275,75 @@ def standard_form(gen: BitMatrix):
 
 
 def generators(spec: StabilizerSpec) -> GeneratorSet:
-    """G_j = C^j G_0 for j = 0..d, plus their standard forms."""
+    """Z_BASIS and the d forms p(B) R + A with deg p < m, each once.
+
+    These are the standard forms of the orbit C^j (I; 0), j = 0..d, of a
+    valid spec, read off the two additive matrices by doubling over the
+    products B^k R:
+
+    - Field and group kind: with M = N R, C (M; I) = (B M + R; R^-1 M) has
+      standard form (B + N^-1) R.  So N_1 = B and N_(j+1) = B + N_j^-1 stay
+      in the field F2[B], since the characteristic polynomial of B is
+      irreducible.
+    - C permutes the d + 1 points of the projective line over F2[B] in a
+      single cycle.  Its order is the Fibonacci index d + 1, and a scalar
+      power lambda I would need lambda^2 = det C = 1.  A power of C with a
+      fixed point would be triangular, so its order would divide d (d - 1),
+      which is coprime to d + 1.
+    - Semigroup kind: C = T C_group T with T = [[I, A], [0, I]], and T fixes
+      G_0 = (I; 0), so every form is shifted by A.
+
+    The first m orbit steps are still walked, and each standard form must be
+    one of the forms returned; a miss raises StandardFormError naming the
+    step, so C stays tied to the classes reported.
+    """
     C = build_stabilizer(spec)
     m = spec.m
-    g0 = vstack(BitMatrix.identity(m), BitMatrix.zero(m))
-    gens = [g0]
-    for _ in range(spec.d):
-        gens.append(mat_mul(C, gens[-1]))
-    forms = [Z_BASIS] + [standard_form(g) for g in gens[1:]]
-    return GeneratorSet(m, tuple(gens), tuple(forms))
+    forms = [spec.A]
+    power_r = spec.R
+    for _ in range(m):
+        forms += [f + power_r for f in forms]
+        power_r = mat_mul(spec.B, power_r)
+    members = set(forms)
+    gen = vstack(BitMatrix.identity(m), BitMatrix.zero(m))
+    for step in range(1, m + 1):
+        gen = mat_mul(C, gen)
+        if standard_form(gen) not in members:
+            raise StandardFormError(f"orbit step {step} leaves A + F2[B] R")
+    return GeneratorSet(m, (Z_BASIS, *forms))
 
 
 # -- class-level checks ------------------------------------------------------
 
 
 def bandyopadhyay_check(gens: GeneratorSet) -> bool:
-    """Bandyopadhyay's criterion on the standard forms of an orbit.
+    """Bandyopadhyay's criterion on the standard forms of a set.
 
     True iff there are d + 1 classes, class 0 is the only Z_BASIS class and
-    every other standard form is symmetric.  For a set that is the orbit of
-    G_0 = (I; 0) under an invertible C, this is exactly the partition of the
-    4^m - 1 nonzero Pauli labels into d + 1 commuting classes of d - 1:
+    every other standard form is symmetric.  For the sets `generators`
+    returns, this is exactly the partition of the 4^m - 1 nonzero Pauli
+    labels into d + 1 commuting classes of d - 1:
 
-    - `generators` builds G_t = C^t G_0 with C invertible: for field,
-      C^-1 = [[0, I], [I, B]]; for group, `validate` checks that R is
-      invertible; for semigroup, C = T C_group T with T = [[I, A], [0, I]].
-      So every class has dimension m.
-    - `standard_form` returns a matrix only when the lower block is
-      invertible (and raises otherwise), so class 0 = {(x; 0)} meets every
-      later class only in 0.
-    - For i < j, class i meets class j in C^i applied to the meet of class 0
-      and class j - i, so all classes are pairwise disjoint apart from 0.
+    - Class 0 = {(x; 0)} meets each class (M; I) = {(M c; c)} only in 0.
+    - Two forms p(B) R + A and p'(B) R + A differ by q(B) R with q != 0 and
+      deg q < m.  That is invertible (char(B) is irreducible and R is
+      invertible), so M c = M' c forces c = 0 and the classes meet only in 0.
     - A symmetric form M makes its class (M; I) isotropic, since the
       symplectic product of columns a and b is M_ab + M_ba.  Counting
       (d + 1)(d - 1) = 4^m - 1 distinct nonzero labels gives the cover.
 
-    `transport` by a block-triangular f keeps every step: the result is the
-    orbit of (I; 0) under f C f^-1.
+    The same holds for the standard forms of any orbit C^t (I; 0),
+    t = 0..d, under an invertible C, such as the ones tests build: every
+    class has dimension m, `standard_form` returns a matrix only for an
+    invertible lower block, and class i meets class j in C^i applied to the
+    meet of class 0 and class j - i.  `transport` by a symplectic f keeps
+    the classes' dimensions, disjointness and isotropy, and raises on a
+    class without a standard form.
     """
     forms = gens.standard_forms
     if len(forms) != (1 << gens.m) + 1 or forms[0] is not Z_BASIS:
         return False
     return all(f is not Z_BASIS and f.is_symmetric() for f in forms[1:])
-
-
-def field_closure_check(gens: GeneratorSet) -> bool:
-    """Standard forms of a field-kind set represent the finite field F_{2^m}.
-
-    The d matrices {M_j} must be closed under addition and matrix product,
-    contain 0 (additive neutral) and I (multiplicative neutral), and be
-    pairwise distinct.
-    """
-    mats = [f for f in gens.standard_forms if f is not Z_BASIS]
-    m = gens.m
-    table = {f.data for f in mats}
-    if len(table) != 1 << m:
-        return False
-    if BitMatrix.zero(m).data not in table or BitMatrix.identity(m).data not in table:
-        return False
-    for a in mats:
-        for b in mats:
-            if (a + b).data not in table or mat_mul(a, b).data not in table:
-                return False
-    return True
 
 
 # -- the semigroup addend ---------------------------------------------------
@@ -480,31 +499,42 @@ def _derived_seed(seed: int, salt: int) -> int:
 
 
 def _iter_conjugators(m: int, mode: str, seed: int | None, max_attempts: int) -> Iterator[BitMatrix]:
-    """Invertible matrices u, each once, exhaustively (row-major lexicographic) or sampled."""
-    nbits = m * m
+    """Invertible matrices u, each once, exhaustively (row-major lexicographic) or sampled.
+
+    An index k holds row i of u in its i-th group of m bits from the top,
+    with column 0 as the group's top bit, so a row mask is its group's bits
+    reversed.  Exhaustive mode builds u one row at a time in that order and
+    skips any row in the span of the rows above it, so every u it yields is
+    invertible and no rank test is needed.
+    """
     if mode == "exhaustive":
         if m > EXHAUSTIVE_CONJ_CAP:
             raise ValueError(
                 f"exhaustive group/semigroup search is capped at m = {EXHAUSTIVE_CONJ_CAP}; "
                 "use random mode"
             )
-        candidates: Iterator[int] = iter(range(1 << nbits))
-    else:
-        rng = random.Random(_derived_seed(seed, 0xC0))
-        candidates = (rng.getrandbits(nbits) for _ in range(max_attempts))
+        rev = [int(f"{p:0{m}b}"[::-1], 2) for p in range(1 << m)]
+
+        def extend(rows: list[int], span: set[int]) -> Iterator[BitMatrix]:
+            if len(rows) == m:
+                yield BitMatrix(m, m, rows)
+                return
+            for r in rev:
+                if r not in span:
+                    yield from extend(rows + [r], span | {s ^ r for s in span})
+
+        yield from extend([], {0})
+        return
+    nbits = m * m
+    rng = random.Random(_derived_seed(seed, 0xC0))
     order = math.prod((1 << m) - (1 << i) for i in range(m))  # |GL(m, 2)|
     seen: set[int] = set()
-    for k in candidates:
+    for _ in range(max_attempts):
+        k = rng.getrandbits(nbits)
         if k in seen:
             continue
-        rows = []
-        for i in range(m):
-            mask = 0
-            for j in range(m):
-                if (k >> (nbits - 1 - (i * m + j))) & 1:
-                    mask |= 1 << j
-            rows.append(mask)
-        u = BitMatrix(m, m, rows)
+        bits = f"{k:0{nbits}b}"
+        u = BitMatrix(m, m, (int(bits[i * m : (i + 1) * m][::-1], 2) for i in range(m)))
         if is_invertible(u):
             seen.add(k)
             yield u

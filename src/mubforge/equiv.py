@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .construct import (
     GeneratorSet,
     StabilizerSpec,
-    Z_BASIS,
     generators,
     standard_form,
 )
@@ -31,9 +30,6 @@ from .gf2 import (
     mat_mul,
     rank,
     solve_affine,
-    vstack,
-    upper_block,
-    lower_block,
 )
 
 
@@ -154,7 +150,7 @@ def gram_factor(R: BitMatrix) -> BitMatrix | None:
 
 
 def transport(f: SymplecticMap, gens: GeneratorSet) -> GeneratorSet:
-    """Left-multiply every class generator by f and re-normalize.
+    """Left-multiply every class generator by f and take standard forms.
 
     Raises StandardFormError when an image has a singular nonzero lower
     block; that outcome is reported, never silently patched.
@@ -162,17 +158,7 @@ def transport(f: SymplecticMap, gens: GeneratorSet) -> GeneratorSet:
     if not is_symplectic(f):
         raise ValueError("transport requires a symplectic map")
     mat = f.matrix
-    new_gens = tuple(mat_mul(mat, g) for g in gens.generators)
-    forms = tuple(standard_form(g) for g in new_gens)
-    normalized = []
-    for g, form in zip(new_gens, forms):
-        if form is Z_BASIS:
-            normalized.append(
-                vstack(BitMatrix.identity(gens.m), BitMatrix.zero(gens.m))
-            )
-        else:
-            normalized.append(vstack(form, BitMatrix.identity(gens.m)))
-    return GeneratorSet(gens.m, tuple(normalized), forms)
+    return GeneratorSet(gens.m, tuple(standard_form(mat_mul(mat, g)) for g in gens.generators))
 
 
 def classes_equal(a: GeneratorSet, b: GeneratorSet) -> bool:

@@ -360,19 +360,6 @@ def char_poly(a: BitMatrix) -> Poly2:
     return Poly2(M[m - 1][m - 1])
 
 
-def poly_of_matrix(p: Poly2, a: BitMatrix) -> BitMatrix:
-    """Evaluate p at a square matrix (Horner over F2)."""
-    if not a.is_square():
-        raise ValueError("polynomial of a non-square matrix")
-    m = a.rows
-    acc = BitMatrix.zero(m)
-    for i in range(p.degree, -1, -1):
-        acc = acc * a
-        if (p.mask >> i) & 1:
-            acc = acc + BitMatrix.identity(m)
-    return acc
-
-
 def offdiag_components(a: BitMatrix) -> list[tuple[int, ...]]:
     """Connected components of the off-diagonal coupling graph.
 

@@ -2,8 +2,9 @@
 
 This module double-checks the symbolic layer with dense complex arithmetic:
 it builds the d-dimensional Pauli operators from their F2 labels, extracts
-the joint eigenbasis of each commuting class by projector products, verifies
-unbiasedness of a full set, and measures Schmidt ranks across qubit cuts.
+the joint eigenbasis of each commuting class by projector products, and
+verifies unbiasedness of a full set.  The Schmidt-rank probes across qubit
+cuts live with the tests (`tests/oracles.py`).
 
 Conventions: qubit 0 is the leftmost tensor factor (most significant bit of
 the computational index); every eigenvector's global phase is fixed by making
@@ -123,7 +124,7 @@ def class_eigenbasis(gen: BitMatrix) -> np.ndarray:
 
 
 def mub_from_generators(gens: GeneratorSet) -> list[np.ndarray]:
-    """The d + 1 eigenbases of a generator set, in class order."""
+    """The d + 1 eigenbases of a generator set, in the order of its standard forms."""
     return [class_eigenbasis(g) for g in gens.generators]
 
 
@@ -147,27 +148,3 @@ def verify_mub(bases: list[np.ndarray], tol: float = 1e-10) -> MubVerification:
             overlaps = np.abs(bases[i].conj().T @ bases[j]) ** 2
             dev = max(dev, float(np.max(np.abs(overlaps - 1.0 / d))))
     return MubVerification(dev, unit_dev, dev <= tol and unit_dev <= tol)
-
-
-def schmidt_rank(vector: np.ndarray, block: tuple[int, ...] | list[int], tol: float = 1e-10) -> int:
-    """Schmidt rank of a pure state across block vs. complement.
-
-    Singular values are counted when above tol times the largest one.
-    """
-    block = sorted(set(block))
-    if not block:
-        raise ValueError("block must contain at least one qubit")
-    d = vector.shape[0]
-    m = d.bit_length() - 1
-    if 1 << m != d:
-        raise ValueError("vector length is not a power of two")
-    if block[-1] >= m or block[0] < 0:
-        raise ValueError("block indices outside qubit range")
-    rest = [q for q in range(m) if q not in block]
-    arr = np.asarray(vector, dtype=complex).reshape([2] * m)
-    arr = np.transpose(arr, axes=block + rest)
-    mat = arr.reshape(1 << len(block), -1)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > tol * svals[0]))

@@ -5,6 +5,14 @@
   `construct.bandyopadhyay_check` decides from the standard forms alone.
 - `cyclicity_walk` takes every power of C up to d + 1, where
   `construct.cyclicity_check` is an order test.
+- `orbit_forms` walks C^j (I; 0) for j = 0..d, one product and one inverse
+  per class, where `construct.generators` reads the forms p(B) R + A off
+  the two additive matrices.
+- `field_closure_check` tests the field axioms on the forms of a field-kind
+  set, which `construct.generators` builds inside F2[B].
+- `iter_conjugators_scan` decodes every one of the 2^(m^2) bit patterns and
+  tests its rank, where `construct._iter_conjugators` builds invertible
+  matrices row by row.
 - `is_polynomial_in` rebuilds span{I, B, ..., B^(m-1)} for one B, where
   `construct.search_specs` tests u^t u against the anchor's field once per u.
 - `find_addend_scan` decodes the symmetric candidates one by one, up to
@@ -14,10 +22,17 @@
   those in place of the fast paths.
 - `class_canonical` is the reduced echelon basis of a class's column space,
   where `equiv.classes_equal` compares standard forms.
+- `poly_of_matrix` (Horner) and `schmidt_rank` (an SVD across a qubit cut)
+  serve the tests that re-derive Fibonacci blocks and factorizability.
 
 The label and walk oracles cost O(4^m) and O(d) steps, so tests use them
 for m <= 8.
 """
+
+import math
+import random
+
+import numpy as np
 
 from mubforge import backend, construct
 from mubforge.construct import (
@@ -27,9 +42,11 @@ from mubforge.construct import (
     _SpanReducer,
     _vec,
     addend_excluded_span,
+    standard_form,
 )
-from mubforge.gf2 import BitMatrix, mat_inverse, mat_mul
+from mubforge.gf2 import BitMatrix, is_invertible, mat_inverse, mat_mul, vstack
 from mubforge.pauli import PauliLabel, symplectic_product
+from mubforge.poly2 import Poly2
 
 
 def class_labels(gen: BitMatrix) -> list[int]:
@@ -88,6 +105,66 @@ def cyclicity_walk(C: BitMatrix, d: int) -> bool:
     return acc == eye
 
 
+def orbit_forms(C: BitMatrix, d: int) -> list:
+    """Standard forms of G_j = C^j (I; 0) for j = 0..d, in orbit order."""
+    m = C.rows // 2
+    gen = vstack(BitMatrix.identity(m), BitMatrix.zero(m))
+    forms = [standard_form(gen)]
+    for _ in range(d):
+        gen = mat_mul(C, gen)
+        forms.append(standard_form(gen))
+    return forms
+
+
+def field_closure_check(gens: GeneratorSet) -> bool:
+    """Standard forms of a field-kind set represent the finite field F_{2^m}.
+
+    The d matrices {M_j} must be closed under addition and matrix product,
+    contain 0 (additive neutral) and I (multiplicative neutral), and be
+    pairwise distinct.
+    """
+    mats = [f for f in gens.standard_forms if f is not Z_BASIS]
+    m = gens.m
+    table = {f.data for f in mats}
+    if len(table) != 1 << m:
+        return False
+    if BitMatrix.zero(m).data not in table or BitMatrix.identity(m).data not in table:
+        return False
+    for a in mats:
+        for b in mats:
+            if (a + b).data not in table or mat_mul(a, b).data not in table:
+                return False
+    return True
+
+
+def iter_conjugators_scan(m: int, mode: str, seed: int | None, max_attempts: int):
+    """Invertible u, each once, by decoding every candidate bit pattern and testing its rank."""
+    nbits = m * m
+    if mode == "exhaustive":
+        candidates = iter(range(1 << nbits))
+    else:
+        rng = random.Random(construct._derived_seed(seed, 0xC0))
+        candidates = (rng.getrandbits(nbits) for _ in range(max_attempts))
+    order = math.prod((1 << m) - (1 << i) for i in range(m))  # |GL(m, 2)|
+    seen: set[int] = set()
+    for k in candidates:
+        if k in seen:
+            continue
+        rows = []
+        for i in range(m):
+            mask = 0
+            for j in range(m):
+                if (k >> (nbits - 1 - (i * m + j))) & 1:
+                    mask |= 1 << j
+            rows.append(mask)
+        u = BitMatrix(m, m, rows)
+        if is_invertible(u):
+            seen.add(k)
+            yield u
+            if len(seen) == order:
+                return
+
+
 def is_polynomial_in(B: BitMatrix, X: BitMatrix) -> bool:
     """Membership of X in span{I, B, ..., B^(m-1)}."""
     m = B.rows
@@ -115,7 +192,6 @@ def find_addend_scan(B: BitMatrix, R: BitMatrix) -> BitMatrix | None:
         if not span.contains(_vec(A)):
             return A
     return None
-
 
 
 def search_specs_oracle(
@@ -148,6 +224,7 @@ def search_specs_oracle(
         out.append(StabilizerSpec.semigroup(B, R, A))
     return out
 
+
 def class_canonical(gen: BitMatrix) -> tuple[int, ...]:
     """Canonical form of a class: reduced echelon basis of its column space."""
     m = gen.cols
@@ -166,3 +243,40 @@ def class_canonical(gen: BitMatrix) -> tuple[int, ...]:
                 if (basis[i] >> lead) & 1:
                     basis[i] ^= basis[j]
     return tuple(sorted(basis, reverse=True))
+
+
+def poly_of_matrix(p: Poly2, a: BitMatrix) -> BitMatrix:
+    """Evaluate p at a square matrix (Horner over F2)."""
+    if not a.is_square():
+        raise ValueError("polynomial of a non-square matrix")
+    m = a.rows
+    acc = BitMatrix.zero(m)
+    for i in range(p.degree, -1, -1):
+        acc = acc * a
+        if (p.mask >> i) & 1:
+            acc = acc + BitMatrix.identity(m)
+    return acc
+
+
+def schmidt_rank(vector: np.ndarray, block: tuple[int, ...] | list[int], tol: float = 1e-10) -> int:
+    """Schmidt rank of a pure state across block vs. complement.
+
+    Singular values are counted when above tol times the largest one.
+    """
+    block = sorted(set(block))
+    if not block:
+        raise ValueError("block must contain at least one qubit")
+    d = vector.shape[0]
+    m = d.bit_length() - 1
+    if 1 << m != d:
+        raise ValueError("vector length is not a power of two")
+    if block[-1] >= m or block[0] < 0:
+        raise ValueError("block indices outside qubit range")
+    rest = [q for q in range(m) if q not in block]
+    arr = np.asarray(vector, dtype=complex).reshape([2] * m)
+    arr = np.transpose(arr, axes=block + rest)
+    mat = arr.reshape(1 << len(block), -1)
+    svals = np.linalg.svd(mat, compute_uv=False)
+    if svals.size == 0 or svals[0] == 0.0:
+        return 0
+    return int(np.sum(svals > tol * svals[0]))

@@ -36,7 +36,7 @@ from mubforge.equiv import (
     transport,
 )
 from mubforge.gf2 import BitMatrix, char_poly, mat_inverse, mat_mul, offdiag_components
-from mubforge.pauli import mub_from_generators, schmidt_rank, verify_mub
+from mubforge.pauli import mub_from_generators, verify_mub
 from mubforge.poly2 import (
     Poly2,
     X,
@@ -44,7 +44,7 @@ from mubforge.poly2 import (
     fibonacci_poly,
     irreducibles,
 )
-from oracles import class_labels
+from oracles import class_labels, schmidt_rank
 
 
 def _report(n: int, label: str) -> None:

@@ -218,6 +218,7 @@ MALFORMED_SPECS = {
     "top-level-list": ("[]", "JSON object"),
     "empty-B": ('{"m": 2, "kind": "field", "B": []}', '"B" must be a non-empty list'),
     "string-m": ('{"m": "2", "kind": "field", "B": [[1, 1], [1, 0]]}', '"m" must be an integer'),
+    "deeply-nested": ("[" * 100000 + "]" * 100000, "nested too deeply"),
 }
 
 

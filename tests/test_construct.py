@@ -2,17 +2,20 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mubforge import cli, construct
 from mubforge.backend import decode_symmetric
 from mubforge.construct import (
     KINDS,
     GeneratorSet,
     SpecValidationError,
     StabilizerSpec,
+    StandardFormError,
     Z_BASIS,
     _iter_conjugators,
     _SpanReducer,
@@ -20,12 +23,10 @@ from mubforge.construct import (
     bandyopadhyay_check,
     build_stabilizer,
     cyclicity_check,
-    field_closure_check,
     find_addend,
     generators,
     search_B,
     search_specs,
-    standard_form,
 )
 from mubforge.equiv import symplectic_form
 from mubforge.gf2 import (
@@ -35,8 +36,6 @@ from mubforge.gf2 import (
     is_invertible,
     mat_inverse,
     mat_mul,
-    poly_of_matrix,
-    vstack,
 )
 from mubforge.poly2 import Poly2, fibonacci_poly, is_irreducible
 from oracles import (
@@ -44,8 +43,12 @@ from oracles import (
     class_canonical,
     class_labels,
     cyclicity_walk,
+    field_closure_check,
     find_addend_scan,
     is_polynomial_in,
+    iter_conjugators_scan,
+    orbit_forms,
+    poly_of_matrix,
     search_specs_oracle,
 )
 
@@ -68,11 +71,13 @@ def semigroup_spec(m=4):
 
 
 def orbit(C, m):
-    """GeneratorSet of G_t = C^t (I; 0), t = 0..d, without any spec."""
-    gens = [vstack(BitMatrix.identity(m), BitMatrix.zero(m))]
-    for _ in range(1 << m):
-        gens.append(mat_mul(C, gens[-1]))
-    return GeneratorSet(m, tuple(gens), tuple(standard_form(g) for g in gens))
+    """GeneratorSet of the classes of G_t = C^t (I; 0), t = 0..d, in orbit order."""
+    return GeneratorSet(m, tuple(orbit_forms(C, 1 << m)))
+
+
+def walked(spec):
+    """The spec's classes in orbit order, by the d-step walk."""
+    return orbit(build_stabilizer(spec), spec.m)
 
 
 def random_invertible(rng, m):
@@ -233,14 +238,14 @@ class TestGenerators:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_field_midpoint_and_last(self, m):
         spec = field_spec(m)
-        gens = generators(spec)
+        gens = walked(spec)
         d = spec.d
         assert gens.standard_forms[d // 2] == BitMatrix.identity(m)
         assert gens.standard_forms[d] == BitMatrix.zero(m)
 
     def test_semigroup_standard_forms_formula(self):
         spec = semigroup_spec()
-        gens = generators(spec)
+        gens = walked(spec)
         r_ = spec.R
         for j in range(1, spec.d + 1):
             fj = poly_of_matrix(fibonacci_poly(j), spec.B)
@@ -267,6 +272,19 @@ class TestGenerators:
         assert not bandyopadhyay_check(gens)
         assert not bandyopadhyay_oracle(gens)
 
+    def test_wrong_stabilizer_names_the_orbit_step(self, monkeypatch, tmp_path, capsys):
+        # A C without the semigroup shift: G_1 = (B; R^-1) has the form B R,
+        # which is not in A + F2[B] R, so the closed form no longer matches C.
+        spec = semigroup_spec()
+        unshifted = build_stabilizer(StabilizerSpec.group(spec.B, spec.R))
+        monkeypatch.setattr(construct, "build_stabilizer", lambda _spec: unshifted)
+        with pytest.raises(StandardFormError, match="orbit step 1 leaves A"):
+            generators(spec)
+        path = tmp_path / "semigroup.json"
+        path.write_text(spec.to_json())
+        assert cli.main(["build", str(path)]) == 2
+        assert "orbit step 1" in capsys.readouterr().err
+
     def test_second_z_basis_fails(self):
         # C of order 3 < d + 1 = 5 returns to (I; 0) at t = 3.
         eye, zero = BitMatrix.identity(2), BitMatrix.zero(2)
@@ -282,7 +300,7 @@ class TestGenerators:
     def test_orbit_property(self, make):
         spec = make()
         C = build_stabilizer(spec)
-        gens = generators(spec)
+        gens = walked(spec)
         d = spec.d
         for j in range(d + 1):
             Cj = C**j
@@ -305,6 +323,18 @@ class TestChecksAgainstOracles:
             assert bandyopadhyay_check(gens) == bandyopadhyay_oracle(gens)
             for d in (spec.d - 1, spec.d, 2 * spec.d + 1):
                 assert cyclicity_check(C, d) == cyclicity_walk(C, d)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(KINDS), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_matches_walk(self, kind, m, seed):
+        # The forms p(B) R + A are the walked orbit's forms, each once.
+        for spec in search_specs(m, kind, 1, "random", seed):
+            gens = generators(spec)
+            walk = orbit_forms(build_stabilizer(spec), spec.d)
+            assert Counter(gens.standard_forms) == Counter(walk)
+            assert len(set(gens.standard_forms)) == spec.d + 1
+            if m <= 6:
+                assert bandyopadhyay_check(gens) and bandyopadhyay_oracle(gens)
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
@@ -505,6 +535,26 @@ class TestAnchorField:
         assert list(search_specs(m, kind, count, "random", seed)) == search_specs_oracle(
             m, kind, count, "random", seed
         )
+
+
+class TestConjugators:
+    """Row-by-row GL(m, 2) against decoding every bit pattern with a rank test."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_exhaustive_matches_scan(self, m):
+        fast = list(_iter_conjugators(m, "exhaustive", None, 1 << 18))
+        assert fast == list(iter_conjugators_scan(m, "exhaustive", None, 1 << 18))
+        assert len(fast) == len(set(fast)) == [1, 6, 168, 20160][m - 1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_random_matches_scan(self, m, seed):
+        fast = list(_iter_conjugators(m, "random", seed, 200))
+        assert fast == list(iter_conjugators_scan(m, "random", seed, 200))
+
+    def test_exhaustive_cap(self):
+        with pytest.raises(ValueError, match="capped"):
+            next(_iter_conjugators(5, "exhaustive", None, 1 << 18))
 
 
 class TestSearch:

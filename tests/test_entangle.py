@@ -12,7 +12,8 @@ from mubforge.entangle import (
     partitions_of,
 )
 from mubforge.gf2 import BitMatrix, mat_mul
-from mubforge.pauli import class_eigenbasis, schmidt_rank
+from mubforge.pauli import class_eigenbasis
+from oracles import schmidt_rank
 
 
 def field_spec(m):

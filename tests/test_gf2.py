@@ -15,11 +15,11 @@ from mubforge.gf2 import (
     mat_inverse,
     mat_mul,
     offdiag_components,
-    poly_of_matrix,
     rank,
     solve_affine,
 )
 from mubforge.poly2 import Poly2
+from oracles import poly_of_matrix
 
 B22 = BitMatrix.from_rows([[1, 1], [1, 0]])
 

@@ -12,11 +12,10 @@ from mubforge.pauli import (
     class_eigenbasis,
     mub_from_generators,
     pauli_matrix,
-    schmidt_rank,
     symplectic_product,
     verify_mub,
 )
-from oracles import class_labels
+from oracles import class_labels, schmidt_rank
 
 
 def field_gens(m):
