@@ -4,8 +4,8 @@ The construction works at the level of 2m x 2m symplectic stabilizer
 matrices over F2 built from a matrix B whose characteristic polynomial is
 irreducible with Fibonacci index 2^m + 1, optionally dressed with a
 symmetrizer R and an additive matrix A that control how many bases of the
-resulting set are completely factorizable (three, two, or one).  A dense
-complex oracle independently verifies unbiasedness and the entanglement
+resulting set are completely factorizable (three, two, or one).  A complex
+numeric oracle independently verifies unbiasedness and the entanglement
 classification of everything the symbolic layer produces.
 """
 
@@ -50,7 +50,6 @@ from .pauli import (
     PauliLabel,
     class_eigenbasis,
     mub_from_generators,
-    pauli_matrix,
     symplectic_product,
     verify_mub,
 )

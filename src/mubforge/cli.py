@@ -187,11 +187,23 @@ def _cmd_build(args) -> int:
     elif spec.m <= args.numeric_cap:
         t0 = time.perf_counter()
         bases = mub_from_generators(gens)
+        timings["eigenbasis"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
         result = verify_mub(bases, args.tol)
-        timings["numeric"] = time.perf_counter() - t0
+        timings["verify"] = time.perf_counter() - t0
         report["mub_verification"] = "passed" if result.passed else "failed"
         report["mub_max_deviation"] = result.max_deviation
         numeric_ok = result.passed
+        if not numeric_ok:
+            report["mub_worst_pair"] = result.worst_pair
+            i, j = result.worst_pair
+            print(
+                f"mubforge build: numeric check failed: bases {i} and {j} have the largest "
+                f"overlap deviation from 1/d, {result.max_deviation:.3g} (unitarity deviation "
+                f"{result.unitarity_deviation:.3g}, tol {args.tol:g})",
+                file=sys.stderr,
+            )
     else:
         report["mub_verification"] = f"skipped (m > {args.numeric_cap})"
     report["timings"] = timings

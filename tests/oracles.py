@@ -24,6 +24,10 @@
   where `equiv.classes_equal` compares standard forms.
 - `poly_of_matrix` (Horner) and `schmidt_rank` (an SVD across a qubit cut)
   serve the tests that re-derive Fibonacci blocks and factorizability.
+- `pauli_matrix` builds a dense Pauli operator by Kronecker products, and
+  `dense_class_eigenbasis` multiplies m dense d x d projectors per sign
+  pattern (O(m d^4) per class), where `pauli.class_eigenbasis` applies each
+  operator as a permutation and a phase to single vectors.
 
 The label and walk oracles cost O(4^m) and O(d) steps, so tests use them
 for m <= 8.
@@ -45,7 +49,7 @@ from mubforge.construct import (
     standard_form,
 )
 from mubforge.gf2 import BitMatrix, is_invertible, mat_inverse, mat_mul, vstack
-from mubforge.pauli import PauliLabel, symplectic_product
+from mubforge.pauli import NUMERIC_QUBIT_CAP, PauliLabel, _fix_phase, symplectic_product
 from mubforge.poly2 import Poly2
 
 
@@ -280,3 +284,46 @@ def schmidt_rank(vector: np.ndarray, block: tuple[int, ...] | list[int], tol: fl
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int(np.sum(svals > tol * svals[0]))
+
+
+_SITE = {
+    (0, 0): np.eye(2, dtype=complex),
+    (1, 0): np.array([[1, 0], [0, -1]], dtype=complex),  # Z
+    (0, 1): np.array([[0, 1], [1, 0]], dtype=complex),  # X
+    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),  # Y = (-i) Z X
+}
+
+
+def pauli_matrix(a: PauliLabel) -> np.ndarray:
+    """Tensor product over sites of (-i)^(z_k x_k) Z^(z_k) X^(x_k)."""
+    if a.m > NUMERIC_QUBIT_CAP:
+        raise ValueError(f"numeric Pauli matrices are capped at m = {NUMERIC_QUBIT_CAP}")
+    out = np.array([[1.0 + 0j]])
+    for k in range(a.m):
+        out = np.kron(out, _SITE[a.site(k)])
+    return out
+
+
+def dense_class_eigenbasis(gen: BitMatrix) -> np.ndarray:
+    """The eigenbasis of one class from dense d x d projector products.
+
+    Column t is the normalised largest-norm column of prod_i (I + s_i P_i) / 2
+    for the sign pattern in the bits of t, as in `pauli.class_eigenbasis`.
+    """
+    m = gen.cols
+    ops = [pauli_matrix(PauliLabel.from_bitvec(gen.column(j))) for j in range(m)]
+    d = 1 << m
+    eye = np.eye(d, dtype=complex)
+    basis = np.empty((d, d), dtype=complex)
+    for t in range(d):
+        proj = eye
+        for i in range(m):
+            sign = -1.0 if (t >> (m - 1 - i)) & 1 else 1.0
+            proj = proj @ ((eye + sign * ops[i]) / 2.0)
+        col = int(np.argmax(np.linalg.norm(proj, axis=0)))
+        v = proj[:, col]
+        norm = np.linalg.norm(v)
+        if norm < 1e-9:
+            raise ValueError("projector collapsed: generators not independent")
+        basis[:, t] = _fix_phase(v / norm)
+    return basis

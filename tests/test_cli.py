@@ -1,12 +1,13 @@
 """End-to-end CLI behaviour: flags, exit codes, JSON output, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from mubforge import cli
+from mubforge import cli, pauli
 from mubforge.construct import StabilizerSpec, search_B, search_specs
 
 CLI = [sys.executable, "-m", "mubforge.cli"]
@@ -121,7 +122,10 @@ class TestBuild:
         assert report["mub_verification"] == "passed"
         assert report["mub_max_deviation"] <= 1e-12
         assert report["entanglement"]["counts"] == [3]
-        assert "timings" in report
+        assert "mub_worst_pair" not in report
+        assert list(report["timings"]) == [
+            "validate", "cyclicity", "classes", "entanglement", "eigenbasis", "verify"
+        ]
 
     def test_wrong_index_rejected(self, spec_files):
         res = run_cli("build", str(spec_files["bad_index"]))
@@ -166,6 +170,44 @@ class TestBuild:
         assert report["cyclic_ok"] is True and report["bandyopadhyay_ok"] is True
         assert report["entanglement"]["counts"][0] == 1
         assert report["mub_verification"] == "skipped (m > 5)"
+
+    # sha256 of each report without "timings" (json.dumps with sorted keys) for
+    # the first random spec of seed 1, recorded with the dense projector eigenbases.
+    GOLDEN_REPORTS = {
+        ("field", 4): "6572a2549d167b7671296d92237bcdf53a49f24c17d1dc4e3f6f4bf27f2f2638",
+        ("field", 5): "90261a10f052b23e388ae559978426f6f29b1c83b397360c83bcf654e6a54063",
+        ("field", 6): "8e9230a3459ed7ee3e891f15572fda036b303c58254b57936d1e0ecbfa12db4e",
+        ("group", 4): "fdc5e57fc851de47361ccd25fd35cb7caed573411c23b5318f957e59bb19d422",
+        ("group", 5): "e32abf97829ce01991b48dd4ebd27d4ee6f9adfad523037c21b0c307e00d3962",
+        ("group", 6): "08fea954a7a8137f23f1f4b92a2e1661fe29bae71f86392d997d416ae77df61d",
+        ("semigroup", 4): "a6764ff46ad526c327701a35fd7ff29d2691377bc45fdd5302340a1f4b18129c",
+        ("semigroup", 5): "2aa6e2e6b4c28725e6f955af06638086c5063d734fe3b238197851a810da892b",
+        ("semigroup", 6): "3d0a6321921ee7228d37a118889d781342912876346cdffaaacec7739e8348bf",
+    }
+
+    @pytest.mark.parametrize("kind,m", sorted(GOLDEN_REPORTS))
+    def test_numeric_report_matches_golden(self, tmp_path, capsys, kind, m):
+        spec = tmp_path / "spec.json"
+        spec.write_text(next(iter(search_specs(m, kind, 1, "random", 1))).to_json())
+        assert cli.main(["build", str(spec), "--numeric-cap", "6"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mub_verification"] == "passed"
+        report.pop("timings")
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == self.GOLDEN_REPORTS[kind, m]
+
+    def test_failed_numeric_check_names_worst_pair(self, spec_files, capsys, monkeypatch):
+        def with_duplicate(gens):
+            bases = pauli.mub_from_generators(gens)
+            return bases + [bases[0]]
+
+        monkeypatch.setattr(cli, "mub_from_generators", with_duplicate)
+        assert cli.main(["build", str(spec_files["field1"])]) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["mub_verification"] == "failed"
+        assert report["mub_worst_pair"] == [0, 3]
+        assert "bases 0 and 3" in captured.err
 
     def test_unwritable_out_exits_2(self, spec_files, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"

@@ -1,21 +1,28 @@
-"""Dense complex Pauli layer: matrices, commutation, eigenbases, Schmidt ranks."""
+"""Numeric Pauli layer: dense oracle matrices, commutation, eigenbases, Schmidt ranks."""
 
 import itertools
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mubforge.construct import generators, search_specs
+from mubforge.construct import Z_BASIS, GeneratorSet, generators, search_specs
 from mubforge.gf2 import BitMatrix, vstack
 from mubforge.pauli import (
+    NUMERIC_QUBIT_CAP,
     PauliLabel,
     class_eigenbasis,
     mub_from_generators,
-    pauli_matrix,
     symplectic_product,
     verify_mub,
 )
-from oracles import class_labels, schmidt_rank
+from oracles import class_labels, dense_class_eigenbasis, pauli_matrix, schmidt_rank
+
+
+KINDS = ["field", "group", "semigroup"]
 
 
 def field_gens(m):
@@ -125,6 +132,42 @@ class TestClassEigenbasis:
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        m=st.integers(1, NUMERIC_QUBIT_CAP - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_projector_oracle(self, kind, m, seed):
+        # Exact dyadic arithmetic on both sides: equal bit for bit, not up to a tolerance.
+        for spec in search_specs(m, kind, 1, "random", seed):
+            for gen in generators(spec).generators:
+                assert np.array_equal(class_eigenbasis(gen), dense_class_eigenbasis(gen))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_dense_projector_oracle_at_cap(self, kind):
+        # About 3.5 s per set for the dense oracle.
+        spec = next(iter(search_specs(NUMERIC_QUBIT_CAP, kind, 1, "random", 1)))
+        for gen in generators(spec).generators:
+            assert np.array_equal(class_eigenbasis(gen), dense_class_eigenbasis(gen))
+
+    def test_cap_at_seven_qubits(self):
+        gen = vstack(BitMatrix.identity(7), BitMatrix.zero(7))
+        with pytest.raises(ValueError, match=f"capped at m = {NUMERIC_QUBIT_CAP}"):
+            class_eigenbasis(gen)
+
+    def test_cap_at_sixteen_qubits_allocates_nothing(self):
+        # A 2^16 x 2^16 complex basis would take 64 GiB.
+        gens = GeneratorSet(16, (Z_BASIS,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"capped at m = {NUMERIC_QUBIT_CAP}.*m = 16"):
+                mub_from_generators(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestVerifyMub:
     def test_single_qubit_exact(self):
@@ -137,6 +180,7 @@ class TestVerifyMub:
         result = verify_mub(bad, tol=1e-10)
         assert not result.passed
         assert result.max_deviation == pytest.approx(1.0 - 0.5, abs=1e-12)
+        assert result.worst_pair == (0, 3)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_field_sets_pass(self, m):
