@@ -35,16 +35,13 @@ from .equiv import (
     transport,
 )
 from .gf2 import (
-    AffineSolution,
     BitMatrix,
-    BitVec,
     NotInvertibleError,
     char_poly,
     mat_inverse,
     mat_mul,
     offdiag_components,
     rank,
-    solve_affine,
 )
 from .pauli import (
     PauliLabel,

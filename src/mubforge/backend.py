@@ -74,15 +74,16 @@ def scan_symmetric(m: int, good_polys: tuple[int, ...], start: int, stop: int) -
     """Candidate indices in [start, stop) whose matrix has a good char poly.
 
     `good_polys` are the coefficient masks of irreducible polynomials p of
-    degree m.  Each candidate B is tested on one Krylov sequence
-    v_t = B^t e_0 (t = 0..m): it hits iff sum_t p_t v_t = p(B) e_0 = 0 for
-    some good p.  That is exact: p(B) e_0 = 0 makes the minimal polynomial of
-    e_0 divide p, so it is p itself (p is irreducible and e_0 != 0); its
-    degree m means the Krylov space of e_0 is all of F_2^m, so the minimal
-    and the characteristic polynomial of B are both p.  Conversely
-    char(B) = p gives p(B) = 0.  This is Wiedemann's single-vector test
-    (IEEE Trans. Inf. Theory 32, 1986): m matrix-vector products and a few
-    XORs per poly, instead of a matrix Horner evaluation per poly.
+    degree m.  Each candidate B is tested on the first Krylov chain of
+    `gf2.char_poly`, v_t = B^t e_0 (t = 0..m): it hits iff
+    sum_t p_t v_t = p(B) e_0 = 0 for some good p.  That is exact: p(B) e_0 = 0
+    makes the minimal polynomial of e_0 divide p, so it is p itself (p is
+    irreducible and e_0 != 0); its degree m means this one chain spans
+    F_2^m, so char(B) = p by the chain product of `gf2.char_poly`.
+    Conversely char(B) = p gives p(B) = 0.  This is Wiedemann's
+    single-vector test (IEEE Trans. Inf. Theory 32, 1986): m matrix-vector
+    products and a few XORs per poly, instead of a matrix Horner evaluation
+    per poly.
     """
     hits: list[int] = []
     size = 1 << BLOCK_BITS

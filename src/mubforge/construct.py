@@ -33,6 +33,7 @@ from . import backend, poly2
 from .gf2 import (
     BitMatrix,
     NotInvertibleError,
+    _SpanReducer,
     block2x2,
     char_poly,
     is_invertible,
@@ -356,32 +357,6 @@ def _vec(mat: BitMatrix) -> int:
     return v
 
 
-class _SpanReducer:
-    """Incremental membership for a span of packed F2 vectors."""
-
-    def __init__(self, vectors: list[int]):
-        self.basis: list[int] = []
-        for v in vectors:
-            self.add(v)
-
-    def reduce(self, v: int) -> int:
-        for b in self.basis:
-            if v.bit_length() == b.bit_length():
-                v ^= b
-        return v
-
-    def add(self, v: int) -> bool:
-        v = self.reduce(v)
-        if v == 0:
-            return False
-        self.basis.append(v)
-        self.basis.sort(key=int.bit_length, reverse=True)
-        return True
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-
 def addend_excluded_span(B: BitMatrix, R: BitMatrix) -> _SpanReducer:
     """Span of {p(B) R} + {diagonal matrices}, as packed vectors."""
     m = B.rows
@@ -437,16 +412,15 @@ def _scan_random(m: int, seed: int, max_attempts: int) -> Iterator[int]:
     """Seeded uniform sampling of symmetric candidates; yields distinct hits.
 
     Each new sample is tested directly: its characteristic polynomial must be
-    irreducible with Fibonacci index d + 1.  Verdicts are memoized per
-    polynomial, so no table of all admissible polynomials is built.  Every
-    drawn index is recorded, so a repeat is skipped, and the scan stops once
-    all 2^(m(m+1)/2) candidates have been drawn.
+    irreducible with Fibonacci index d + 1, so no table of all admissible
+    polynomials is built.  Every drawn index is recorded, so a repeat is
+    skipped, and the scan stops once all 2^(m(m+1)/2) candidates have been
+    drawn.
     """
     target = (1 << m) + 1
     npairs = m * (m + 1) // 2
     rng = random.Random(seed)
     drawn: set[int] = set()
-    verdicts: dict[int, bool] = {}
     for _ in range(max_attempts):
         if len(drawn) == 1 << npairs:
             return
@@ -455,10 +429,7 @@ def _scan_random(m: int, seed: int, max_attempts: int) -> Iterator[int]:
             continue
         drawn.add(k)
         p = char_poly(BitMatrix(m, m, backend.decode_symmetric(m, k)))
-        hit = verdicts.get(p.mask)
-        if hit is None:
-            hit = verdicts[p.mask] = poly2.is_irreducible(p) and poly2.has_index(p, target)
-        if hit:
+        if poly2.is_irreducible(p) and poly2.has_index(p, target):
             yield k
 
 

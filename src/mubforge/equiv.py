@@ -22,14 +22,13 @@ from .construct import (
 )
 from .gf2 import (
     BitMatrix,
-    BitVec,
     block2x2,
     blocks_of,
     is_invertible,
     mat_inverse,
     mat_mul,
+    nullspace,
     rank,
-    solve_affine,
 )
 
 
@@ -211,10 +210,7 @@ def _orthogonal_intertwiner(a: BitMatrix, b: BitMatrix) -> BitMatrix | None:
                 if b[i, k]:
                     mask ^= 1 << (k * m + j)  # b_ik w_kj
             rows.append(mask)
-    coeff = BitMatrix(len(rows), n, rows)
-    sol = solve_affine(coeff, BitVec(len(rows), 0))
-    assert sol is not None
-    basis = sol.nullspace_basis
+    basis = nullspace(BitMatrix(len(rows), n, rows))
     if len(basis) > 20:
         raise ValueError("intertwiner space too large to enumerate")
     eye = BitMatrix.identity(m)
@@ -223,7 +219,7 @@ def _orthogonal_intertwiner(a: BitMatrix, b: BitMatrix) -> BitMatrix | None:
         mm = mask
         while mm:
             low = mm & -mm
-            bits ^= basis[low.bit_length() - 1].bits
+            bits ^= basis[low.bit_length() - 1]
             mm ^= low
         w = BitMatrix(m, m, ((bits >> (i * m)) & ((1 << m) - 1) for i in range(m)))
         if is_invertible(w) and mat_mul(w, w.transpose()) == eye:

@@ -1,14 +1,16 @@
-"""Exact linear algebra over F2 with bit-packed rows.
+"""Exact linear algebra over F2 on integer bitmasks.
 
-Matrices store each row as an integer bitmask (bit j = column j), so row
-operations are single XORs and everything stays exact.  All values are
-immutable after construction; every operation returns a fresh object.
+A vector is an integer bitmask (bit j = entry j) and a matrix stores each
+row as one, so row operations are single XORs and everything stays exact.
+Matrices are immutable after construction; every operation returns a fresh
+object.  Two eliminations serve everything: `_echelon` reduces fully (rank,
+inverse, nullspace) and `_SpanReducer` tests membership incrementally (spans
+of packed matrices, and the Krylov chains of `char_poly`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import poly2
 from .poly2 import Poly2
@@ -16,64 +18,6 @@ from .poly2 import Poly2
 
 class NotInvertibleError(ValueError):
     """Raised when a matrix inverse is requested but the rank is deficient."""
-
-
-class BitVec:
-    """Immutable F2 vector of fixed length, packed into one integer."""
-
-    __slots__ = ("n", "bits")
-
-    def __init__(self, n: int, bits: int = 0):
-        if n < 1:
-            raise ValueError("length must be >= 1")
-        if bits < 0 or bits >> n:
-            raise ValueError("bits outside the declared length")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BitVec is immutable")
-
-    @classmethod
-    def from_bits(cls, values: Iterable[int]) -> "BitVec":
-        vals = list(values)
-        mask = 0
-        for i, v in enumerate(vals):
-            if v not in (0, 1):
-                raise ValueError(f"entry {v!r} not in GF(2)")
-            mask |= v << i
-        return cls(len(vals), mask)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        return (self[i] for i in range(self.n))
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVec(self.n, self.bits ^ other.bits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BitVec) and (self.n, self.bits) == (other.n, other.bits)
-
-    def __hash__(self) -> int:
-        return hash(("BitVec", self.n, self.bits))
-
-    def weight(self) -> int:
-        return bin(self.bits).count("1")
-
-    def to_tuple(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"BitVec({''.join(str(b) for b in self)})"
 
 
 class BitMatrix:
@@ -142,13 +86,10 @@ class BitMatrix:
             raise IndexError(key)
         return (self.data[i] >> j) & 1
 
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, self.data[i])
-
-    def column(self, j: int) -> BitVec:
+    def column(self, j: int) -> int:
         if not 0 <= j < self.cols:
             raise IndexError(j)
-        return BitVec(self.rows, sum(((r >> j) & 1) << i for i, r in enumerate(self.data)))
+        return sum(((r >> j) & 1) << i for i, r in enumerate(self.data))
 
     def to_lists(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
@@ -198,7 +139,15 @@ class BitMatrix:
     def is_symmetric(self) -> bool:
         if not self.is_square():
             raise ValueError("symmetry is defined for square matrices")
-        return all(self[i, j] == self[j, i] for i in range(self.rows) for j in range(i))
+        # Row i below the diagonal against column i above it.
+        d = self.data
+        for i, r in enumerate(d):
+            col = 0
+            for j in range(i):
+                col |= ((d[j] >> i) & 1) << j
+            if col != r & ((1 << i) - 1):
+                return False
+        return True
 
     def __eq__(self, other) -> bool:
         return (
@@ -279,40 +228,10 @@ def mat_inverse(a: BitMatrix) -> BitMatrix:
     return BitMatrix(m, m, (r >> m for r in reduced))
 
 
-@dataclass(frozen=True)
-class AffineSolution:
-    """Full solution set of a linear system: particular + nullspace basis."""
-
-    particular: BitVec
-    nullspace_basis: tuple[BitVec, ...]
-
-    def count(self) -> int:
-        return 1 << len(self.nullspace_basis)
-
-    def enumerate(self) -> Iterator[BitVec]:
-        """All solutions, in Gray-code-free deterministic order."""
-        k = len(self.nullspace_basis)
-        for mask in range(1 << k):
-            v = self.particular
-            for i in range(k):
-                if (mask >> i) & 1:
-                    v = v ^ self.nullspace_basis[i]
-            yield v
-
-
-def solve_affine(coeff: BitMatrix, rhs: BitVec) -> AffineSolution | None:
-    """Solve coeff @ x = rhs over F2; None when rhs is outside the column space."""
-    if coeff.rows != rhs.n:
-        raise ValueError("rhs length does not match row count")
+def nullspace(coeff: BitMatrix) -> list[int]:
+    """Basis of {x : coeff @ x = 0}, one vector per non-pivot column, ascending."""
     n = coeff.cols
-    aug = [coeff.data[i] | (rhs[i] << n) for i in range(coeff.rows)]
-    reduced, pivots = _echelon(aug, coeff.rows, n)
-    for i in range(len(pivots), coeff.rows):
-        if (reduced[i] >> n) & 1:
-            return None
-    particular = 0
-    for r, c in enumerate(pivots):
-        particular |= ((reduced[r] >> n) & 1) << c
+    reduced, pivots = _echelon(list(coeff.data), coeff.rows, n)
     pivot_set = set(pivots)
     basis = []
     for free in range(n):
@@ -322,42 +241,78 @@ def solve_affine(coeff: BitMatrix, rhs: BitVec) -> AffineSolution | None:
         for r, c in enumerate(pivots):
             if (reduced[r] >> free) & 1:
                 vec |= 1 << c
-        basis.append(BitVec(n, vec))
-    return AffineSolution(BitVec(n, particular), tuple(basis))
+        basis.append(vec)
+    return basis
+
+
+class _SpanReducer:
+    """Incremental membership for a span of packed F2 vectors.
+
+    The basis vectors have distinct leading bits and are kept highest first,
+    so one pass of `reduce` clears every leading bit v shares with them.
+    """
+
+    def __init__(self, vectors: Iterable[int] = ()):
+        self.basis: list[int] = []
+        for v in vectors:
+            self.add(v)
+
+    def reduce(self, v: int) -> int:
+        for b in self.basis:
+            if v.bit_length() == b.bit_length():
+                v ^= b
+        return v
+
+    def add(self, v: int) -> bool:
+        v = self.reduce(v)
+        if v == 0:
+            return False
+        self.basis.append(v)
+        self.basis.sort(key=int.bit_length, reverse=True)
+        return True
+
+    def contains(self, v: int) -> bool:
+        return self.reduce(v) == 0
 
 
 def char_poly(a: BitMatrix) -> Poly2:
-    """Characteristic polynomial det(xI + a) by fraction-free elimination.
+    """Characteristic polynomial det(xI + a) from Krylov chains.
 
-    Entries of xI + a live in F2[x] (stored as coefficient masks); Bareiss
-    steps keep every division exact, so the result is computed without
-    fractions.  Pivot rows are chosen by lowest index.
+    char(a) = char(a^t), and a^t v is the XOR of the rows of a picked by the
+    bits of v.  The chains e_i, a^t e_i, (a^t)^2 e_i, ... for i = 0, 1, ...
+    run until a vector falls in the span of all vectors before it.  In the
+    basis of the independent chain vectors a^t is block upper triangular
+    with one companion block per chain, so char(a) is the product of the
+    chains' minimal polynomials relative to the span before each chain
+    (Keller-Gehrig, Theor. Comput. Sci. 36, 1985).  A chain vector v is
+    packed as (v << (m + 1)) | (1 << t), with t independent vectors before
+    it, so the remainder of a chain's last vector, shifted right by its
+    first vector's t, is that polynomial.
     """
     if not a.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     m = a.rows
-    M = [[(2 if i == j else 0) ^ ((a.data[i] >> j) & 1) for j in range(m)] for i in range(m)]
-    prev = 1
-    for k in range(m - 1):
-        if M[k][k] == 0:
-            for r in range(k + 1, m):
-                if M[r][k]:
-                    M[k], M[r] = M[r], M[k]
-                    break
-            else:  # cannot happen: det(xI + a) never vanishes
-                raise RuntimeError("lost pivot during fraction-free elimination")
-        pk = M[k][k]
-        for i in range(k + 1, m):
-            rik = M[i][k]
-            for j in range(k + 1, m):
-                num = poly2._mul(pk, M[i][j]) ^ poly2._mul(rik, M[k][j])
-                q, rem = poly2._divmod(num, prev)
-                if rem:
-                    raise RuntimeError("inexact division in fraction-free elimination")
-                M[i][j] = q
-            M[i][k] = 0
-        prev = pk
-    return Poly2(M[m - 1][m - 1])
+    rows = a.data
+    span = _SpanReducer()
+    poly = 1
+    for i in range(m):
+        start = len(span.basis)
+        if start == m:
+            break
+        v = 1 << i
+        while True:
+            r = span.reduce((v << (m + 1)) | (1 << len(span.basis)))
+            if not r >> (m + 1):
+                break
+            span.add(r)
+            w = 0
+            while v:
+                low = v & -v
+                w ^= rows[low.bit_length() - 1]
+                v ^= low
+            v = w
+        poly = poly2._mul(poly, r >> start)
+    return Poly2(poly)
 
 
 def offdiag_components(a: BitMatrix) -> list[tuple[int, ...]]:

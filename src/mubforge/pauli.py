@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import GeneratorSet
-from .gf2 import BitMatrix, BitVec, rank
+from .gf2 import BitMatrix, rank
 
 NUMERIC_QUBIT_CAP = 6
 
@@ -41,14 +41,6 @@ class PauliLabel:
         for part in (self.z, self.x):
             if part < 0 or part >> self.m:
                 raise ValueError("label bits outside qubit count")
-
-    @classmethod
-    def from_bitvec(cls, v: BitVec) -> "PauliLabel":
-        if v.n % 2:
-            raise ValueError("label vector must have even length")
-        m = v.n // 2
-        lo = (1 << m) - 1
-        return cls(m, v.bits & lo, v.bits >> m)
 
     @classmethod
     def from_bits(cls, m: int, packed: int) -> "PauliLabel":
@@ -111,7 +103,7 @@ def class_eigenbasis(gen: BitMatrix) -> np.ndarray:
         raise ValueError("expected a 2m x m generator")
     if m > NUMERIC_QUBIT_CAP:
         raise ValueError(f"numeric eigenbases are capped at m = {NUMERIC_QUBIT_CAP}, got m = {m}")
-    labels = [PauliLabel.from_bitvec(gen.column(j)) for j in range(m)]
+    labels = [PauliLabel.from_bits(m, gen.column(j)) for j in range(m)]
     if rank(gen) < m:
         raise ValueError("class generators are dependent")
     for i in range(m):

@@ -22,6 +22,9 @@
   those in place of the fast paths.
 - `class_canonical` is the reduced echelon basis of a class's column space,
   where `equiv.classes_equal` compares standard forms.
+- `char_poly_bareiss` is det(xI + a) by fraction-free elimination over
+  F2[x], where `gf2.char_poly` multiplies the minimal polynomials of
+  Krylov chains.
 - `poly_of_matrix` (Horner) and `schmidt_rank` (an SVD across a qubit cut)
   serve the tests that re-derive Fibonacci blocks and factorizability.
 - `pauli_matrix` builds a dense Pauli operator by Kronecker products, and
@@ -38,17 +41,16 @@ import random
 
 import numpy as np
 
-from mubforge import backend, construct
+from mubforge import backend, construct, poly2
 from mubforge.construct import (
     Z_BASIS,
     GeneratorSet,
     StabilizerSpec,
-    _SpanReducer,
     _vec,
     addend_excluded_span,
     standard_form,
 )
-from mubforge.gf2 import BitMatrix, is_invertible, mat_inverse, mat_mul, vstack
+from mubforge.gf2 import BitMatrix, _SpanReducer, is_invertible, mat_inverse, mat_mul, vstack
 from mubforge.pauli import NUMERIC_QUBIT_CAP, PauliLabel, _fix_phase, symplectic_product
 from mubforge.poly2 import Poly2
 
@@ -56,7 +58,7 @@ from mubforge.poly2 import Poly2
 def class_labels(gen: BitMatrix) -> list[int]:
     """All nonzero Pauli labels G c (c != 0) as packed 2m-bit integers."""
     m = gen.cols
-    cols = [gen.column(j).bits for j in range(m)]
+    cols = [gen.column(j) for j in range(m)]
     out = []
     for c in range(1, 1 << m):
         v = 0
@@ -79,7 +81,7 @@ def class_partition_check(gens: GeneratorSet) -> bool:
         if seen.intersection(labels):
             return False
         seen.update(labels)
-        cols = [PauliLabel.from_bits(m, gen.column(j).bits) for j in range(m)]
+        cols = [PauliLabel.from_bits(m, gen.column(j)) for j in range(m)]
         for i in range(m):
             for j in range(i + 1, m):
                 if symplectic_product(cols[i], cols[j]):
@@ -232,7 +234,7 @@ def search_specs_oracle(
 def class_canonical(gen: BitMatrix) -> tuple[int, ...]:
     """Canonical form of a class: reduced echelon basis of its column space."""
     m = gen.cols
-    cols = [gen.column(j).bits for j in range(m)]
+    cols = [gen.column(j) for j in range(m)]
     basis: list[int] = []
     for v in cols:
         for b in basis:
@@ -247,6 +249,40 @@ def class_canonical(gen: BitMatrix) -> tuple[int, ...]:
                 if (basis[i] >> lead) & 1:
                     basis[i] ^= basis[j]
     return tuple(sorted(basis, reverse=True))
+
+
+def char_poly_bareiss(a: BitMatrix) -> Poly2:
+    """Characteristic polynomial det(xI + a) by fraction-free elimination.
+
+    Entries of xI + a live in F2[x] (stored as coefficient masks); Bareiss
+    steps keep every division exact, so the result is computed without
+    fractions.  Pivot rows are chosen by lowest index.
+    """
+    if not a.is_square():
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    m = a.rows
+    M = [[(2 if i == j else 0) ^ ((a.data[i] >> j) & 1) for j in range(m)] for i in range(m)]
+    prev = 1
+    for k in range(m - 1):
+        if M[k][k] == 0:
+            for r in range(k + 1, m):
+                if M[r][k]:
+                    M[k], M[r] = M[r], M[k]
+                    break
+            else:  # cannot happen: det(xI + a) never vanishes
+                raise RuntimeError("lost pivot during fraction-free elimination")
+        pk = M[k][k]
+        for i in range(k + 1, m):
+            rik = M[i][k]
+            for j in range(k + 1, m):
+                num = poly2._mul(pk, M[i][j]) ^ poly2._mul(rik, M[k][j])
+                q, rem = poly2._divmod(num, prev)
+                if rem:
+                    raise RuntimeError("inexact division in fraction-free elimination")
+                M[i][j] = q
+            M[i][k] = 0
+        prev = pk
+    return Poly2(M[m - 1][m - 1])
 
 
 def poly_of_matrix(p: Poly2, a: BitMatrix) -> BitMatrix:
@@ -311,7 +347,7 @@ def dense_class_eigenbasis(gen: BitMatrix) -> np.ndarray:
     for the sign pattern in the bits of t, as in `pauli.class_eigenbasis`.
     """
     m = gen.cols
-    ops = [pauli_matrix(PauliLabel.from_bitvec(gen.column(j))) for j in range(m)]
+    ops = [pauli_matrix(PauliLabel.from_bits(m, gen.column(j))) for j in range(m)]
     d = 1 << m
     eye = np.eye(d, dtype=complex)
     basis = np.empty((d, d), dtype=complex)

@@ -255,6 +255,30 @@ class TestEquiv:
         assert res.returncode == 2
         assert "different qubit counts" in res.stderr
 
+    # sha256 of the verdict JSON for the first random spec of seed 1 of each
+    # kind, recorded when the intertwiner space still came from an affine
+    # solver; the map f pins the order of the `gf2.nullspace` basis.
+    GOLDEN_VERDICTS = {
+        (4, "field", "group"): "499bee2a2c263aaf0b315c4326bc4ca37d79d779e31262a6c9c9bbe422827bc7",
+        (4, "field", "semigroup"): "499bee2a2c263aaf0b315c4326bc4ca37d79d779e31262a6c9c9bbe422827bc7",
+        (4, "group", "semigroup"): "2d003797382c605a15e74e553fec3cea8d5dc08023022cbef06b5e62857d423c",
+        (5, "field", "group"): "14d8ad0aaf7ec8a8a529f468f95e5c5f54d40b536d657e8456abdd6c30e78931",
+        (5, "field", "semigroup"): "d36ddec4a696553a16b4ad7a96a0c19f6a0da19dc42ac14a52fbeef6872d760c",
+        (5, "group", "semigroup"): "f37338c96a8b321cb22bb594f942d4d766ed5b61335131136315124aefb94e58",
+    }
+
+    @pytest.mark.parametrize("m,kind_a,kind_b", sorted(GOLDEN_VERDICTS))
+    def test_verdict_matches_golden(self, tmp_path, capsys, m, kind_a, kind_b):
+        paths = []
+        for kind in (kind_a, kind_b):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(next(iter(search_specs(m, kind, 1, "random", 1))).to_json())
+            paths.append(str(path))
+        assert cli.main(["equiv", *paths]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["equivalent"] is (m == 5 or kind_a == "group")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_VERDICTS[m, kind_a, kind_b]
+
 
 MALFORMED_SPECS = {
     "top-level-list": ("[]", "JSON object"),

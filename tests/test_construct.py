@@ -18,7 +18,6 @@ from mubforge.construct import (
     StandardFormError,
     Z_BASIS,
     _iter_conjugators,
-    _SpanReducer,
     _vec,
     bandyopadhyay_check,
     build_stabilizer,
@@ -31,6 +30,7 @@ from mubforge.construct import (
 from mubforge.equiv import symplectic_form
 from mubforge.gf2 import (
     BitMatrix,
+    _SpanReducer,
     block2x2,
     char_poly,
     is_invertible,

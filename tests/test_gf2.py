@@ -4,22 +4,22 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubforge.gf2 import (
-    AffineSolution,
     BitMatrix,
-    BitVec,
     NotInvertibleError,
     char_poly,
     is_invertible,
     mat_inverse,
     mat_mul,
+    nullspace,
     offdiag_components,
     rank,
-    solve_affine,
 )
 from mubforge.poly2 import Poly2
-from oracles import poly_of_matrix
+from oracles import char_poly_bareiss, poly_of_matrix
 
 B22 = BitMatrix.from_rows([[1, 1], [1, 0]])
 
@@ -94,44 +94,62 @@ class TestInverse:
 
 
 class TestSolveAffine:
+    """The homogeneous system coeff @ x = 0, whose solutions `nullspace` spans."""
+
     def test_identity_system(self):
-        sol = solve_affine(BitMatrix.identity(2), BitVec.from_bits([1, 0]))
-        assert sol.particular == BitVec.from_bits([1, 0])
-        assert sol.nullspace_basis == ()
+        assert nullspace(BitMatrix.identity(2)) == []
 
     def test_zero_system(self):
-        sol = solve_affine(BitMatrix.zero(2), BitVec.from_bits([0, 0]))
-        assert sol.particular == BitVec.from_bits([0, 0])
-        assert {v.bits for v in sol.nullspace_basis} == {0b01, 0b10}
+        assert nullspace(BitMatrix.zero(2)) == [0b01, 0b10]
 
     def test_underdetermined(self):
-        sol = solve_affine(BitMatrix.from_rows([[1, 1]]), BitVec.from_bits([1]))
-        assert sol.particular == BitVec.from_bits([1, 0])
-        assert [v.to_tuple() for v in sol.nullspace_basis] == [(1, 1)]
+        assert nullspace(BitMatrix.from_rows([[1, 1]])) == [0b11]
 
-    def test_no_solution(self):
-        coeff = BitMatrix.from_rows([[1, 0], [1, 0]])
-        assert solve_affine(coeff, BitVec.from_bits([1, 0])) is None
-
-    def test_enumeration_matches_brute_force(self):
+    def test_basis_matches_brute_force(self):
         rng = random.Random(19)
-        for _ in range(40):
+        for _ in range(60):
             m, n = rng.randint(1, 5), rng.randint(1, 5)
             coeff = random_matrix(rng, m, n)
-            rhs = BitVec(m, rng.getrandbits(m))
             brute = {
                 bits
                 for bits in range(1 << n)
-                if mat_mul(coeff, BitMatrix(n, 1, ((bits >> j) & 1 for j in range(n))))
-                == BitMatrix(m, 1, rhs)
+                if mat_mul(coeff, BitMatrix(n, 1, ((bits >> j) & 1 for j in range(n)))).is_zero()
             }
-            sol = solve_affine(coeff, rhs)
-            if sol is None:
-                assert brute == set()
-                continue
-            enumerated = {v.bits for v in sol.enumerate()}
-            assert enumerated == brute
-            assert len(enumerated) == sol.count()
+            basis = nullspace(coeff)
+            span = {0}
+            for v in basis:
+                span |= {s ^ v for s in span}
+            assert span == brute
+            assert len(span) == 1 << len(basis)  # the basis is independent
+
+
+@st.composite
+def direct_sums(draw, m):
+    """An m x m block-diagonal matrix of dense, sparse, zero or identity blocks.
+
+    Several blocks force several Krylov chains, and a block may repeat the
+    one before it, which repeats the factors of its characteristic polynomial.
+    """
+    rows = []
+    prev = None
+    while len(rows) < m:
+        n = draw(st.integers(1, m - len(rows)))
+        if prev is not None and len(prev) <= n and draw(st.booleans()):
+            block = prev
+        else:
+            kind = draw(st.sampled_from(["dense", "sparse", "zero", "identity"]))
+            if kind == "dense":
+                block = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+            elif kind == "sparse":
+                one_hot = st.sampled_from([0] + [1 << j for j in range(n)])
+                block = draw(st.lists(one_hot, min_size=n, max_size=n))
+            elif kind == "zero":
+                block = [0] * n
+            else:
+                block = [1 << i for i in range(n)]
+        rows += [r << len(rows) for r in block]
+        prev = block
+    return BitMatrix(m, m, rows)
 
 
 class TestCharPoly:
@@ -185,11 +203,38 @@ class TestCharPoly:
             a = random_matrix(rng, m, m)
             assert poly_of_matrix(char_poly(a), a).is_zero()
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            char_poly(BitMatrix.zero(2, 3))
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_bareiss_oracle(self, m, data):
+        if data.draw(st.booleans()):
+            a = data.draw(direct_sums(m))
+        else:  # dense and, almost surely, not symmetric
+            a = BitMatrix(m, m, data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m)))
+        assert char_poly(a) == char_poly_bareiss(a)
+
 
 class TestShapeOps:
     def test_symmetry(self):
         assert BitMatrix.identity(3).is_symmetric()
         assert not BitMatrix.from_rows([[0, 1], [0, 0]]).is_symmetric()
+        with pytest.raises(ValueError):
+            BitMatrix.zero(2, 3).is_symmetric()
+
+    def test_symmetry_against_transpose(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            m = rng.randint(1, 8)
+            a = random_matrix(rng, m, m)
+            sym = a + a.transpose() + BitMatrix.identity(m)
+            assert sym.is_symmetric()
+            assert a.is_symmetric() == (a == a.transpose())
+            flipped = BitMatrix(m, m, sym.data[:-1] + (sym.data[-1] ^ 1,))
+            assert flipped.is_symmetric() == (m == 1)
 
     def test_rank_rank1(self):
         assert rank(BitMatrix.from_rows([[1, 1], [1, 1]])) == 1
@@ -241,20 +286,11 @@ class TestFormatsAndTypes:
         mat = BitMatrix.from_text(text)
         assert mat.to_text() == text
         assert mat[0, 1] == 1 and mat[0, 0] == 0
-
-    def test_bitvec_basics(self):
-        v = BitVec.from_bits([1, 0, 1])
-        assert len(v) == 3 and v[0] == 1 and v[1] == 0
-        assert v.weight() == 2
-        assert (v ^ v).bits == 0
-        with pytest.raises(ValueError):
-            BitVec.from_bits([2])
+        assert [mat.column(j) for j in range(4)] == [0b010, 0b001, 0b011, 0b100]
 
     def test_immutability(self):
         with pytest.raises(AttributeError):
             B22.rows = 3
-        with pytest.raises(AttributeError):
-            BitVec(2, 1).bits = 0
 
     def test_matrix_power(self):
         assert B22**0 == BitMatrix.identity(2)
