@@ -7,6 +7,10 @@ symmetrizer R and an additive matrix A that control how many bases of the
 resulting set are completely factorizable (three, two, or one).  A complex
 numeric oracle independently verifies unbiasedness and the entanglement
 classification of everything the symbolic layer produces.
+
+numpy is loaded only by exhaustive search (the scan kernel in `backend`) and
+by the numeric oracle in `pauli`.  So the oracle's names below are resolved
+on first access, and `import mubforge` stays free of numpy.
 """
 
 from .construct import (
@@ -43,13 +47,6 @@ from .gf2 import (
     offdiag_components,
     rank,
 )
-from .pauli import (
-    PauliLabel,
-    class_eigenbasis,
-    mub_from_generators,
-    symplectic_product,
-    verify_mub,
-)
 from .poly2 import (
     Poly2,
     fibonacci_index,
@@ -59,3 +56,15 @@ from .poly2 import (
 )
 
 __version__ = "0.1.0"
+
+_PAULI_NAMES = frozenset(
+    ("PauliLabel", "class_eigenbasis", "mub_from_generators", "symplectic_product", "verify_mub")
+)
+
+
+def __getattr__(name):
+    if name in _PAULI_NAMES:
+        from . import pauli
+
+        return getattr(pauli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

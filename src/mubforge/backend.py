@@ -4,11 +4,17 @@ Candidate index k encodes a symmetric m x m matrix through its upper triangle
 (diagonal included) read row-major, most significant bit first, so ascending
 k is lexicographic order on the matrix entries.  Rows are bitmasks: bit j of
 row i is entry (i, j).
+
+The scalar codec is plain Python.  numpy is imported by the kernel itself,
+so only an exhaustive search loads it; random search never scans.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BLOCK_BITS = 13  # the kernel decodes at most 2^13 candidates at a time
 
@@ -47,6 +53,8 @@ def _decode_block(m: int, base: int, offsets: np.ndarray) -> list[np.ndarray]:
     2^BLOCK_BITS, so each index bit comes from exactly one of the two and
     the decoded entries of the two parts are disjoint.
     """
+    import numpy as np
+
     pairs = _pair_positions(m)
     n = len(pairs)
     rows = [np.full(offsets.shape, r, dtype=np.uint64) for r in decode_symmetric(m, base)]
@@ -64,6 +72,8 @@ def _matvec(rows: list[np.ndarray], v: np.ndarray) -> np.ndarray:
 
     B is symmetric, so B v is the XOR of the rows i where bit i of v is set.
     """
+    import numpy as np
+
     out = np.zeros_like(v)
     for i, row in enumerate(rows):
         out ^= row * ((v >> i) & 1)
@@ -85,6 +95,8 @@ def scan_symmetric(m: int, good_polys: tuple[int, ...], start: int, stop: int) -
     products and a few XORs per poly, instead of a matrix Horner evaluation
     per poly.
     """
+    import numpy as np
+
     hits: list[int] = []
     size = 1 << BLOCK_BITS
     lo = start

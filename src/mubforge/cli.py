@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .construct import (
     MAX_M,
+    NUMERIC_QUBIT_CAP,
     SpecValidationError,
     StabilizerSpec,
     StandardFormError,
@@ -28,7 +29,6 @@ from .construct import (
 )
 from .entangle import entanglement_vector
 from .equiv import equivalence_map
-from .pauli import NUMERIC_QUBIT_CAP, mub_from_generators, verify_mub
 
 DEFAULT_TOL = 1e-10
 DEFAULT_NUMERIC_CAP = 5
@@ -185,6 +185,8 @@ def _cmd_build(args) -> int:
     if not (cyclic_ok and bandy_ok):
         report["mub_verification"] = "skipped (symbolic checks failed)"
     elif spec.m <= args.numeric_cap:
+        from .pauli import mub_from_generators, verify_mub  # loads numpy
+
         t0 = time.perf_counter()
         bases = mub_from_generators(gens)
         timings["eigenbasis"] = time.perf_counter() - t0

@@ -23,6 +23,7 @@ span{B^k R} + diagonals, found in at most 2m + 1 tests.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -49,6 +50,7 @@ KINDS = ("field", "group", "semigroup")
 MAX_M = 16
 EXHAUSTIVE_CAP = 6        # symmetric-candidate space, <= 2^21 candidates
 EXHAUSTIVE_CONJ_CAP = 4   # conjugator space for group/semigroup, <= 2^16
+NUMERIC_QUBIT_CAP = 6     # numeric eigenbases in `pauli`, d + 1 bases of d x d
 DEFAULT_MAX_ATTEMPTS = 1 << 18
 
 
@@ -92,6 +94,16 @@ def _matrix_from_json(obj: dict, name: str) -> BitMatrix:
         return BitMatrix.from_rows(rows)
     except ValueError as exc:
         raise SpecValidationError("schema", f'"{name}": {exc}') from exc
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _row_json(mask: int, width: int) -> str:
+    """One matrix row in the wire format, as `BitMatrix.to_lists` + json.dumps give it."""
+    return "[" + ",".join("1" if (mask >> j) & 1 else "0" for j in range(width)) + "]"
+
+
+def _matrix_json(mat: BitMatrix) -> str:
+    return "[" + ",".join(_row_json(r, mat.cols) for r in mat.data) + "]"
 
 
 @dataclass(frozen=True)
@@ -175,7 +187,14 @@ class StabilizerSpec:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        """`to_json_dict` as compact JSON, written straight from the row masks."""
+        parts = [f'{{"m":{self.m},"kind":{json.dumps(self.kind)},"B":{_matrix_json(self.B)}']
+        if self.kind in ("group", "semigroup"):
+            parts.append(f',"R":{_matrix_json(self.R)}')
+        if self.kind == "semigroup":
+            parts.append(f',"A":{_matrix_json(self.A)}')
+        parts.append("}")
+        return "".join(parts)
 
     @classmethod
     def from_json_dict(cls, obj) -> "StabilizerSpec":

@@ -197,11 +197,15 @@ class TestBuild:
         assert digest == self.GOLDEN_REPORTS[kind, m]
 
     def test_failed_numeric_check_names_worst_pair(self, spec_files, capsys, monkeypatch):
+        # `build` imports the numeric oracle when its numeric tier runs, so
+        # the patch goes on `pauli`, where that import reads it.
+        original = pauli.mub_from_generators
+
         def with_duplicate(gens):
-            bases = pauli.mub_from_generators(gens)
+            bases = original(gens)
             return bases + [bases[0]]
 
-        monkeypatch.setattr(cli, "mub_from_generators", with_duplicate)
+        monkeypatch.setattr(pauli, "mub_from_generators", with_duplicate)
         assert cli.main(["build", str(spec_files["field1"])]) == 2
         captured = capsys.readouterr()
         report = json.loads(captured.out)
@@ -320,3 +324,60 @@ def test_cli_never_imports_sympy(tmp_path):
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
     assert (tmp_path / "s.jsonl").read_text().count("\n") == 1
+
+
+NO_NUMPY_RUN = """
+import sys
+import mubforge
+from mubforge import cli
+
+tmp = sys.argv[1]
+
+def run(*argv):
+    assert cli.main([str(a) for a in argv]) == 0, argv
+
+for kind in ("field", "group", "semigroup"):
+    run("search", "--m", 16, "--kind", kind, "--seed", 3, "--out", f"{tmp}/{kind}16.jsonl")
+    run("search", "--m", 6, "--kind", kind, "--seed", 3, "--out", f"{tmp}/{kind}6.json")
+run("build", f"{tmp}/field6.json", "--numeric-cap", 5, "--out", f"{tmp}/report.json")
+run("classify", f"{tmp}/field6.json", f"{tmp}/group6.json", f"{tmp}/semigroup6.json",
+    "--out", f"{tmp}/classify.txt")
+run("equiv", f"{tmp}/field6.json", f"{tmp}/group6.json", "--out", f"{tmp}/equiv.json")
+print("numpy" in sys.modules)
+"""
+
+NUMPY_RUN = """
+import sys
+import mubforge
+from mubforge import cli
+
+tmp = sys.argv[1]
+assert cli.main(["search", "--m", "3", "--kind", "field", "--exhaustive",
+                 "--out", f"{tmp}/field3.json"]) == 0
+assert cli.main(["build", f"{tmp}/field3.json", "--out", f"{tmp}/report3.json"]) == 0
+assert mubforge.verify_mub is sys.modules["mubforge.pauli"].verify_mub
+try:
+    mubforge.no_such_name
+except AttributeError:
+    print("AttributeError")
+"""
+
+
+def test_symbolic_commands_never_import_numpy(tmp_path):
+    # numpy is loaded only by the exhaustive scan kernel and the numeric
+    # oracle: random search, symbolic build, classify and equiv run without it.
+    res = subprocess.run([sys.executable, "-c", NO_NUMPY_RUN, str(tmp_path)],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+    for kind in ("field", "group", "semigroup"):
+        assert (tmp_path / f"{kind}16.jsonl").read_text().count("\n") == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["mub_verification"] == "skipped (m > 5)"
+
+    res = subprocess.run([sys.executable, "-c", NUMPY_RUN, str(tmp_path)],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "AttributeError"
+    report = json.loads((tmp_path / "report3.json").read_text())
+    assert report["mub_verification"] == "passed"

@@ -626,3 +626,13 @@ class TestJson:
         assert set(d_group) == {"m", "kind", "B", "R"}
         d_semi = json.loads(semigroup_spec().to_json())
         assert set(d_semi) == {"m", "kind", "B", "R", "A"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(KINDS), m=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    def test_to_json_matches_json_dumps(self, kind, m, seed):
+        # The row-mask writer against the generic encoder of the same dict,
+        # on arbitrary (not necessarily valid) matrices up to MAX_M.
+        rng = random.Random(seed)
+        B, R, A = (BitMatrix(m, m, [rng.getrandbits(m) for _ in range(m)]) for _ in range(3))
+        spec = StabilizerSpec(kind, m, B, R, A)
+        assert spec.to_json() == json.dumps(spec.to_json_dict(), separators=(",", ":"))
