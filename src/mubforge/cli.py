@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
         type=int,
         default=DEFAULT_NUMERIC_CAP,
         help="skip numeric MUB verification above this qubit count "
-        f"(at most {NUMERIC_QUBIT_CAP})",
+        f"(0 to {NUMERIC_QUBIT_CAP}; 0 never runs it)",
     )
     p_build.add_argument("--out", type=Path)
 
@@ -140,6 +140,9 @@ def _cmd_search(args) -> int:
 def _cmd_build(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         print("mubforge build: error: --tol must be a finite number > 0", file=sys.stderr)
+        return 1
+    if args.numeric_cap < 0:
+        print("mubforge build: error: --numeric-cap must be >= 0", file=sys.stderr)
         return 1
     if args.numeric_cap > NUMERIC_QUBIT_CAP:
         print(

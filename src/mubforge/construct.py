@@ -15,10 +15,13 @@ matrices p(B) R + A with deg p < m, read off the two additive matrices.
 
 Search builds group and semigroup specs from one field-kind anchor B0 and a
 change of basis u: B = u B0 u^-1 and R = u u^t, so the standard forms are
-p(B) R + A = u p(B0) u^t + A.  R is a polynomial in B exactly when u^t u is
-one in B0, which is one membership test in a span built once per search,
-and the addend is the first pair matrix E_ij + E_ji outside
-span{B^k R} + diagonals, found in at most 2m + 1 tests.
+p(B) R + A = u p(B0) u^t + A.  The conjugator walk hands out u^-1 with each
+u, so every product runs on row masks and no inverse is taken per u.  R is
+a polynomial in B exactly when u^t u is one in B0, which is one membership
+test in a span built once per search, and the addend is the first pair
+matrix E_ij + E_ji outside span{B^k R} + diagonals.  In the quotient by the
+diagonals that span has at most m dimensions, so the addend is found in at
+most m + 1 tests.
 """
 
 from __future__ import annotations
@@ -34,7 +37,10 @@ from . import backend, poly2
 from .gf2 import (
     BitMatrix,
     NotInvertibleError,
+    _inverse_rows,
+    _mul_rows,
     _SpanReducer,
+    _transpose_rows,
     block2x2,
     char_poly,
     is_invertible,
@@ -52,6 +58,8 @@ EXHAUSTIVE_CAP = 6        # symmetric-candidate space, <= 2^21 candidates
 EXHAUSTIVE_CONJ_CAP = 4   # conjugator space for group/semigroup, <= 2^16
 NUMERIC_QUBIT_CAP = 6     # numeric eigenbases in `pauli`, d + 1 bases of d x d
 DEFAULT_MAX_ATTEMPTS = 1 << 18
+
+Rows = tuple[int, ...]  # a matrix as its row masks, bit j of row i = entry (i, j)
 
 
 class SpecValidationError(ValueError):
@@ -369,46 +377,67 @@ def bandyopadhyay_check(gens: GeneratorSet) -> bool:
 # -- the semigroup addend ---------------------------------------------------
 
 
-def _vec(mat: BitMatrix) -> int:
+def _pack(rows, width: int) -> int:
+    """Row masks packed into one vector, row i at bits i*width .. (i+1)*width - 1."""
     v = 0
-    for i, r in enumerate(mat.data):
-        v |= r << (i * mat.cols)
+    for i, r in enumerate(rows):
+        v |= r << (i * width)
     return v
 
 
-def addend_excluded_span(B: BitMatrix, R: BitMatrix) -> _SpanReducer:
-    """Span of {p(B) R} + {diagonal matrices}, as packed vectors."""
-    m = B.rows
-    vecs = [1 << (i * m + i) for i in range(m)]
-    power_r = R
-    for _ in range(m):
-        vecs.append(_vec(power_r))
-        power_r = mat_mul(B, power_r)
-    return _SpanReducer(vecs)
+def _vec(mat: BitMatrix) -> int:
+    return _pack(mat.data, mat.cols)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_candidates(m: int) -> tuple[int, tuple[tuple[int, BitMatrix], ...]]:
+    """The off-diagonal mask of a packed m x m matrix, and the pair matrices.
+
+    The pair matrices E_ij + E_ji (i < j) come packed and as BitMatrix, in
+    candidate order: candidate 2^b is upper-triangle position n - 1 - b.
+    """
+    offdiag = (1 << (m * m)) - 1
+    for i in range(m):
+        offdiag ^= 1 << (i * m + i)
+    pairs = []
+    for b in range(m * (m + 1) // 2):
+        A = BitMatrix(m, m, backend.decode_symmetric(m, 1 << b))
+        v = _vec(A)
+        if v & offdiag:
+            pairs.append((v, A))
+    return offdiag, tuple(pairs)
 
 
 def find_addend(B: BitMatrix, R: BitMatrix) -> BitMatrix | None:
     """First symmetric A in candidate order with A != p(B) R + D for all p, D.
 
     The excluded matrices form the subspace W = span{B^k R} + diagonals, and
-    the first candidate outside W is a pair matrix E_ij + E_ji, found by
-    trying the upper-triangle positions from the last one backwards:
+    the first candidate outside W is a pair matrix E_ij + E_ji:
 
     - Candidate indices (`backend.decode_symmetric`) add as XOR, like the
       matrices they encode, so the indices inside W form a subspace.  If b
       is the lowest bit whose unit matrix lies outside W, every smaller
       index is a sum of lower unit matrices, all inside W; so the least
       index outside W is 2^b.
-    - The b unit matrices below it are independent members of W and
-      dim W <= 2m, so b <= 2m: at most 2m + 1 membership tests.
+    - The diagonal unit matrices lie in W.  The rest are tested in the
+      quotient by the diagonals: clearing the diagonal is linear with the
+      diagonals as kernel, so a pair matrix (zero diagonal) lies in W iff
+      it lies in span{B^k R with the diagonal cleared}.  That span has
+      dim <= m, and the pair matrices are independent, so at most m + 1
+      of them are tested.
     - None means W contains every symmetric matrix, which needs
-      m(m + 1)/2 <= 2m, i.e. m <= 3.
+      m(m - 1)/2 <= m, i.e. m <= 3.
     """
     m = B.rows
-    span = addend_excluded_span(B, R)
-    for b in range(m * (m + 1) // 2):
-        A = BitMatrix(m, m, backend.decode_symmetric(m, 1 << b))
-        if not span.contains(_vec(A)):
+    offdiag, pairs = _pair_candidates(m)
+    power_r = R.data
+    vecs = [_pack(power_r, m) & offdiag]
+    for _ in range(m - 1):
+        power_r = _mul_rows(B.data, power_r)
+        vecs.append(_pack(power_r, m) & offdiag)
+    span = _SpanReducer(vecs)
+    for v, A in pairs:
+        if not span.contains(v):
             return A
     return None
 
@@ -488,14 +517,23 @@ def _derived_seed(seed: int, salt: int) -> int:
     return (seed * 2654435761 + salt) % (1 << 32)
 
 
-def _iter_conjugators(m: int, mode: str, seed: int | None, max_attempts: int) -> Iterator[BitMatrix]:
-    """Invertible matrices u, each once, exhaustively (row-major lexicographic) or sampled.
+def _iter_conjugators(
+    m: int, mode: str, seed: int | None, max_attempts: int
+) -> Iterator[tuple[Rows, Rows]]:
+    """Invertible matrices u with their inverses, as row masks (u, u^-1).
 
+    Each u comes once, exhaustively (row-major lexicographic) or sampled.
     An index k holds row i of u in its i-th group of m bits from the top,
     with column 0 as the group's top bit, so a row mask is its group's bits
-    reversed.  Exhaustive mode builds u one row at a time in that order and
-    skips any row in the span of the rows above it, so every u it yields is
-    invertible and no rank test is needed.
+    reversed.
+
+    Exhaustive mode builds u one row at a time in that order and skips any
+    row in the span of the rows above it, so every u it yields is
+    invertible and no rank test is needed.  The span is kept as a dict
+    from each vector v to its coordinates c in the rows so far (v = c u),
+    so row j of u^-1 is the coordinate mask of e_j.  Random mode runs
+    Gauss-Jordan on [u | I] for each new sample, which decides
+    invertibility and gives u^-1 in one elimination.
     """
     if mode == "exhaustive":
         if m > EXHAUSTIVE_CONJ_CAP:
@@ -504,16 +542,26 @@ def _iter_conjugators(m: int, mode: str, seed: int | None, max_attempts: int) ->
                 "use random mode"
             )
         rev = [int(f"{p:0{m}b}"[::-1], 2) for p in range(1 << m)]
+        units = [1 << j for j in range(m)]
+        last = 1 << (m - 1)
 
-        def extend(rows: list[int], span: set[int]) -> Iterator[BitMatrix]:
-            if len(rows) == m:
-                yield BitMatrix(m, m, rows)
-                return
+        def extend(rows: list[int], coords: dict[int, int]) -> Iterator[tuple[Rows, Rows]]:
+            bit = 1 << len(rows)
             for r in rev:
-                if r not in span:
-                    yield from extend(rows + [r], span | {s ^ r for s in span})
+                if r in coords:
+                    continue
+                if bit == last:
+                    # e_j is in the old span, or e_j + r is.
+                    inv = tuple(
+                        coords[e] if e in coords else coords[e ^ r] | bit for e in units
+                    )
+                    yield (*rows, r), inv
+                else:
+                    wider = dict(coords)
+                    wider.update((v ^ r, c | bit) for v, c in coords.items())
+                    yield from extend(rows + [r], wider)
 
-        yield from extend([], {0})
+        yield from extend([], {0: 0})
         return
     nbits = m * m
     rng = random.Random(_derived_seed(seed, 0xC0))
@@ -524,10 +572,11 @@ def _iter_conjugators(m: int, mode: str, seed: int | None, max_attempts: int) ->
         if k in seen:
             continue
         bits = f"{k:0{nbits}b}"
-        u = BitMatrix(m, m, (int(bits[i * m : (i + 1) * m][::-1], 2) for i in range(m)))
-        if is_invertible(u):
+        u = tuple(int(bits[i * m : (i + 1) * m][::-1], 2) for i in range(m))
+        inv = _inverse_rows(u)
+        if inv is not None:
             seen.add(k)
-            yield u
+            yield u, tuple(inv)
             if len(seen) == order:
                 return
 
@@ -569,14 +618,14 @@ def search_specs(
     # So the span of I, B0, ..., B0^(m-1) is built once per search.
     field = _SpanReducer([_vec(b0**k) for k in range(m)])
     emitted = 0
-    for u in _iter_conjugators(m, mode, seed, max_attempts):
+    for u, u_inv in _iter_conjugators(m, mode, seed, max_attempts):
         if count is not None and emitted >= count:
             return
-        ut = u.transpose()
-        if field.contains(_vec(mat_mul(ut, u))):
+        ut = _transpose_rows(u, m)
+        if field.contains(_pack(_mul_rows(ut, u), m)):
             continue
-        R = mat_mul(u, ut)
-        B = mat_mul(mat_mul(u, b0), mat_inverse(u))
+        R = BitMatrix(m, m, _mul_rows(u, ut))
+        B = BitMatrix(m, m, _mul_rows(_mul_rows(u, b0.data), u_inv))
         if kind == "group":
             spec = StabilizerSpec.group(B, R)
         else:

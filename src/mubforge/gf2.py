@@ -127,14 +127,7 @@ class BitMatrix:
         return acc
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix(
-            self.cols,
-            self.rows,
-            (
-                sum(((self.data[i] >> j) & 1) << i for i in range(self.rows))
-                for j in range(self.cols)
-            ),
-        )
+        return BitMatrix(self.cols, self.rows, _transpose_rows(self.data, self.cols))
 
     def is_symmetric(self) -> bool:
         if not self.is_square():
@@ -170,16 +163,32 @@ def mat_mul(lhs: BitMatrix, rhs: BitMatrix) -> BitMatrix:
     """Product over F2 (XOR-accumulated AND)."""
     if lhs.cols != rhs.rows:
         raise ValueError(f"shape mismatch: ({lhs.rows}x{lhs.cols}) * ({rhs.rows}x{rhs.cols})")
-    rd = rhs.data
+    return BitMatrix(lhs.rows, rhs.cols, _mul_rows(lhs.data, rhs.data))
+
+
+def _mul_rows(lhs: Sequence[int], rhs: Sequence[int]) -> list[int]:
+    """Row masks of a product: row i is the XOR of the rhs rows picked by lhs row i."""
     out = []
-    for r in lhs.data:
+    for r in lhs:
         acc = 0
         while r:
             low = r & -r
-            acc ^= rd[low.bit_length() - 1]
+            acc ^= rhs[low.bit_length() - 1]
             r ^= low
         out.append(acc)
-    return BitMatrix(lhs.rows, rhs.cols, out)
+    return out
+
+
+def _transpose_rows(rows: Sequence[int], cols: int) -> list[int]:
+    """Row masks of the transpose: bit i of row j for each set bit j of row i."""
+    out = [0] * cols
+    for i, r in enumerate(rows):
+        bit = 1 << i
+        while r:
+            low = r & -r
+            out[low.bit_length() - 1] |= bit
+            r ^= low
+    return out
 
 
 def _echelon(data: list[int], n_rows: int, pivot_cols: int) -> tuple[list[int], list[int]]:
@@ -220,12 +229,20 @@ def mat_inverse(a: BitMatrix) -> BitMatrix:
     """Inverse over F2; raises NotInvertibleError on rank deficiency."""
     if not a.is_square():
         raise ValueError("inverse of a non-square matrix")
-    m = a.rows
-    aug = [a.data[i] | (1 << (m + i)) for i in range(m)]
+    inv = _inverse_rows(a.data)
+    if inv is None:
+        raise NotInvertibleError(f"matrix has rank {rank(a)} < {a.rows}")
+    return BitMatrix(a.rows, a.rows, inv)
+
+
+def _inverse_rows(rows: Sequence[int]) -> list[int] | None:
+    """Row masks of the inverse of a square matrix, by Gauss-Jordan on [a | I]; None if singular."""
+    m = len(rows)
+    aug = [r | (1 << (m + i)) for i, r in enumerate(rows)]
     reduced, pivots = _echelon(aug, m, m)
     if len(pivots) != m:
-        raise NotInvertibleError(f"matrix has rank {len(pivots)} < {m}")
-    return BitMatrix(m, m, (r >> m for r in reduced))
+        return None
+    return [r >> m for r in reduced]
 
 
 def nullspace(coeff: BitMatrix) -> list[int]:
@@ -324,12 +341,10 @@ def offdiag_components(a: BitMatrix) -> list[tuple[int, ...]]:
     if not a.is_square():
         raise ValueError("components of a non-square matrix")
     m = a.rows
-    adj = [0] * m
-    for i in range(m):
-        adj[i] |= a.data[i] & ~(1 << i)
-        for j in range(m):
-            if i != j and ((a.data[j] >> i) & 1):
-                adj[i] |= 1 << j
+    # Row i of a OR a^t (the transpose read off the set bits), diagonal cleared.
+    adj = [
+        (r | c) & ~(1 << i) for i, (r, c) in enumerate(zip(a.data, _transpose_rows(a.data, m)))
+    ]
     seen = 0
     components = []
     for start in range(m):

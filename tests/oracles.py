@@ -12,12 +12,13 @@
   set, which `construct.generators` builds inside F2[B].
 - `iter_conjugators_scan` decodes every one of the 2^(m^2) bit patterns and
   tests its rank, where `construct._iter_conjugators` builds invertible
-  matrices row by row.
+  matrices row by row and hands out each inverse with it.
 - `is_polynomial_in` rebuilds span{I, B, ..., B^(m-1)} for one B, where
   `construct.search_specs` tests u^t u against the anchor's field once per u.
-- `find_addend_scan` decodes the symmetric candidates one by one, up to
-  4^m + 1 of them, where `construct.find_addend` tries at most 2m + 1
-  pair matrices.
+- `addend_excluded_span` spans {p(B) R} + diagonals in all m^2 entries,
+  and `find_addend_scan` decodes the symmetric candidates one by one
+  against it, up to 4^m + 1 of them, where `construct.find_addend` tries
+  at most m + 1 pair matrices in the quotient by the diagonals.
 - `search_specs_oracle` is the group/semigroup search loop with both of
   those in place of the fast paths.
 - `class_canonical` is the reduced echelon basis of a class's column space,
@@ -47,7 +48,6 @@ from mubforge.construct import (
     GeneratorSet,
     StabilizerSpec,
     _vec,
-    addend_excluded_span,
     standard_form,
 )
 from mubforge.gf2 import BitMatrix, _SpanReducer, is_invertible, mat_inverse, mat_mul, vstack
@@ -184,6 +184,17 @@ def is_polynomial_in(B: BitMatrix, X: BitMatrix) -> bool:
     return _SpanReducer(vecs).contains(_vec(X))
 
 
+def addend_excluded_span(B: BitMatrix, R: BitMatrix) -> _SpanReducer:
+    """Span of {p(B) R} + {diagonal matrices}, as packed vectors."""
+    m = B.rows
+    vecs = [1 << (i * m + i) for i in range(m)]
+    power_r = R
+    for _ in range(m):
+        vecs.append(_vec(power_r))
+        power_r = mat_mul(B, power_r)
+    return _SpanReducer(vecs)
+
+
 def find_addend_scan(B: BitMatrix, R: BitMatrix) -> BitMatrix | None:
     """First symmetric A in candidate order outside span{B^k R} + diagonals.
 
@@ -214,9 +225,10 @@ def search_specs_oracle(
     if not anchors:
         return out
     b0 = anchors[0]
-    for u in construct._iter_conjugators(m, mode, seed, construct.DEFAULT_MAX_ATTEMPTS):
+    for rows, _ in construct._iter_conjugators(m, mode, seed, construct.DEFAULT_MAX_ATTEMPTS):
         if len(out) >= count:
             break
+        u = BitMatrix(m, m, rows)
         R = mat_mul(u, u.transpose())
         B = mat_mul(mat_mul(u, b0), mat_inverse(u))
         if is_polynomial_in(B, R):

@@ -152,6 +152,18 @@ class TestBuild:
         assert err.count("\n") == 1
         assert "--numeric-cap must be at most 6" in err
 
+    def test_negative_numeric_cap_is_usage_error(self, spec_files, capsys):
+        assert cli.main(["build", str(spec_files["field3"]), "--numeric-cap", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--numeric-cap must be >= 0" in captured.err
+
+    def test_zero_numeric_cap_skips_numeric_tier(self, spec_files, capsys):
+        assert cli.main(["build", str(spec_files["field3"]), "--numeric-cap", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mub_verification"] == "skipped (m > 0)"
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_meaningless_tol_is_usage_error(self, spec_files, capsys, tol):
         assert cli.main(["build", str(spec_files["field3"]), f"--tol={tol}"]) == 1

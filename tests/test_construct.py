@@ -1,5 +1,6 @@
 """Stabilizer construction, lemma-condition filters, and the searches."""
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -39,6 +40,7 @@ from mubforge.gf2 import (
 )
 from mubforge.poly2 import Poly2, fibonacci_poly, is_irreducible
 from oracles import (
+    addend_excluded_span,
     bandyopadhyay_oracle,
     class_canonical,
     class_labels,
@@ -388,8 +390,6 @@ class TestSymmetrizers:
 class TestAddend:
     def test_excluded_values_rejected(self):
         sg = semigroup_spec()
-        from mubforge.construct import addend_excluded_span, _vec
-
         span = addend_excluded_span(sg.B, sg.R)
         assert span.contains(0)  # A = 0 is the p = 0, D = 0 case
         assert span.contains(_vec(sg.R))  # A = R is the p = 1, D = 0 case
@@ -403,7 +403,6 @@ class TestAddend:
         # The excluded set {p(B) R + D} enumerated directly agrees with the
         # span-membership test, for every symmetric A.
         from mubforge.backend import decode_symmetric
-        from mubforge.construct import addend_excluded_span, _vec
 
         for spec, m in ((group_spec(3), 3), (semigroup_spec(4), 4)):
             span = addend_excluded_span(spec.B, spec.R)
@@ -432,7 +431,6 @@ class TestAddend:
 
     def test_four_qubit_addend_is_lexicographic_first(self):
         from mubforge.backend import decode_symmetric, encode_symmetric
-        from mubforge.construct import addend_excluded_span, _vec
 
         sg = semigroup_spec(4)
         A = find_addend(sg.B, sg.R)
@@ -470,7 +468,8 @@ class TestAddend:
         # leaves no admissible addend, so stopping at the first one drops nothing.
         b0 = search_B(3, 1, "exhaustive")[0]
         pairs = []
-        for u in _iter_conjugators(3, "exhaustive", None, 1 << 18):
+        for rows, _ in _iter_conjugators(3, "exhaustive", None, 1 << 18):
+            u = BitMatrix(3, 3, rows)
             B = mat_mul(mat_mul(u, b0), mat_inverse(u))
             R = mat_mul(u, u.transpose())
             if not is_polynomial_in(B, R):
@@ -510,7 +509,8 @@ class TestAnchorField:
     def test_every_conjugator_at_three_qubits(self):
         b0 = search_B(3, 1, "exhaustive")[0]
         verdicts = []
-        for u in _iter_conjugators(3, "exhaustive", None, 1 << 18):
+        for rows, _ in _iter_conjugators(3, "exhaustive", None, 1 << 18):
+            u = BitMatrix(3, 3, rows)
             B = mat_mul(mat_mul(u, b0), mat_inverse(u))
             verdict = is_polynomial_in(B, mat_mul(u, u.transpose()))
             assert self.anchor_field_test(b0, u) == verdict
@@ -540,17 +540,38 @@ class TestAnchorField:
 class TestConjugators:
     """Row-by-row GL(m, 2) against decoding every bit pattern with a rank test."""
 
+    @staticmethod
+    def matrices(m, mode, seed, max_attempts):
+        return [BitMatrix(m, m, u) for u, _ in _iter_conjugators(m, mode, seed, max_attempts)]
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_exhaustive_matches_scan(self, m):
-        fast = list(_iter_conjugators(m, "exhaustive", None, 1 << 18))
+        fast = self.matrices(m, "exhaustive", None, 1 << 18)
         assert fast == list(iter_conjugators_scan(m, "exhaustive", None, 1 << 18))
         assert len(fast) == len(set(fast)) == [1, 6, 168, 20160][m - 1]
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     def test_random_matches_scan(self, m, seed):
-        fast = list(_iter_conjugators(m, "random", seed, 200))
+        fast = self.matrices(m, "random", seed, 200)
         assert fast == list(iter_conjugators_scan(m, "random", seed, 200))
+
+    @staticmethod
+    def assert_inverse_pairs(m, pairs):
+        eye = BitMatrix.identity(m)
+        for u, u_inv in pairs:
+            u, u_inv = BitMatrix(m, m, u), BitMatrix(m, m, u_inv)
+            assert mat_mul(u, u_inv) == eye and mat_mul(u_inv, u) == eye
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_exhaustive_inverses(self, m):
+        self.assert_inverse_pairs(m, _iter_conjugators(m, "exhaustive", None, 1 << 18))
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_random_inverses(self, m):
+        pairs = list(itertools.islice(_iter_conjugators(m, "random", m, 1 << 18), 200))
+        assert len(pairs) == 200
+        self.assert_inverse_pairs(m, pairs)
 
     def test_exhaustive_cap(self):
         with pytest.raises(ValueError, match="capped"):
@@ -595,6 +616,12 @@ class TestSearch:
 
     def test_semigroup_search_empty_at_three_qubits(self):
         assert list(search_specs(3, "semigroup", 5, "exhaustive")) == []
+
+    @pytest.mark.parametrize("kind", ["group", "semigroup"])
+    def test_full_four_qubit_search_count(self, kind):
+        # 20,160 conjugators less the 720 with u^t u in F2[B0].
+        lines = [s.to_json() for s in search_specs(4, kind, None, "exhaustive")]
+        assert len(lines) == len(set(lines)) == 19440
 
     def test_emitted_specs_validate(self):
         for kind, m in (("field", 3), ("group", 3), ("group", 4), ("semigroup", 4)):
