@@ -27,7 +27,7 @@ from .construct import (
     search_B,
     search_specs,
 )
-from .entangle import EntanglementVector, entanglement_vector, partition_of
+from .entangle import EntanglementVector, entanglement_vector
 from .equiv import (
     SymplecticMap,
     classes_equal,
@@ -44,7 +44,6 @@ from .gf2 import (
     char_poly,
     mat_inverse,
     mat_mul,
-    offdiag_components,
     rank,
 )
 from .poly2 import (

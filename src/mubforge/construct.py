@@ -10,8 +10,10 @@ The three kinds produce sets with three, two and one completely factorizable
 bases once R is not a polynomial in B (group) and A additionally avoids every
 matrix of the form p(B) R + diagonal (semigroup).
 
-A set's classes are held by their standard forms: (I; 0) and the d
-matrices p(B) R + A with deg p < m, read off the two additive matrices.
+A set's classes are (I; 0) and the d standard forms p(B) R + A with
+deg p < m.  They are held as the affine family A + span{R, B R, ...,
+B^(m-1) R}, so the checks, the entanglement count and the equivalence map
+all work on m + 1 matrices.
 
 Search builds group and semigroup specs from one field-kind anchor B0 and a
 change of basis u: B = u B0 u^-1 and R = u u^t, so the standard forms are
@@ -112,6 +114,18 @@ def _row_json(mask: int, width: int) -> str:
 
 def _matrix_json(mat: BitMatrix) -> str:
     return "[" + ",".join(_row_json(r, mat.cols) for r in mat.data) + "]"
+
+
+def _pack(rows, width: int) -> int:
+    """Row masks packed into one vector, row i at bits i*width .. (i+1)*width - 1."""
+    v = 0
+    for i, r in enumerate(rows):
+        v |= r << (i * width)
+    return v
+
+
+def _vec(mat: BitMatrix) -> int:
+    return _pack(mat.data, mat.cols)
 
 
 @dataclass(frozen=True)
@@ -234,14 +248,30 @@ class StabilizerSpec:
             return cls.from_json_dict(json.loads(text))
         except RecursionError as exc:
             raise SpecValidationError("schema", "spec JSON is nested too deeply") from exc
+        except json.JSONDecodeError as exc:
+            detail = "the spec is empty" if not text.strip() else f"not valid JSON: {exc}"
+            raise SpecValidationError("schema", detail) from exc
 
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The d + 1 classes of one set, each held by its standard form."""
+    """The d + 1 classes of one set: (I; 0) and the forms A + span(basis).
+
+    `generators` gives basis = (R, B R, ..., B^(m-1) R), so a set is held
+    by m + 1 matrices, not by its d forms.
+    """
 
     m: int
-    standard_forms: tuple
+    A: BitMatrix
+    basis: tuple[BitMatrix, ...]
+
+    @property
+    def standard_forms(self) -> tuple:
+        """Z_BASIS, then A plus basis[k] for each set bit k of i, for i = 0..d - 1."""
+        forms = [self.A]
+        for r in self.basis:
+            forms += [f + r for f in forms]
+        return (Z_BASIS, *forms)
 
     @property
     def generators(self) -> tuple[BitMatrix, ...]:
@@ -306,8 +336,7 @@ def generators(spec: StabilizerSpec) -> GeneratorSet:
     """Z_BASIS and the d forms p(B) R + A with deg p < m, each once.
 
     These are the standard forms of the orbit C^j (I; 0), j = 0..d, of a
-    valid spec, read off the two additive matrices by doubling over the
-    products B^k R:
+    valid spec, held as A and the basis R, B R, ..., B^(m-1) R:
 
     - Field and group kind: with M = N R, C (M; I) = (B M + R; R^-1 M) has
       standard form (B + N^-1) R.  So N_1 = B and N_(j+1) = B + N_j^-1 stay
@@ -321,72 +350,56 @@ def generators(spec: StabilizerSpec) -> GeneratorSet:
     - Semigroup kind: C = T C_group T with T = [[I, A], [0, I]], and T fixes
       G_0 = (I; 0), so every form is shifted by A.
 
-    The first m orbit steps are still walked, and each standard form must be
-    one of the forms returned; a miss raises StandardFormError naming the
-    step, so C stays tied to the classes reported.
+    The first m orbit steps are still walked, and each standard form plus A
+    must lie in the span of the basis; a miss raises StandardFormError
+    naming the step, so C stays tied to the classes reported.
     """
     C = build_stabilizer(spec)
     m = spec.m
-    forms = [spec.A]
-    power_r = spec.R
-    for _ in range(m):
-        forms += [f + power_r for f in forms]
-        power_r = mat_mul(spec.B, power_r)
-    members = set(forms)
+    basis = [spec.R]
+    for _ in range(m - 1):
+        basis.append(mat_mul(spec.B, basis[-1]))
+    span = _SpanReducer(_vec(r) for r in basis)
+    shift = _vec(spec.A)
     gen = vstack(BitMatrix.identity(m), BitMatrix.zero(m))
     for step in range(1, m + 1):
         gen = mat_mul(C, gen)
-        if standard_form(gen) not in members:
+        form = standard_form(gen)
+        if form is Z_BASIS or not span.contains(_vec(form) ^ shift):
             raise StandardFormError(f"orbit step {step} leaves A + F2[B] R")
-    return GeneratorSet(m, (Z_BASIS, *forms))
+    return GeneratorSet(m, spec.A, tuple(basis))
 
 
 # -- class-level checks ------------------------------------------------------
 
 
 def bandyopadhyay_check(gens: GeneratorSet) -> bool:
-    """Bandyopadhyay's criterion on the standard forms of a set.
+    """Bandyopadhyay's criterion on the additive matrices of a set.
 
-    True iff there are d + 1 classes, class 0 is the only Z_BASIS class and
-    every other standard form is symmetric.  For the sets `generators`
-    returns, this is exactly the partition of the 4^m - 1 nonzero Pauli
-    labels into d + 1 commuting classes of d - 1:
+    True iff the basis has rank m and A and every basis matrix are
+    symmetric.  For the sets `generators` and `transport` return, every
+    nonzero member of span(basis) is invertible.  It is q(B) R with q != 0
+    and deg q < m, invertible because char(B) is irreducible and R is
+    invertible; a triangular f maps it to s q(B) R v^-1, which is
+    q(s B s^-1) (s R v^-1).  Then the criterion is exactly the partition of
+    the 4^m - 1 nonzero Pauli labels into d + 1 commuting classes of d - 1:
 
-    - Class 0 = {(x; 0)} meets each class (M; I) = {(M c; c)} only in 0.
-    - Two forms p(B) R + A and p'(B) R + A differ by q(B) R with q != 0 and
-      deg q < m.  That is invertible (char(B) is irreducible and R is
-      invertible), so M c = M' c forces c = 0 and the classes meet only in 0.
-    - A symmetric form M makes its class (M; I) isotropic, since the
-      symplectic product of columns a and b is M_ab + M_ba.  Counting
+    - Rank m makes the d forms A + span(basis) distinct, so there are
+      d + 1 classes, and class 0 = {(x; 0)} meets each class
+      (M; I) = {(M c; c)} only in 0.
+    - Two distinct forms differ by a nonzero member of the span, which is
+      invertible, so M c = M' c forces c = 0 and the classes meet only in 0.
+    - Every form is symmetric iff A and the basis are, since forms are sums
+      of them.  A symmetric form M makes its class (M; I) isotropic, since
+      the symplectic product of columns a and b is M_ab + M_ba.  Counting
       (d + 1)(d - 1) = 4^m - 1 distinct nonzero labels gives the cover.
-
-    The same holds for the standard forms of any orbit C^t (I; 0),
-    t = 0..d, under an invertible C, such as the ones tests build: every
-    class has dimension m, `standard_form` returns a matrix only for an
-    invertible lower block, and class i meets class j in C^i applied to the
-    meet of class 0 and class j - i.  `transport` by a symplectic f keeps
-    the classes' dimensions, disjointness and isotropy, and raises on a
-    class without a standard form.
     """
-    forms = gens.standard_forms
-    if len(forms) != (1 << gens.m) + 1 or forms[0] is not Z_BASIS:
+    if not len(gens.basis) == gens.m == len(_SpanReducer(map(_vec, gens.basis)).basis):
         return False
-    return all(f is not Z_BASIS and f.is_symmetric() for f in forms[1:])
+    return all(f.is_symmetric() for f in (gens.A, *gens.basis))
 
 
 # -- the semigroup addend ---------------------------------------------------
-
-
-def _pack(rows, width: int) -> int:
-    """Row masks packed into one vector, row i at bits i*width .. (i+1)*width - 1."""
-    v = 0
-    for i, r in enumerate(rows):
-        v |= r << (i * width)
-    return v
-
-
-def _vec(mat: BitMatrix) -> int:
-    return _pack(mat.data, mat.cols)
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import xor
+from typing import Sequence
 
-from .construct import GeneratorSet, Z_BASIS
-from .gf2 import BitMatrix, offdiag_components
+from .construct import GeneratorSet
 
 
 @lru_cache(maxsize=None)
@@ -38,16 +39,23 @@ def partitions_of(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(gen(m, m)))
 
 
-def partition_of(entry, m: int) -> tuple[int, ...]:
-    """Tensor-factor partition of one basis from its standard-form entry."""
-    if entry is Z_BASIS:
-        return (1,) * m
-    if not isinstance(entry, BitMatrix):
-        raise TypeError(f"expected Z_BASIS or BitMatrix, got {type(entry).__name__}")
-    if not entry.is_symmetric():
-        raise ValueError("standard form must be symmetric")
-    sizes = sorted((len(c) for c in offdiag_components(entry)), reverse=True)
-    return tuple(sizes)
+def _component_sizes(adj: Sequence[int]) -> tuple[int, ...]:
+    """Component sizes, largest first, of the graph with adjacency rows adj (BFS)."""
+    left = (1 << len(adj)) - 1
+    sizes = []
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~comp
+            comp |= frontier
+        left ^= comp
+        sizes.append(bin(comp).count("1"))
+    return tuple(sorted(sizes, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -69,11 +77,24 @@ class EntanglementVector:
 
 
 def entanglement_vector(gens: GeneratorSet) -> EntanglementVector:
-    """Histogram of partition_of over all d + 1 standard forms."""
-    parts = partitions_of(gens.m)
+    """Histogram of the tensor-factor partitions over all d + 1 classes.
+
+    The rows of a symmetric form are the adjacency rows of its coupling
+    graph, with a self-loop at each set diagonal entry, which the search
+    ignores.  The forms are visited in Gray-code order: step i adds
+    basis[k] to the rows, for the lowest set bit k of i.
+    """
+    m = gens.m
+    mats = (gens.A, *gens.basis)
+    if not all(f.is_symmetric() for f in mats):
+        raise ValueError("standard form must be symmetric")
+    form, *steps = (f.data for f in mats)
+    parts = partitions_of(m)
     index = {p: i for i, p in enumerate(parts)}
     counts = [0] * len(parts)
-    for entry in gens.standard_forms:
-        counts[index[partition_of(entry, gens.m)]] += 1
-    return EntanglementVector(gens.m, parts, tuple(counts))
-
+    counts[0] = 1  # Z_BASIS: every qubit its own factor
+    for i in range(1 << m):
+        if i:
+            form = tuple(map(xor, form, steps[(i & -i).bit_length() - 1]))
+        counts[index[_component_sizes(form)]] += 1
+    return EntanglementVector(m, parts, tuple(counts))

@@ -11,23 +11,20 @@ equivalence executable in both directions.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
-from .construct import (
-    GeneratorSet,
-    StabilizerSpec,
-    generators,
-    standard_form,
-)
+from .construct import GeneratorSet, StabilizerSpec, _vec, generators
 from .gf2 import (
     BitMatrix,
+    _mul_rows,
+    _SpanReducer,
+    _transpose_rows,
     block2x2,
     blocks_of,
+    char_poly,
     is_invertible,
     mat_inverse,
     mat_mul,
-    nullspace,
     rank,
 )
 
@@ -149,27 +146,42 @@ def gram_factor(R: BitMatrix) -> BitMatrix | None:
 
 
 def transport(f: SymplecticMap, gens: GeneratorSet) -> GeneratorSet:
-    """Left-multiply every class generator by f and take standard forms.
+    """The classes f G for a block-triangular symplectic f = [[s, t], [0, v]].
 
-    Raises StandardFormError when an image has a singular nonzero lower
-    block; that outcome is reported, never silently patched.
+    f maps (I; 0) to (s; 0), the class Z_BASIS again, and (M; I) to
+    (s M + t; v), whose standard form is (s M + t) v^-1.  That is affine in
+    M, so the image of A + span(basis) is (s A + t) v^-1 + span{s X v^-1}.
+    Every map `equivalence_map` composes has this shape; any other f raises
+    ValueError.
     """
     if not is_symplectic(f):
         raise ValueError("transport requires a symplectic map")
-    mat = f.matrix
-    return GeneratorSet(gens.m, tuple(standard_form(mat_mul(mat, g)) for g in gens.generators))
+    if not f.u.is_zero():
+        raise ValueError("transport requires a block-triangular map (lower-left block 0)")
+    v_inv = mat_inverse(f.v)
+    return GeneratorSet(
+        gens.m,
+        mat_mul(mat_mul(f.s, gens.A) + f.t, v_inv),
+        tuple(mat_mul(mat_mul(f.s, x), v_inv) for x in gens.basis),
+    )
 
 
 def classes_equal(a: GeneratorSet, b: GeneratorSet) -> bool:
-    """Unordered equality of the two collections of classes, by standard form.
+    """Equality of the two collections of classes, by standard form.
 
-    The class of (M; I) is the graph {(M c; c)} of M, and Z_BASIS stands for
-    {(x; 0)}, so a standard form names its class uniquely; `generators` and
-    `transport` raise on a class that has no standard form.
+    A standard form names its class: (M; I) is the graph {(M c; c)} of M,
+    and Z_BASIS stands for {(x; 0)}.  Both sets hold Z_BASIS once and the
+    affine family A + span(basis), each form 2^(m - rank) times, so the
+    collections agree iff the spans agree and A_a + A_b lies in them.
     """
     if a.m != b.m:
         raise ValueError("qubit count mismatch")
-    return Counter(a.standard_forms) == Counter(b.standard_forms)
+    span_a = _SpanReducer(map(_vec, a.basis))
+    return (
+        len(span_a.basis) == len(_SpanReducer(map(_vec, b.basis)).basis)
+        and all(span_a.contains(_vec(x)) for x in b.basis)
+        and span_a.contains(_vec(a.A) ^ _vec(b.A))
+    )
 
 
 def field_anchor(spec: StabilizerSpec) -> tuple[SymplecticMap, StabilizerSpec]:
@@ -196,35 +208,43 @@ def field_anchor(spec: StabilizerSpec) -> tuple[SymplecticMap, StabilizerSpec]:
     return f, StabilizerSpec.field(anchor_B)
 
 
+def _krylov(a: BitMatrix) -> BitMatrix:
+    """The matrix with columns e_0, a e_0, ..., a^(m-1) e_0, for a symmetric a."""
+    cols = [1]
+    for _ in range(a.rows - 1):
+        cols += _mul_rows(cols[-1:], a.data)  # v^t a = (a v)^t, as a is symmetric
+    return BitMatrix(a.rows, a.rows, _transpose_rows(cols, a.rows))
+
+
 def _orthogonal_intertwiner(a: BitMatrix, b: BitMatrix) -> BitMatrix | None:
-    """First w (deterministic order) with w a w^-1 = b and w w^t = I."""
-    m = a.rows
-    n = m * m
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            mask = 0
-            for k in range(m):
-                if a[k, j]:
-                    mask ^= 1 << (i * m + k)  # w_ik a_kj
-                if b[i, k]:
-                    mask ^= 1 << (k * m + j)  # b_ik w_kj
-            rows.append(mask)
-    basis = nullspace(BitMatrix(len(rows), n, rows))
-    if len(basis) > 20:
-        raise ValueError("intertwiner space too large to enumerate")
-    eye = BitMatrix.identity(m)
-    for mask in range(1, 1 << len(basis)):
-        bits = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            bits ^= basis[low.bit_length() - 1]
-            mm ^= low
-        w = BitMatrix(m, m, ((bits >> (i * m)) & ((1 << m) - 1) for i in range(m)))
-        if is_invertible(w) and mat_mul(w, w.transpose()) == eye:
-            return w
-    return None
+    """The w with w a w^-1 = b and w w^t = I, or None when there is none.
+
+    For symmetric a and b whose characteristic polynomials are irreducible,
+    as field anchors' are, such a w exists iff char(a) = char(b), and it is
+    unique:
+
+    - Similar matrices share a characteristic polynomial, so a difference
+      leaves no invertible intertwiner.
+    - With p = char(a) = char(b) irreducible of degree m, e_0 is cyclic for
+      both, so the Krylov matrices K_a, K_b are invertible and
+      a K_a = K_a P, b K_b = K_b P for the companion matrix P of p.  So
+      w0 = K_b K_a^-1 gives w0 a = b w0.
+    - Every intertwiner is w0 c with c in the centraliser of a, which is
+      the field F2[a], since p is irreducible.  Transposing w0 a = b w0
+      gives a w0^t = w0^t b, so S = w0^t w0 commutes with a and lies in
+      F2[a] as well.
+    - a is symmetric, so c^t = c, and (w0 c)^t (w0 c) = c^2 S.  So w0 c is
+      orthogonal iff c^2 = S^-1.  Squaring is a bijection on the field
+      F2[a] of 2^m elements, with inverse x -> x^(2^(m-1)), so
+      c = (S^-1)^(2^(m-1)), m - 1 squarings, is the only solution.
+    """
+    if char_poly(a) != char_poly(b):
+        return None
+    w0 = mat_mul(_krylov(b), mat_inverse(_krylov(a)))
+    c = mat_inverse(mat_mul(w0.transpose(), w0))
+    for _ in range(a.rows - 1):
+        c = mat_mul(c, c)
+    return mat_mul(w0, c)
 
 
 def equivalence_map(a: StabilizerSpec, b: StabilizerSpec) -> tuple[SymplecticMap | None, str]:

@@ -4,7 +4,7 @@ A vector is an integer bitmask (bit j = entry j) and a matrix stores each
 row as one, so row operations are single XORs and everything stays exact.
 Matrices are immutable after construction; every operation returns a fresh
 object.  Two eliminations serve everything: `_echelon` reduces fully (rank,
-inverse, nullspace) and `_SpanReducer` tests membership incrementally (spans
+inverse) and `_SpanReducer` tests membership incrementally (spans
 of packed matrices, and the Krylov chains of `char_poly`).
 """
 
@@ -245,23 +245,6 @@ def _inverse_rows(rows: Sequence[int]) -> list[int] | None:
     return [r >> m for r in reduced]
 
 
-def nullspace(coeff: BitMatrix) -> list[int]:
-    """Basis of {x : coeff @ x = 0}, one vector per non-pivot column, ascending."""
-    n = coeff.cols
-    reduced, pivots = _echelon(list(coeff.data), coeff.rows, n)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for r, c in enumerate(pivots):
-            if (reduced[r] >> free) & 1:
-                vec |= 1 << c
-        basis.append(vec)
-    return basis
-
-
 class _SpanReducer:
     """Incremental membership for a span of packed F2 vectors.
 
@@ -330,40 +313,6 @@ def char_poly(a: BitMatrix) -> Poly2:
             v = w
         poly = poly2._mul(poly, r >> start)
     return Poly2(poly)
-
-
-def offdiag_components(a: BitMatrix) -> list[tuple[int, ...]]:
-    """Connected components of the off-diagonal coupling graph.
-
-    Vertices are 0..m-1; i and k are adjacent when a[i,k] or a[k,i] is set
-    (the diagonal is ignored).  Components come out sorted by smallest member.
-    """
-    if not a.is_square():
-        raise ValueError("components of a non-square matrix")
-    m = a.rows
-    # Row i of a OR a^t (the transpose read off the set bits), diagonal cleared.
-    adj = [
-        (r | c) & ~(1 << i) for i, (r, c) in enumerate(zip(a.data, _transpose_rows(a.data, m)))
-    ]
-    seen = 0
-    components = []
-    for start in range(m):
-        if (seen >> start) & 1:
-            continue
-        frontier = 1 << start
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~comp
-        seen |= comp
-        components.append(tuple(i for i in range(m) if (comp >> i) & 1))
-    return components
 
 
 # -- block helpers ----------------------------------------------------------

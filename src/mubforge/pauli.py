@@ -90,6 +90,11 @@ def _monomial_action(a: PauliLabel, idx: np.ndarray) -> tuple[np.ndarray, np.nda
     return idx ^ xmask, phase
 
 
+def _check_cap(m: int) -> None:
+    if m > NUMERIC_QUBIT_CAP:
+        raise ValueError(f"numeric eigenbases are capped at m = {NUMERIC_QUBIT_CAP}, got m = {m}")
+
+
 def class_eigenbasis(gen: BitMatrix) -> np.ndarray:
     """Unitary whose columns are the joint eigenvectors of one class.
 
@@ -104,8 +109,7 @@ def class_eigenbasis(gen: BitMatrix) -> np.ndarray:
     m = gen.cols
     if gen.rows != 2 * m:
         raise ValueError("expected a 2m x m generator")
-    if m > NUMERIC_QUBIT_CAP:
-        raise ValueError(f"numeric eigenbases are capped at m = {NUMERIC_QUBIT_CAP}, got m = {m}")
+    _check_cap(m)
     labels = [PauliLabel.from_bits(m, gen.column(j)) for j in range(m)]
     if rank(gen) < m:
         raise ValueError("class generators are dependent")
@@ -137,7 +141,11 @@ def class_eigenbasis(gen: BitMatrix) -> np.ndarray:
 
 
 def mub_from_generators(gens: GeneratorSet) -> list[np.ndarray]:
-    """The d + 1 eigenbases of a generator set, in the order of its standard forms."""
+    """The d + 1 eigenbases of a generator set, in the order of its standard forms.
+
+    The cap is checked before any form is derived, since a set has 2^m of them.
+    """
+    _check_cap(gens.m)
     return [class_eigenbasis(g) for g in gens.generators]
 
 

@@ -2,7 +2,9 @@
 
 - `class_labels`, `class_partition_check` and `bandyopadhyay_oracle`
   enumerate every nonzero Pauli label of every class, which
-  `construct.bandyopadhyay_check` decides from the standard forms alone.
+  `construct.bandyopadhyay_check` decides from the m + 1 additive
+  matrices alone.  They take a list of standard forms, so they also judge
+  orbits that no affine family describes.
 - `cyclicity_walk` takes every power of C up to d + 1, where
   `construct.cyclicity_check` is an order test.
 - `orbit_forms` walks C^j (I; 0) for j = 0..d, one product and one inverse
@@ -22,7 +24,17 @@
 - `search_specs_oracle` is the group/semigroup search loop with both of
   those in place of the fast paths.
 - `class_canonical` is the reduced echelon basis of a class's column space,
-  where `equiv.classes_equal` compares standard forms.
+  where `equiv.classes_equal` compares the spans of two affine families.
+- `transport_forms` maps every class generator by any symplectic f and
+  takes standard forms, where `equiv.transport` maps the affine family of
+  a set by a block-triangular f in closed form.
+- `orthogonal_intertwiner_scan` enumerates the solution space of
+  w a = b w (a `nullspace`) for an orthogonal member, where
+  `equiv._orthogonal_intertwiner` computes the unique one from Krylov
+  matrices.
+- `offdiag_components` and `partition_of` find the tensor factors of one
+  standard form, where `entangle.entanglement_vector` runs over the
+  affine family in Gray-code order.
 - `char_poly_bareiss` is det(xI + a) by fraction-free elimination over
   F2[x], where `gf2.char_poly` multiplies the minimal polynomials of
   Krylov chains.
@@ -50,7 +62,17 @@ from mubforge.construct import (
     _vec,
     standard_form,
 )
-from mubforge.gf2 import BitMatrix, _SpanReducer, is_invertible, mat_inverse, mat_mul, vstack
+from mubforge.equiv import SymplecticMap, is_symplectic
+from mubforge.gf2 import (
+    BitMatrix,
+    _echelon,
+    _SpanReducer,
+    _transpose_rows,
+    is_invertible,
+    mat_inverse,
+    mat_mul,
+    vstack,
+)
 from mubforge.pauli import NUMERIC_QUBIT_CAP, PauliLabel, _fix_phase, symplectic_product
 from mubforge.poly2 import Poly2
 
@@ -69,12 +91,17 @@ def class_labels(gen: BitMatrix) -> list[int]:
     return out
 
 
-def class_partition_check(gens: GeneratorSet) -> bool:
+def generators_of(m: int, forms) -> list[BitMatrix]:
+    """One 2m x m generator per standard form: (I; 0) for Z_BASIS, (M; I) for M."""
+    eye, zero = BitMatrix.identity(m), BitMatrix.zero(m)
+    return [vstack(eye, zero) if f is Z_BASIS else vstack(f, eye) for f in forms]
+
+
+def class_partition_check(m: int, forms) -> bool:
     """Classes are pairwise disjoint, cover all 4^m - 1 labels, and commute within."""
-    m = gens.m
     d = 1 << m
     seen: set[int] = set()
-    for gen in gens.generators:
+    for gen in generators_of(m, forms):
         labels = class_labels(gen)
         if len(set(labels)) != d - 1 or 0 in labels:
             return False
@@ -89,15 +116,14 @@ def class_partition_check(gens: GeneratorSet) -> bool:
     return len(seen) == (d + 1) * (d - 1)
 
 
-def bandyopadhyay_oracle(gens: GeneratorSet) -> bool:
+def bandyopadhyay_oracle(m: int, forms) -> bool:
     """Symmetric, pairwise-distinct standard forms plus the enumerated partition."""
-    forms = gens.standard_forms
     mats = [f for f in forms if f is not Z_BASIS]
     if any(not f.is_symmetric() for f in mats):
         return False
     if len({f.data for f in mats}) != len(mats) or sum(1 for f in forms if f is Z_BASIS) != 1:
         return False
-    return class_partition_check(gens)
+    return class_partition_check(m, forms)
 
 
 def cyclicity_walk(C: BitMatrix, d: int) -> bool:
@@ -241,6 +267,115 @@ def search_specs_oracle(
             break
         out.append(StabilizerSpec.semigroup(B, R, A))
     return out
+
+
+def transport_forms(f: SymplecticMap, m: int, forms) -> list:
+    """Standard forms of f G for the generator G of every form, for any symplectic f.
+
+    Raises StandardFormError when an image has a singular nonzero lower
+    block.
+    """
+    if not is_symplectic(f):
+        raise ValueError("transport requires a symplectic map")
+    mat = f.matrix
+    return [standard_form(mat_mul(mat, g)) for g in generators_of(m, forms)]
+
+
+def nullspace(coeff: BitMatrix) -> list[int]:
+    """Basis of {x : coeff @ x = 0}, one vector per non-pivot column, ascending."""
+    n = coeff.cols
+    reduced, pivots = _echelon(list(coeff.data), coeff.rows, n)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(n):
+        if free in pivot_set:
+            continue
+        vec = 1 << free
+        for r, c in enumerate(pivots):
+            if (reduced[r] >> free) & 1:
+                vec |= 1 << c
+        basis.append(vec)
+    return basis
+
+
+def orthogonal_intertwiner_scan(a: BitMatrix, b: BitMatrix) -> BitMatrix | None:
+    """First w (deterministic order) with w a w^-1 = b and w w^t = I.
+
+    Enumerates all 2^k - 1 nonzero members of the solution space of
+    w a = b w, whose dimension k is m or 0 for anchors with irreducible
+    characteristic polynomials.
+    """
+    m = a.rows
+    n = m * m
+    rows = []
+    for i in range(m):
+        for j in range(m):
+            mask = 0
+            for k in range(m):
+                if a[k, j]:
+                    mask ^= 1 << (i * m + k)  # w_ik a_kj
+                if b[i, k]:
+                    mask ^= 1 << (k * m + j)  # b_ik w_kj
+            rows.append(mask)
+    basis = nullspace(BitMatrix(len(rows), n, rows))
+    eye = BitMatrix.identity(m)
+    for mask in range(1, 1 << len(basis)):
+        bits = 0
+        mm = mask
+        while mm:
+            low = mm & -mm
+            bits ^= basis[low.bit_length() - 1]
+            mm ^= low
+        w = BitMatrix(m, m, ((bits >> (i * m)) & ((1 << m) - 1) for i in range(m)))
+        if is_invertible(w) and mat_mul(w, w.transpose()) == eye:
+            return w
+    return None
+
+
+def offdiag_components(a: BitMatrix) -> list[tuple[int, ...]]:
+    """Connected components of the off-diagonal coupling graph.
+
+    Vertices are 0..m-1; i and k are adjacent when a[i,k] or a[k,i] is set
+    (the diagonal is ignored).  Components come out sorted by smallest member.
+    """
+    if not a.is_square():
+        raise ValueError("components of a non-square matrix")
+    m = a.rows
+    # Row i of a OR a^t (the transpose read off the set bits), diagonal cleared.
+    adj = [
+        (r | c) & ~(1 << i) for i, (r, c) in enumerate(zip(a.data, _transpose_rows(a.data, m)))
+    ]
+    seen = 0
+    components = []
+    for start in range(m):
+        if (seen >> start) & 1:
+            continue
+        frontier = 1 << start
+        comp = 0
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            f = frontier
+            while f:
+                low = f & -f
+                nxt |= adj[low.bit_length() - 1]
+                f ^= low
+            frontier = nxt & ~comp
+        seen |= comp
+        components.append(tuple(i for i in range(m) if (comp >> i) & 1))
+    return components
+
+
+def partition_of(entry, m: int) -> tuple[int, ...]:
+    """Tensor-factor partition of one basis from its standard-form entry."""
+    if entry is Z_BASIS:
+        return (1,) * m
+    if not isinstance(entry, BitMatrix):
+        raise TypeError(f"expected Z_BASIS or BitMatrix, got {type(entry).__name__}")
+    if not entry.is_symmetric():
+        raise ValueError("standard form must be symmetric")
+    sizes = sorted((len(c) for c in offdiag_components(entry)), reverse=True)
+    return tuple(sizes)
 
 
 def class_canonical(gen: BitMatrix) -> tuple[int, ...]:

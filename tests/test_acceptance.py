@@ -35,7 +35,7 @@ from mubforge.equiv import (
     symplectic_form,
     transport,
 )
-from mubforge.gf2 import BitMatrix, char_poly, mat_inverse, mat_mul, offdiag_components
+from mubforge.gf2 import BitMatrix, char_poly, mat_inverse, mat_mul
 from mubforge.pauli import mub_from_generators, verify_mub
 from mubforge.poly2 import (
     Poly2,
@@ -44,7 +44,7 @@ from mubforge.poly2 import (
     fibonacci_poly,
     irreducibles,
 )
-from oracles import class_labels, schmidt_rank
+from oracles import class_labels, offdiag_components, schmidt_rank
 
 
 def _report(n: int, label: str) -> None:

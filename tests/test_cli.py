@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from mubforge import cli, pauli
-from mubforge.construct import StabilizerSpec, search_B, search_specs
+from mubforge.construct import MAX_M, StabilizerSpec, search_B, search_specs
 
 CLI = [sys.executable, "-m", "mubforge.cli"]
 
@@ -273,7 +273,8 @@ class TestEquiv:
 
     # sha256 of the verdict JSON for the first random spec of seed 1 of each
     # kind, recorded when the intertwiner space still came from an affine
-    # solver; the map f pins the order of the `gf2.nullspace` basis.
+    # solver.  The orthogonal intertwiner of two field anchors is unique, so
+    # f does not depend on how it is found.
     GOLDEN_VERDICTS = {
         (4, "field", "group"): "499bee2a2c263aaf0b315c4326bc4ca37d79d779e31262a6c9c9bbe422827bc7",
         (4, "field", "semigroup"): "499bee2a2c263aaf0b315c4326bc4ca37d79d779e31262a6c9c9bbe422827bc7",
@@ -296,8 +297,64 @@ class TestEquiv:
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_VERDICTS[m, kind_a, kind_b]
 
 
+@pytest.fixture(scope="module")
+def max_m_specs(tmp_path_factory):
+    """The first random spec of seed 1 of each kind at m = 13 and MAX_M, by file name."""
+    root = tmp_path_factory.mktemp("max_m")
+    for m in (13, MAX_M):
+        for kind in ("field", "group", "semigroup"):
+            spec = next(iter(search_specs(m, kind, 1, "random", 1)))
+            (root / f"{kind}{m}.json").write_text(spec.to_json())
+    return root
+
+
+class TestMaxM:
+    """Every symbolic command at the largest m that `search` emits."""
+
+    # sha256 of each output, recorded while every class was still held as its
+    # own matrix: `build` reports without "timings" (json.dumps with sorted
+    # keys), the `classify` table of the three MAX_M files run from their
+    # directory, and same-seed group <-> semigroup `equiv` verdicts.
+    GOLDEN_BUILDS = {
+        "field": "73b10e7adc3fc3a59c34992b8bb8049b60f20b243393642b12c97b57c432157a",
+        "group": "d99a8db934e0a7b6210b8d502b927f859554ef0c85a5657f06cb48dc1ec157ea",
+        "semigroup": "41a1fb5eb1e0b5a85e602517c0772e714c370b565134b595f965fb1b45348823",
+    }
+    GOLDEN_CLASSIFY = "2bfcdf566c623b73a4aba98a12cfc1a8917570a3123e12145fbad169364598b8"
+    GOLDEN_EQUIV = {
+        13: "8c8c1266d816620b27586c0fea43534adef0f22718abeb5eb415e0d620ff72dd",
+        16: "85ef07e81492a0e656ce8ebc7b2faa42ed9ebb9d17d11bdcdf84b0bcb207f846",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_BUILDS))
+    def test_build_matches_golden(self, max_m_specs, capsys, kind):
+        assert cli.main(["build", str(max_m_specs / f"{kind}{MAX_M}.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["cyclic_ok"] is True and report["bandyopadhyay_ok"] is True
+        report.pop("timings")
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == self.GOLDEN_BUILDS[kind]
+
+    def test_classify_matches_golden(self, max_m_specs, capsys, monkeypatch):
+        monkeypatch.chdir(max_m_specs)
+        names = [f"{kind}{MAX_M}.json" for kind in ("field", "group", "semigroup")]
+        assert cli.main(["classify", *names]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_CLASSIFY
+
+    @pytest.mark.parametrize("m", sorted(GOLDEN_EQUIV))
+    def test_same_seed_equiv_matches_golden(self, max_m_specs, capsys, m):
+        paths = [str(max_m_specs / f"{kind}{m}.json") for kind in ("group", "semigroup")]
+        assert cli.main(["equiv", *paths]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["equivalent"] is True
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_EQUIV[m]
+
+
 MALFORMED_SPECS = {
     "top-level-list": ("[]", "JSON object"),
+    "empty-file": ("", "the spec is empty"),
+    "two-lines": ('{"m": 1, "kind": "field", "B": [[1]]}\n' * 2, "not valid JSON: Extra data"),
     "empty-B": ('{"m": 2, "kind": "field", "B": []}', '"B" must be a non-empty list'),
     "string-m": ('{"m": "2", "kind": "field", "B": [[1, 1], [1, 0]]}', '"m" must be an integer'),
     "deeply-nested": ("[" * 100000 + "]" * 100000, "nested too deeply"),

@@ -47,6 +47,7 @@ from oracles import (
     cyclicity_walk,
     field_closure_check,
     find_addend_scan,
+    generators_of,
     is_polynomial_in,
     iter_conjugators_scan,
     orbit_forms,
@@ -73,13 +74,19 @@ def semigroup_spec(m=4):
 
 
 def orbit(C, m):
-    """GeneratorSet of the classes of G_t = C^t (I; 0), t = 0..d, in orbit order."""
-    return GeneratorSet(m, tuple(orbit_forms(C, 1 << m)))
+    """Standard forms of the classes G_t = C^t (I; 0), t = 0..d, in orbit order."""
+    return orbit_forms(C, 1 << m)
 
 
 def walked(spec):
-    """The spec's classes in orbit order, by the d-step walk."""
+    """The spec's standard forms in orbit order, by the d-step walk."""
     return orbit(build_stabilizer(spec), spec.m)
+
+
+def field_family(B):
+    """The affine family 0 + span{I, B, ..., B^(m-1)} of C = [[B, I], [I, 0]]."""
+    m = B.rows
+    return GeneratorSet(m, BitMatrix.zero(m), tuple(B**k for k in range(m)))
 
 
 def random_invertible(rng, m):
@@ -240,20 +247,20 @@ class TestGenerators:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_field_midpoint_and_last(self, m):
         spec = field_spec(m)
-        gens = walked(spec)
+        forms = walked(spec)
         d = spec.d
-        assert gens.standard_forms[d // 2] == BitMatrix.identity(m)
-        assert gens.standard_forms[d] == BitMatrix.zero(m)
+        assert forms[d // 2] == BitMatrix.identity(m)
+        assert forms[d] == BitMatrix.zero(m)
 
     def test_semigroup_standard_forms_formula(self):
         spec = semigroup_spec()
-        gens = walked(spec)
+        forms = walked(spec)
         r_ = spec.R
         for j in range(1, spec.d + 1):
             fj = poly_of_matrix(fibonacci_poly(j), spec.B)
             fj1 = poly_of_matrix(fibonacci_poly(j + 1), spec.B)
             expected = mat_mul(mat_mul(fj1, mat_inverse(fj)), r_) + spec.A
-            assert gens.standard_forms[j] == expected
+            assert forms[j] == expected
 
     @pytest.mark.parametrize("make", [lambda: field_spec(2), lambda: field_spec(3), group_spec, semigroup_spec])
     def test_class_conditions(self, make):
@@ -265,14 +272,17 @@ class TestGenerators:
     def test_nonsymmetric_form_fails(self):
         # Companion matrix of x^3 + x + 1 (index 9): a full orbit of d + 1
         # classes with invertible lower blocks, but G_1 = (B; I) has the
-        # non-symmetric form B, so its class is not isotropic.
+        # non-symmetric form B, so its class is not isotropic.  The orbit's
+        # forms are the affine family span{I, B, B^2}.
         B = BitMatrix.from_rows([[0, 0, 1], [1, 0, 1], [0, 1, 0]])
         eye, zero = BitMatrix.identity(3), BitMatrix.zero(3)
-        gens = orbit(block2x2(B, eye, eye, zero), 3)
-        assert sum(f is Z_BASIS for f in gens.standard_forms) == 1
-        assert gens.standard_forms[1] == B
-        assert not bandyopadhyay_check(gens)
-        assert not bandyopadhyay_oracle(gens)
+        forms = orbit(block2x2(B, eye, eye, zero), 3)
+        assert sum(f is Z_BASIS for f in forms) == 1
+        assert forms[1] == B
+        family = field_family(B)
+        assert Counter(family.standard_forms) == Counter(forms)
+        assert not bandyopadhyay_check(family)
+        assert not bandyopadhyay_oracle(3, forms)
 
     def test_wrong_stabilizer_names_the_orbit_step(self, monkeypatch, tmp_path, capsys):
         # A C without the semigroup shift: G_1 = (B; R^-1) has the form B R,
@@ -288,13 +298,14 @@ class TestGenerators:
         assert "orbit step 1" in capsys.readouterr().err
 
     def test_second_z_basis_fails(self):
-        # C of order 3 < d + 1 = 5 returns to (I; 0) at t = 3.
+        # C of order 3 < d + 1 = 5 returns to (I; 0) at t = 3.  Its affine
+        # family span{I, I} has rank 1 < m, so it has fewer than d forms.
         eye, zero = BitMatrix.identity(2), BitMatrix.zero(2)
-        gens = orbit(block2x2(eye, eye, eye, zero), 2)
-        assert gens.standard_forms[3] is Z_BASIS
-        assert all(f is Z_BASIS or f.is_symmetric() for f in gens.standard_forms)
-        assert not bandyopadhyay_check(gens)
-        assert not bandyopadhyay_oracle(gens)
+        forms = orbit(block2x2(eye, eye, eye, zero), 2)
+        assert forms[3] is Z_BASIS
+        assert all(f is Z_BASIS or f.is_symmetric() for f in forms)
+        assert not bandyopadhyay_check(field_family(eye))
+        assert not bandyopadhyay_oracle(2, forms)
 
     @pytest.mark.parametrize(
         "make", [lambda: field_spec(2), lambda: field_spec(4), group_spec]
@@ -302,13 +313,13 @@ class TestGenerators:
     def test_orbit_property(self, make):
         spec = make()
         C = build_stabilizer(spec)
-        gens = walked(spec)
+        gens = generators_of(spec.m, walked(spec))
         d = spec.d
         for j in range(d + 1):
             Cj = C**j
             for k in range(d + 1):
-                image = mat_mul(Cj, gens.generators[k])
-                target = gens.generators[(j + k) % (d + 1)]
+                image = mat_mul(Cj, gens[k])
+                target = gens[(j + k) % (d + 1)]
                 assert class_canonical(image) == class_canonical(target)
 
 
@@ -322,7 +333,7 @@ class TestChecksAgainstOracles:
         for spec in specs:
             C = build_stabilizer(spec)
             gens = generators(spec)
-            assert bandyopadhyay_check(gens) == bandyopadhyay_oracle(gens)
+            assert bandyopadhyay_check(gens) == bandyopadhyay_oracle(spec.m, gens.standard_forms)
             for d in (spec.d - 1, spec.d, 2 * spec.d + 1):
                 assert cyclicity_check(C, d) == cyclicity_walk(C, d)
 
@@ -336,20 +347,25 @@ class TestChecksAgainstOracles:
             assert Counter(gens.standard_forms) == Counter(walk)
             assert len(set(gens.standard_forms)) == spec.d + 1
             if m <= 6:
-                assert bandyopadhyay_check(gens) and bandyopadhyay_oracle(gens)
+                assert bandyopadhyay_check(gens) and bandyopadhyay_oracle(m, gens.standard_forms)
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_orbits_of_arbitrary_b(self, m, seed):
         # For irreducible char(B) every Fibonacci polynomial F_t(B) is zero or
         # invertible, so each class of C = [[B, I], [I, 0]] has a standard form.
-        # Non-symmetric B and indices below d + 1 give the False cases.
+        # Non-symmetric B and indices below d + 1 give the False cases.  A
+        # short orbit is not an affine family, so the form-level verdict on
+        # it is the family's check together with the order of C.
         B = random_irreducible_matrix(random.Random(seed), m)
         eye, zero = BitMatrix.identity(m), BitMatrix.zero(m)
         C = block2x2(B, eye, eye, zero)
-        gens = orbit(C, m)
-        assert bandyopadhyay_check(gens) == bandyopadhyay_oracle(gens)
-        assert cyclicity_check(C, 1 << m) == cyclicity_walk(C, 1 << m)
+        forms = orbit(C, m)
+        cyclic = cyclicity_check(C, 1 << m)
+        assert bandyopadhyay_oracle(m, forms) == (bandyopadhyay_check(field_family(B)) and cyclic)
+        assert cyclic == cyclicity_walk(C, 1 << m)
+        if cyclic:
+            assert Counter(field_family(B).standard_forms) == Counter(forms)
 
 
 class TestFieldClosure:

@@ -1,19 +1,24 @@
 """Entanglement classification and its agreement with the numeric oracle."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mubforge.construct import StabilizerSpec, Z_BASIS, generators, search_specs
-from mubforge.entangle import (
-    EntanglementVector,
-    entanglement_vector,
-    partition_of,
-    partitions_of,
+from mubforge.construct import (
+    KINDS,
+    GeneratorSet,
+    StabilizerSpec,
+    Z_BASIS,
+    generators,
+    search_specs,
 )
+from mubforge.entangle import EntanglementVector, entanglement_vector, partitions_of
 from mubforge.gf2 import BitMatrix, mat_mul
 from mubforge.pauli import class_eigenbasis
-from oracles import schmidt_rank
+from oracles import offdiag_components, partition_of, schmidt_rank
 
 
 def field_spec(m):
@@ -85,6 +90,25 @@ class TestEntanglementVector:
         ent = entanglement_vector(generators(spec))
         assert sum(ent.counts) == spec.d + 1
 
+    def test_rejects_asymmetric_family(self):
+        zero, eye = BitMatrix.zero(2), BitMatrix.identity(2)
+        asym = BitMatrix.from_rows([[0, 1], [0, 0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            entanglement_vector(GeneratorSet(2, zero, (eye, asym)))
+        with pytest.raises(ValueError, match="symmetric"):
+            entanglement_vector(GeneratorSet(2, asym, (eye, zero)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(KINDS), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_form_oracle(self, kind, m, seed):
+        # The Gray-code walk over A + span(basis) against one partition_of
+        # per derived standard form.
+        for spec in search_specs(m, kind, 1, "random", seed):
+            gens = generators(spec)
+            ent = entanglement_vector(gens)
+            hist = Counter(partition_of(f, m) for f in gens.standard_forms)
+            assert ent.counts == tuple(hist[p] for p in ent.partitions)
+
     def test_json_dict(self):
         ent = EntanglementVector(3, partitions_of(3), (3, 0, 6))
         assert ent.to_json_dict() == {
@@ -132,8 +156,6 @@ class TestOracleAgreement:
             if form is Z_BASIS or not isinstance(form, BitMatrix):
                 blocks = [(q,) for q in range(m)]
             else:
-                from mubforge.gf2 import offdiag_components
-
                 blocks = offdiag_components(form)
             assert tuple(sorted((len(b) for b in blocks), reverse=True)) == partition_sizes
             basis = class_eigenbasis(gen)

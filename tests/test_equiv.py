@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mubforge.construct import (
+    KINDS,
+    GeneratorSet,
     StabilizerSpec,
     StandardFormError,
     bandyopadhyay_check,
@@ -16,6 +18,7 @@ from mubforge.construct import (
 )
 from mubforge.equiv import (
     SymplecticMap,
+    _orthogonal_intertwiner,
     classes_equal,
     equivalence_map,
     field_anchor,
@@ -26,12 +29,20 @@ from mubforge.equiv import (
 )
 from mubforge.gf2 import (
     BitMatrix,
+    char_poly,
     is_invertible,
     mat_inverse,
     mat_mul,
     rank,
 )
-from oracles import class_canonical, is_polynomial_in
+from mubforge.poly2 import is_irreducible
+from oracles import (
+    class_canonical,
+    generators_of,
+    is_polynomial_in,
+    orthogonal_intertwiner_scan,
+    transport_forms,
+)
 
 
 def random_invertible(rng, m):
@@ -49,6 +60,14 @@ def random_symmetric(rng, m):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return BitMatrix(m, m, rows)
+
+
+def random_anchor(rng, m):
+    """Uniform symmetric matrix with irreducible characteristic polynomial."""
+    while True:
+        a = random_symmetric(rng, m)
+        if is_irreducible(char_poly(a)):
+            return a
 
 
 def sym_invertible_matrices(m):
@@ -159,16 +178,37 @@ class TestTransport:
         with pytest.raises(ValueError, match="symplectic"):
             transport(SymplecticMap(eye, eye, eye, eye), gens)
 
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(KINDS), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_matches_general_transport(self, kind, m, seed):
+        # f = [[u, u S], [0, (u^t)^-1]] with S symmetric is triangular and
+        # symplectic; the affine image must hold the classes of f G.
+        rng = random.Random(seed)
+        u = random_invertible(rng, m)
+        f = SymplecticMap.triangular(u, mat_mul(u, random_symmetric(rng, m)))
+        for spec in search_specs(m, kind, 1, "random", seed):
+            gens = generators(spec)
+            moved = transport(f, gens)
+            oracle = generators_of(m, transport_forms(f, m, gens.standard_forms))
+            assert sorted(map(class_canonical, moved.generators)) == sorted(
+                map(class_canonical, oracle)
+            )
+
     def test_singular_lower_block_reported(self):
         # A class (M; I) with singular nonzero M lands outside standard form
         # under the swap map; that failure must surface, not be patched.
-        from mubforge.construct import GeneratorSet
-
         m = 2
         M = BitMatrix.from_rows([[1, 0], [0, 0]])
-        gens = GeneratorSet(m, (M,))
         J = SymplecticMap.from_matrix(symplectic_form(m))
         with pytest.raises(StandardFormError):
+            transport_forms(J, m, [M])
+
+    def test_non_triangular_map_rejected(self):
+        # The closed form covers block-triangular maps only; the swap map is
+        # symplectic but has a nonzero lower-left block.
+        gens = generators(StabilizerSpec.field(search_B(2, 1, "exhaustive")[0]))
+        J = SymplecticMap.from_matrix(symplectic_form(2))
+        with pytest.raises(ValueError, match="block-triangular"):
             transport(J, gens)
 
 
@@ -239,16 +279,16 @@ class TestClassesEqual:
         assert outcomes == {True, False} or m <= 2
 
     def test_multiplicities_count(self):
-        # Same classes, different multiplicities: unequal as multisets.
-        from mubforge.construct import GeneratorSet, Z_BASIS
-
-        zero = BitMatrix.zero(2)
-        a = GeneratorSet(2, (Z_BASIS, zero, zero))
-        b = GeneratorSet(2, (Z_BASIS, Z_BASIS, zero))
+        # b's classes are among a's, each four times against a's twice: the
+        # basis of b lies in a's span, so only the ranks tell them apart.
+        zero, eye = BitMatrix.zero(2), BitMatrix.identity(2)
+        a = GeneratorSet(2, zero, (eye, zero))
+        b = GeneratorSet(2, zero, (zero, zero))
         assert sorted(map(class_canonical, a.generators)) != sorted(
             map(class_canonical, b.generators)
         )
         assert not classes_equal(a, b)
+        assert not classes_equal(b, a)
         assert classes_equal(a, a)
 
     def test_canonical_form_ignores_column_operations(self):
@@ -286,6 +326,38 @@ class TestFieldAnchor:
         )
         with pytest.raises(ValueError, match="alternating"):
             field_anchor(bogus)
+
+
+class TestOrthogonalIntertwiner:
+    """The closed form against enumeration of the intertwiner space."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+    def test_same_char_poly(self, m, seed):
+        # b is drawn until it shares a's characteristic polynomial: at m <= 7
+        # that takes at most a few hundred draws.
+        rng = random.Random(seed)
+        a = random_anchor(rng, m)
+        b = random_anchor(rng, m)
+        while char_poly(b) != char_poly(a):
+            b = random_anchor(rng, m)
+        w = _orthogonal_intertwiner(a, b)
+        assert w is not None
+        assert w == orthogonal_intertwiner_scan(a, b)
+        assert mat_mul(w, a) == mat_mul(b, w)
+        assert mat_mul(w, w.transpose()) == BitMatrix.identity(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+    def test_distinct_char_polys(self, m, seed):
+        rng = random.Random(seed)
+        a = random_anchor(rng, m)
+        b = random_anchor(rng, m)
+        if char_poly(a) != char_poly(b):
+            assert _orthogonal_intertwiner(a, b) is None
+            assert orthogonal_intertwiner_scan(a, b) is None
+        else:
+            assert _orthogonal_intertwiner(a, b) == orthogonal_intertwiner_scan(a, b)
 
 
 class TestEquivalenceMap:

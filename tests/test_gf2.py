@@ -14,12 +14,10 @@ from mubforge.gf2 import (
     is_invertible,
     mat_inverse,
     mat_mul,
-    nullspace,
-    offdiag_components,
     rank,
 )
 from mubforge.poly2 import Poly2
-from oracles import char_poly_bareiss, poly_of_matrix
+from oracles import char_poly_bareiss, nullspace, offdiag_components, poly_of_matrix
 
 B22 = BitMatrix.from_rows([[1, 1], [1, 0]])
 

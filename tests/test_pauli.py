@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubforge.construct import Z_BASIS, GeneratorSet, generators, search_specs
+from mubforge.construct import generators, search_specs
 from mubforge.gf2 import BitMatrix, vstack
 from mubforge.pauli import (
     NUMERIC_QUBIT_CAP,
@@ -157,8 +157,9 @@ class TestClassEigenbasis:
             class_eigenbasis(gen)
 
     def test_cap_at_sixteen_qubits_allocates_nothing(self):
-        # A 2^16 x 2^16 complex basis would take 64 GiB.
-        gens = GeneratorSet(16, (Z_BASIS,))
+        # A 2^16 x 2^16 complex basis would take 64 GiB, and the 2^16 + 1
+        # generators are not derived either.
+        gens = generators(next(iter(search_specs(16, "field", 1, "random", 1))))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"capped at m = {NUMERIC_QUBIT_CAP}.*m = 16"):
