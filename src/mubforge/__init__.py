@@ -8,9 +8,9 @@ resulting set are completely factorizable (three, two, or one).  A complex
 numeric oracle independently verifies unbiasedness and the entanglement
 classification of everything the symbolic layer produces.
 
-numpy is loaded only by exhaustive search (the scan kernel in `backend`) and
-by the numeric oracle in `pauli`.  So the oracle's names below are resolved
-on first access, and `import mubforge` stays free of numpy.
+numpy is loaded only by the numeric oracle in `pauli`.  So the oracle's
+names below are resolved on first access, and `import mubforge` stays free
+of numpy.
 """
 
 from .construct import (

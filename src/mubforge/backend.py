@@ -1,22 +1,29 @@
-"""The symmetric-candidate scan: the candidate encoding and its numpy kernel.
+"""The symmetric-candidate scan: the candidate encoding and its bit-sliced kernel.
 
 Candidate index k encodes a symmetric m x m matrix through its upper triangle
 (diagonal included) read row-major, most significant bit first, so ascending
 k is lexicographic order on the matrix entries.  Rows are bitmasks: bit j of
 row i is entry (i, j).
 
-The scalar codec is plain Python.  numpy is imported by the kernel itself,
-so only an exhaustive search loads it; random search never scans.
+Everything here is plain Python: the kernel holds a block of candidates
+bit-sliced in Python ints, so no search loads numpy.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import re
+from functools import reduce
+from operator import and_, or_, xor
 
-if TYPE_CHECKING:
-    import numpy as np
+BLOCK_BITS = 13  # the kernel tests 2^13 candidates at a time
 
-BLOCK_BITS = 13  # the kernel decodes at most 2^13 candidates at a time
+_FULL = (1 << (1 << BLOCK_BITS)) - 1
+# _INDEX_BITS[s] has bit o set iff bit s of o is set, for o < 2^BLOCK_BITS:
+# runs of 2^s zeros and 2^s ones, repeated.
+_INDEX_BITS = tuple(
+    _FULL // ((1 << (2 << s)) - 1) * (((1 << (1 << s)) - 1) << (1 << s))
+    for s in range(BLOCK_BITS)
+)
 
 
 def _pair_positions(m: int) -> list[tuple[int, int]]:
@@ -46,40 +53,6 @@ def encode_symmetric(m: int, rows) -> int:
     return k
 
 
-def _decode_block(m: int, base: int, offsets: np.ndarray) -> list[np.ndarray]:
-    """Row masks of the candidates base + offsets, one uint64 array per row.
-
-    `base` has its low BLOCK_BITS bits clear and every offset is below
-    2^BLOCK_BITS, so each index bit comes from exactly one of the two and
-    the decoded entries of the two parts are disjoint.
-    """
-    import numpy as np
-
-    pairs = _pair_positions(m)
-    n = len(pairs)
-    rows = [np.full(offsets.shape, r, dtype=np.uint64) for r in decode_symmetric(m, base)]
-    for s in range(min(n, BLOCK_BITS)):
-        i, j = pairs[n - 1 - s]
-        bit = (offsets >> s) & 1
-        rows[i] |= bit << j
-        if i != j:
-            rows[j] |= bit << i
-    return rows
-
-
-def _matvec(rows: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-    """B v for every candidate at once.
-
-    B is symmetric, so B v is the XOR of the rows i where bit i of v is set.
-    """
-    import numpy as np
-
-    out = np.zeros_like(v)
-    for i, row in enumerate(rows):
-        out ^= row * ((v >> i) & 1)
-    return out
-
-
 def scan_symmetric(m: int, good_polys: tuple[int, ...], start: int, stop: int) -> list[int]:
     """Candidate indices in [start, stop) whose matrix has a good char poly.
 
@@ -94,27 +67,42 @@ def scan_symmetric(m: int, good_polys: tuple[int, ...], start: int, stop: int) -
     single-vector test (IEEE Trans. Inf. Theory 32, 1986): m matrix-vector
     products and a few XORs per poly, instead of a matrix Horner evaluation
     per poly.
-    """
-    import numpy as np
 
-    hits: list[int] = []
+    The test runs on a block of 2^BLOCK_BITS candidates at once, bit-sliced:
+    each matrix entry and each vector coordinate is one int whose bit o
+    belongs to candidate base + o.  Row i of B v is the XOR over j of
+    B_ij & v_j, and a candidate hits where some p leaves every coordinate
+    of sum_t p_t v_t zero.
+    """
+    pairs = _pair_positions(m)
+    n = len(pairs)
     size = 1 << BLOCK_BITS
+    hits: list[int] = []
     lo = start
     while lo < stop:
         base = lo & -size
         hi = min(stop, base + size)
-        offsets = np.arange(lo - base, hi - base, dtype=np.uint64)
-        rows = _decode_block(m, base, offsets)
-        krylov = [np.ones_like(offsets)]
+        # base has its low BLOCK_BITS bits clear, so each entry comes either
+        # from base (the same for the whole block) or from one offset bit s.
+        high = decode_symmetric(m, base)
+        entries = [[_FULL if (r >> j) & 1 else 0 for j in range(m)] for r in high]
+        for s in range(min(n, BLOCK_BITS)):
+            i, j = pairs[n - 1 - s]
+            entries[i][j] = entries[j][i] = _INDEX_BITS[s]
+        v = [_FULL] + [0] * (m - 1)
+        krylov = [v]
         for _ in range(m):
-            krylov.append(_matvec(rows, krylov[-1]))
-        hit = np.zeros(offsets.shape, dtype=bool)
+            v = [reduce(xor, map(and_, row, v)) for row in entries]
+            krylov.append(v)
+        miss = _FULL
         for p in good_polys:
-            w = np.zeros_like(offsets)
-            for t, v in enumerate(krylov):
+            w = [0] * m
+            for t, vt in enumerate(krylov):
                 if (p >> t) & 1:
-                    w ^= v
-            hit |= w == 0
-        hits.extend(base + o for o in offsets[hit].tolist())
+                    w = list(map(xor, w, vt))
+            miss &= reduce(or_, w)
+        hit = ~miss & ((1 << (hi - base)) - (1 << (lo - base)))
+        bits = bin(hit)[:1:-1]  # character o is bit o
+        hits.extend(base + one.start() for one in re.finditer("1", bits))
         lo = hi
     return hits

@@ -226,8 +226,7 @@ def _cmd_classify(args) -> int:
     for path in args.specs:
         try:
             spec = _load_spec(path)
-            spec.validate()
-            ent = entanglement_vector(generators(spec))
+            ent = entanglement_vector(generators(spec))  # generators validates spec
             counts = "(" + ",".join(str(c) for c in ent.counts) + ")"
             rows.append((str(path), spec.kind, str(spec.m), counts))
         except (OSError, ValueError, KeyError) as exc:

@@ -32,8 +32,7 @@ import functools
 import json
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import backend, poly2
 from .gf2 import (
@@ -128,8 +127,7 @@ def _vec(mat: BitMatrix) -> int:
     return _pack(mat.data, mat.cols)
 
 
-@dataclass(frozen=True)
-class StabilizerSpec:
+class StabilizerSpec(NamedTuple):
     """Recipe for one complete cyclic set: kind plus the matrices B, R, A."""
 
     kind: str
@@ -253,8 +251,7 @@ class StabilizerSpec:
             raise SpecValidationError("schema", detail) from exc
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """The d + 1 classes of one set: (I; 0) and the forms A + span(basis).
 
     `generators` gives basis = (R, B R, ..., B^(m-1) R), so a set is held

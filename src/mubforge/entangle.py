@@ -10,10 +10,9 @@ completely factorizable bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import xor
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .construct import GeneratorSet
 
@@ -58,8 +57,7 @@ def _component_sizes(adj: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(sizes, reverse=True))
 
 
-@dataclass(frozen=True)
-class EntanglementVector:
+class EntanglementVector(NamedTuple):
     """Counts of bases per tensor-factor partition, in canonical order."""
 
     m: int

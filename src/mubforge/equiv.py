@@ -11,7 +11,7 @@ equivalence executable in both directions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construct import GeneratorSet, StabilizerSpec, _vec, generators
 from .gf2 import (
@@ -29,8 +29,7 @@ from .gf2 import (
 )
 
 
-@dataclass(frozen=True)
-class SymplecticMap:
+class SymplecticMap(NamedTuple):
     """2m x 2m map over F2 in block form f = [[s, t], [u, v]]."""
 
     s: BitMatrix

@@ -9,10 +9,9 @@ unbiasedness of a full set.  The dense Pauli matrices and projector products
 this replaces, and the Schmidt-rank probes across qubit cuts, live with the
 tests (`tests/oracles.py`).
 
-This is one of the two places numpy is used (the other is the exhaustive
-scan kernel in `backend`); the package and the CLI import this module only
-when the numeric tier of `build` runs, or when one of its names is read off
-`mubforge`.
+This is the one place numpy is used; the package and the CLI import this
+module only when the numeric tier of `build` runs, or when one of its names
+is read off `mubforge`.
 
 Conventions: qubit 0 is the leftmost tensor factor (most significant bit of
 the computational index); every eigenvector's global phase is fixed by making

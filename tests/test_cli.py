@@ -249,6 +249,22 @@ class TestClassify:
         assert "(3)" in res.stdout  # the good file still classified
         assert "fibonacci-index" in res.stderr
 
+    def test_each_spec_validated_once(self, spec_files, monkeypatch, capsys):
+        validated = []
+        validate = StabilizerSpec.validate
+
+        def counting(spec):
+            validated.append(spec)
+            return validate(spec)
+
+        monkeypatch.setattr(StabilizerSpec, "validate", counting)
+        names = ("field3", "group3", "bad_index")
+        assert cli.main(["classify", *(str(spec_files[n]) for n in names)]) == 2
+        assert len(validated) == len(names)
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1].split()[1:] == ["-", "-", "error"]
+        assert "fibonacci-index" in err
+
 
 class TestEquiv:
     def test_identical_specs(self, spec_files):
@@ -397,8 +413,9 @@ def test_cli_never_imports_sympy(tmp_path):
 
 NO_NUMPY_RUN = """
 import sys
-import mubforge
+before = set(sys.modules)
 from mubforge import cli
+assert not {"inspect", "dataclasses"} & (set(sys.modules) - before), "slow stdlib import"
 
 tmp = sys.argv[1]
 
@@ -408,6 +425,11 @@ def run(*argv):
 for kind in ("field", "group", "semigroup"):
     run("search", "--m", 16, "--kind", kind, "--seed", 3, "--out", f"{tmp}/{kind}16.jsonl")
     run("search", "--m", 6, "--kind", kind, "--seed", 3, "--out", f"{tmp}/{kind}6.json")
+run("search", "--m", 5, "--kind", "field", "--exhaustive", "--count", 1 << 20,
+    "--out", f"{tmp}/all5-field.jsonl")
+for kind in ("group", "semigroup"):
+    run("search", "--m", 3, "--kind", kind, "--exhaustive", "--count", 1 << 20,
+        "--out", f"{tmp}/all3-{kind}.jsonl")
 run("build", f"{tmp}/field6.json", "--numeric-cap", 5, "--out", f"{tmp}/report.json")
 run("classify", f"{tmp}/field6.json", f"{tmp}/group6.json", f"{tmp}/semigroup6.json",
     "--out", f"{tmp}/classify.txt")
@@ -433,14 +455,18 @@ except AttributeError:
 
 
 def test_symbolic_commands_never_import_numpy(tmp_path):
-    # numpy is loaded only by the exhaustive scan kernel and the numeric
-    # oracle: random search, symbolic build, classify and equiv run without it.
+    # numpy is loaded only by the numeric oracle: search of every kind and
+    # mode, symbolic build, classify and equiv run without it.  Importing the
+    # CLI loads neither inspect nor dataclasses, which cost about a quarter
+    # of its import time.
     res = subprocess.run([sys.executable, "-c", NO_NUMPY_RUN, str(tmp_path)],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
     for kind in ("field", "group", "semigroup"):
         assert (tmp_path / f"{kind}16.jsonl").read_text().count("\n") == 1
+    assert (tmp_path / "all5-field.jsonl").read_text().count("\n") == 1440
+    assert (tmp_path / "all3-group.jsonl").read_text()
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["mub_verification"] == "skipped (m > 5)"
 

@@ -1,4 +1,4 @@
-"""The numpy scan kernel against a scalar Horner oracle, and golden search output."""
+"""The bit-sliced scan kernel against a scalar Horner oracle, and golden search output."""
 
 import hashlib
 import random
@@ -111,6 +111,15 @@ class TestScan:
         ]
         assert expected
         assert backend.scan_symmetric(m, polys, start, start + 600) == expected
+
+    def test_full_six_qubit_space_is_pinned(self):
+        # The one full space no oracle test covers: its 2^21 candidates give
+        # 92,160 hits, hashed as comma-separated indices with the earlier
+        # numpy kernel.
+        hits = backend.scan_symmetric(6, good_masks(6), 0, 1 << 21)
+        assert len(hits) == 92160
+        digest = hashlib.sha256(",".join(map(str, hits)).encode()).hexdigest()
+        assert digest == "58d9d48683e254a26986e5d0c0e4fa7b330c39ee22dc187fc1309da9d87b0d3c"
 
 
 # sha256 of `mubforge search --m M --kind KIND --exhaustive --count COUNT`,
