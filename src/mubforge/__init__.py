@@ -24,11 +24,11 @@ from .construct import (
     cyclicity_check,
     find_addend,
     generators,
-    search_B,
     search_specs,
 )
 from .entangle import EntanglementVector, entanglement_vector
 from .equiv import (
+    AlternatingSymmetrizerError,
     SymplecticMap,
     classes_equal,
     equivalence_map,

@@ -1,9 +1,10 @@
 """Command-line front end: search, build, classify, equiv.
 
 Exit codes: 0 = success (including empty search results and negative
-equivalence verdicts), 2 = validation failure, 1 = usage error.  Search
-output is JSON lines so long runs can be piped and truncated; identical
-commands with identical seeds produce byte-identical output.
+equivalence verdicts), 2 = validation or internal failure, named on stderr,
+1 = usage error.  Search output is JSON lines so long runs can be piped and
+truncated; identical commands with identical seeds produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .construct import (
     search_specs,
 )
 from .entangle import entanglement_vector
-from .equiv import equivalence_map
+from .equiv import AlternatingSymmetrizerError, equivalence_map
 
 DEFAULT_TOL = 1e-10
 DEFAULT_NUMERIC_CAP = 5
@@ -104,20 +105,13 @@ def _cmd_search(args) -> int:
     if args.count < 1:
         print("mubforge search: error: --count must be >= 1", file=sys.stderr)
         return 1
-    if args.exhaustive:
-        mode, seed = "exhaustive", None
-    else:
-        if args.seed is None:
-            print(
-                "mubforge search: error: --seed is required in random mode "
-                "(or pass --exhaustive)",
-                file=sys.stderr,
-            )
-            return 1
-        mode, seed = "random", args.seed
+    if not args.exhaustive and args.seed is None:
+        print("mubforge search: error: --seed is required unless --exhaustive", file=sys.stderr)
+        return 1
+    seed = None if args.exhaustive else args.seed
     lines = []
     try:
-        for spec in search_specs(args.m, args.kind, args.count, mode, seed):
+        for spec in search_specs(args.m, args.kind, args.count, seed):
             lines.append(spec.to_json())
     except ValueError as exc:
         print(f"mubforge search: error: {exc}", file=sys.stderr)
@@ -254,12 +248,15 @@ def _cmd_equiv(args) -> int:
         return 2
     try:
         f, reason = equivalence_map(spec_a, spec_b)
-    except ValueError as exc:
+    except AlternatingSymmetrizerError as exc:
         verdict = {"equivalent": False, "not_expressible": True, "reason": str(exc)}
-        return 0 if _emit(args, json.dumps(verdict, indent=2) + "\n") else 2
-    verdict = {"equivalent": f is not None, "reason": reason}
-    if f is not None:
-        verdict["f"] = f.matrix.to_lists()
+    except ValueError as exc:  # StandardFormError and any other failed step
+        print(f"mubforge equiv: cannot build the map: {exc}", file=sys.stderr)
+        return 2
+    else:
+        verdict = {"equivalent": f is not None, "reason": reason}
+        if f is not None:
+            verdict["f"] = f.matrix.to_lists()
     return 0 if _emit(args, json.dumps(verdict, indent=2) + "\n") else 2
 
 

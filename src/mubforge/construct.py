@@ -15,6 +15,12 @@ deg p < m.  They are held as the affine family A + span{R, B R, ...,
 B^(m-1) R}, so the checks, the entanglement count and the equivalence map
 all work on m + 1 matrices.
 
+`search_specs(m, kind, count, seed)` is the one search.  No seed means the
+exhaustive scan, a seed seeded sampling, and one generator of candidate
+indices serves both: the field kind streams its hits, and the group and
+semigroup kinds take its first hit, under a seed derived from theirs, as
+the anchor.
+
 Search builds group and semigroup specs from one field-kind anchor B0 and a
 change of basis u: B = u B0 u^-1 and R = u u^t, so the standard forms are
 p(B) R + A = u p(B0) u^t + A.  The conjugator walk hands out u^-1 with each
@@ -29,6 +35,7 @@ most m + 1 tests.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -58,7 +65,7 @@ MAX_M = 16
 EXHAUSTIVE_CAP = 6        # symmetric-candidate space, <= 2^21 candidates
 EXHAUSTIVE_CONJ_CAP = 4   # conjugator space for group/semigroup, <= 2^16
 NUMERIC_QUBIT_CAP = 6     # numeric eigenbases in `pauli`, d + 1 bases of d x d
-DEFAULT_MAX_ATTEMPTS = 1 << 18
+MAX_ATTEMPTS = 1 << 18    # random draws per search, of B and of u alike
 
 Rows = tuple[int, ...]  # a matrix as its row masks, bit j of row i = entry (i, j)
 
@@ -455,31 +462,31 @@ def find_addend(B: BitMatrix, R: BitMatrix) -> BitMatrix | None:
 # -- search ------------------------------------------------------------------
 
 
-def _scan_exhaustive(m: int) -> Iterator[int]:
-    """Ascending candidate indices of valid symmetric matrices, one block at a time."""
-    polys = tuple(p.mask for p in poly2.stabilizer_char_polys(m))
-    if not polys:
-        return
-    total = 1 << (m * (m + 1) // 2)
-    chunk = 1 << backend.BLOCK_BITS
-    for s in range(0, total, chunk):
-        yield from backend.scan_symmetric(m, polys, s, min(s + chunk, total))
+def _field_hits(m: int, seed: int | None) -> Iterator[int]:
+    """Candidate indices of the symmetric B whose char poly is admissible, each once.
 
-
-def _scan_random(m: int, seed: int, max_attempts: int) -> Iterator[int]:
-    """Seeded uniform sampling of symmetric candidates; yields distinct hits.
-
-    Each new sample is tested directly: its characteristic polynomial must be
-    irreducible with Fibonacci index d + 1, so no table of all admissible
-    polynomials is built.  Every drawn index is recorded, so a repeat is
-    skipped, and the scan stops once all 2^(m(m+1)/2) candidates have been
-    drawn.
+    Admissible means irreducible with Fibonacci index d + 1.  With no seed
+    the kernel scans all 2^(m(m+1)/2) candidates in ascending order, one
+    block at a time (capped at m = EXHAUSTIVE_CAP).  With a seed, candidates
+    are drawn uniformly and each new draw is tested directly, so no table of
+    admissible polynomials is built.  Every drawn index is recorded, so a
+    repeat is skipped, and sampling stops after MAX_ATTEMPTS draws or once
+    every candidate has been drawn.
     """
-    target = (1 << m) + 1
     npairs = m * (m + 1) // 2
+    if seed is None:
+        if m > EXHAUSTIVE_CAP:
+            raise ValueError(f"exhaustive search is capped at m = {EXHAUSTIVE_CAP}; pass a seed")
+        polys = tuple(p.mask for p in poly2.stabilizer_char_polys(m))
+        total = 1 << npairs
+        chunk = 1 << backend.BLOCK_BITS
+        for s in range(0, total, chunk):
+            yield from backend.scan_symmetric(m, polys, s, min(s + chunk, total))
+        return
+    target = (1 << m) + 1
     rng = random.Random(seed)
     drawn: set[int] = set()
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         if len(drawn) == 1 << npairs:
             return
         k = rng.getrandbits(npairs)
@@ -491,65 +498,32 @@ def _scan_random(m: int, seed: int, max_attempts: int) -> Iterator[int]:
             yield k
 
 
-def search_B(
-    m: int,
-    count: int | None = 1,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> list[BitMatrix]:
-    """Symmetric invertible matrices whose characteristic polynomial has index d + 1.
-
-    Exhaustive mode scans all 2^(m(m+1)/2) symmetric matrices in lexicographic
-    order (capped at m = 6); random mode samples uniformly from the given seed.
-    """
-    if not 1 <= m <= MAX_M:
-        raise ValueError(f"m = {m} outside 1..{MAX_M}")
-    if mode == "exhaustive":
-        if m > EXHAUSTIVE_CAP:
-            raise ValueError(f"exhaustive search is capped at m = {EXHAUSTIVE_CAP}; use random mode")
-        ks = _scan_exhaustive(m)
-    elif mode == "random":
-        if seed is None:
-            raise ValueError("random mode requires a seed")
-        ks = _scan_random(m, seed, max_attempts)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    out = []
-    for k in ks:
-        out.append(BitMatrix(m, m, backend.decode_symmetric(m, k)))
-        if count is not None and len(out) >= count:
-            break
-    return out
-
-
 def _derived_seed(seed: int, salt: int) -> int:
     return (seed * 2654435761 + salt) % (1 << 32)
 
 
-def _iter_conjugators(
-    m: int, mode: str, seed: int | None, max_attempts: int
-) -> Iterator[tuple[Rows, Rows]]:
+def _iter_conjugators(m: int, seed: int | None) -> Iterator[tuple[Rows, Rows]]:
     """Invertible matrices u with their inverses, as row masks (u, u^-1).
 
-    Each u comes once, exhaustively (row-major lexicographic) or sampled.
-    An index k holds row i of u in its i-th group of m bits from the top,
-    with column 0 as the group's top bit, so a row mask is its group's bits
-    reversed.
+    Each u comes once: with no seed every u in row-major lexicographic order
+    (capped at m = EXHAUSTIVE_CONJ_CAP), with a seed sampled, for at most
+    MAX_ATTEMPTS draws.  An index k holds row i of u in its i-th group of m
+    bits from the top, with column 0 as the group's top bit, so a row mask
+    is its group's bits reversed.
 
-    Exhaustive mode builds u one row at a time in that order and skips any
-    row in the span of the rows above it, so every u it yields is
+    The exhaustive walk builds u one row at a time in that order and skips
+    any row in the span of the rows above it, so every u it yields is
     invertible and no rank test is needed.  The span is kept as a dict
     from each vector v to its coordinates c in the rows so far (v = c u),
-    so row j of u^-1 is the coordinate mask of e_j.  Random mode runs
-    Gauss-Jordan on [u | I] for each new sample, which decides
-    invertibility and gives u^-1 in one elimination.
+    so row j of u^-1 is the coordinate mask of e_j.  Sampling runs
+    Gauss-Jordan on [u | I] for each new draw, which decides invertibility
+    and gives u^-1 in one elimination.
     """
-    if mode == "exhaustive":
+    if seed is None:
         if m > EXHAUSTIVE_CONJ_CAP:
             raise ValueError(
                 f"exhaustive group/semigroup search is capped at m = {EXHAUSTIVE_CONJ_CAP}; "
-                "use random mode"
+                "pass a seed"
             )
         rev = [int(f"{p:0{m}b}"[::-1], 2) for p in range(1 << m)]
         units = [1 << j for j in range(m)]
@@ -577,7 +551,7 @@ def _iter_conjugators(
     rng = random.Random(_derived_seed(seed, 0xC0))
     order = math.prod((1 << m) - (1 << i) for i in range(m))  # |GL(m, 2)|
     seen: set[int] = set()
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         k = rng.getrandbits(nbits)
         if k in seen:
             continue
@@ -592,14 +566,15 @@ def _iter_conjugators(
 
 
 def search_specs(
-    m: int,
-    kind: str,
-    count: int | None = 1,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    m: int, kind: str, count: int | None = 1, seed: int | None = None
 ) -> Iterator[StabilizerSpec]:
-    """Stream specs of the requested kind, deterministically for fixed inputs.
+    """Stream up to `count` specs of the requested kind (None: all of them).
+
+    With no seed the search is exhaustive: field specs come in ascending
+    candidate order, which is capped at m = EXHAUSTIVE_CAP, and group and
+    semigroup specs walk every conjugator u, which is capped at
+    m = EXHAUSTIVE_CONJ_CAP.  A seed selects seeded uniform sampling, up to
+    MAX_M.  Either way the stream is fixed by the arguments.
 
     Group and semigroup specs are parametrized as B = u B0 u^-1, R = u u^t
     over invertible u, with B0 the first field-kind hit: every symmetrizer
@@ -611,41 +586,45 @@ def search_specs(
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    if mode == "random" and seed is None:
-        raise ValueError("random mode requires a seed")
+    if not 1 <= m <= MAX_M:
+        raise ValueError(f"m = {m} outside 1..{MAX_M}")
+    if count is not None and count < 0:
+        raise ValueError(f"count = {count} is negative")
     if kind == "field":
-        for B in search_B(m, count, mode, seed, max_attempts):
-            yield StabilizerSpec.field(B)
-        return
+        specs = (
+            StabilizerSpec.field(BitMatrix(m, m, backend.decode_symmetric(m, k)))
+            for k in _field_hits(m, seed)
+        )
+    else:
+        specs = _conjugate_specs(m, kind, seed)
+    yield from itertools.islice(specs, count)
 
+
+def _conjugate_specs(m: int, kind: str, seed: int | None) -> Iterator[StabilizerSpec]:
+    """Every group or semigroup spec the conjugator walk reaches, in its order."""
     anchor_seed = None if seed is None else _derived_seed(seed, 0xA5)
-    anchors = search_B(m, 1, mode, anchor_seed, max_attempts)
-    if not anchors:
+    k0 = next(_field_hits(m, anchor_seed), None)
+    if k0 is None:
         return
-    b0 = anchors[0]
+    b0 = BitMatrix(m, m, backend.decode_symmetric(m, k0))
     # R = u u^t is a polynomial in B = u B0 u^-1 iff u^t u is one in B0:
     # F2[B] = u F2[B0] u^-1, so u u^t = u p(B0) u^-1 <=> u^t u = p(B0).
     # So the span of I, B0, ..., B0^(m-1) is built once per search.
     field = _SpanReducer([_vec(b0**k) for k in range(m)])
-    emitted = 0
-    for u, u_inv in _iter_conjugators(m, mode, seed, max_attempts):
-        if count is not None and emitted >= count:
-            return
+    for u, u_inv in _iter_conjugators(m, seed):
         ut = _transpose_rows(u, m)
         if field.contains(_pack(_mul_rows(ut, u), m)):
             continue
         R = BitMatrix(m, m, _mul_rows(u, ut))
         B = BitMatrix(m, m, _mul_rows(_mul_rows(u, b0.data), u_inv))
         if kind == "group":
-            spec = StabilizerSpec.group(B, R)
-        else:
-            A = find_addend(B, R)
-            if A is None:
-                # No nonzero p(B) R is diagonal: it would be an invertible
-                # diagonal matrix, so I, and R = p(B)^-1 would lie in F2[B].
-                # So W = span{B^k R} + diagonals has dim 2m for every u here,
-                # and None means m(m + 1)/2 <= 2m, i.e. m <= 3, for all u.
-                return
-            spec = StabilizerSpec.semigroup(B, R, A)
-        emitted += 1
-        yield spec
+            yield StabilizerSpec.group(B, R)
+            continue
+        A = find_addend(B, R)
+        if A is None:
+            # No nonzero p(B) R is diagonal: it would be an invertible
+            # diagonal matrix, so I, and R = p(B)^-1 would lie in F2[B].
+            # So W = span{B^k R} + diagonals has dim 2m for every u here,
+            # and None means m(m + 1)/2 <= 2m, i.e. m <= 3, for all u.
+            return
+        yield StabilizerSpec.semigroup(B, R, A)

@@ -29,6 +29,10 @@ from .gf2 import (
 )
 
 
+class AlternatingSymmetrizerError(ValueError):
+    """R is alternating, so it has no Gram factor and the set no field anchor."""
+
+
 class SymplecticMap(NamedTuple):
     """2m x 2m map over F2 in block form f = [[s, t], [u, v]]."""
 
@@ -189,14 +193,14 @@ def field_anchor(spec: StabilizerSpec) -> tuple[SymplecticMap, StabilizerSpec]:
     For group/semigroup specs this is the executable direction of the
     equivalence: u = (gram factor)^t gives u u^t = R, the anchor matrix is
     B_f = u^-1 B u (symmetric exactly because B R is), and t = A u^-t.
-    Expects a spec satisfying its kind invariants; raises ValueError when R
-    is alternating.
+    Expects a spec satisfying its kind invariants; raises
+    AlternatingSymmetrizerError when R is alternating.
     """
     if spec.kind == "field":
         return SymplecticMap.identity(spec.m), spec
     s = gram_factor(spec.R)
     if s is None:
-        raise ValueError(
+        raise AlternatingSymmetrizerError(
             "symmetrizer is alternating (zero diagonal): no Gram factorization exists"
         )
     u = s.transpose()

@@ -12,8 +12,9 @@
   the two additive matrices.
 - `field_closure_check` tests the field axioms on the forms of a field-kind
   set, which `construct.generators` builds inside F2[B].
-- `iter_conjugators_scan` decodes every one of the 2^(m^2) bit patterns and
-  tests its rank, where `construct._iter_conjugators` builds invertible
+- `iter_conjugators_scan` decodes every one of the 2^(m^2) bit patterns
+  (with no seed) or the same `construct.MAX_ATTEMPTS` draws (with one) and
+  tests each rank, where `construct._iter_conjugators` builds invertible
   matrices row by row and hands out each inverse with it.
 - `is_polynomial_in` rebuilds span{I, B, ..., B^(m-1)} for one B, where
   `construct.search_specs` tests u^t u against the anchor's field once per u.
@@ -22,7 +23,9 @@
   against it, up to 4^m + 1 of them, where `construct.find_addend` tries
   at most m + 1 pair matrices in the quotient by the diagonals.
 - `search_specs_oracle` is the group/semigroup search loop with both of
-  those in place of the fast paths.
+  those in place of the fast paths.  Like `construct.search_specs` it takes
+  no seed for the exhaustive search and a seed for sampling, and it reads
+  the anchor off the public field search under the derived seed.
 - `class_canonical` is the reduced echelon basis of a class's column space,
   where `equiv.classes_equal` compares the spans of two affine families.
 - `transport_forms` maps every class generator by any symplectic f and
@@ -169,14 +172,17 @@ def field_closure_check(gens: GeneratorSet) -> bool:
     return True
 
 
-def iter_conjugators_scan(m: int, mode: str, seed: int | None, max_attempts: int):
-    """Invertible u, each once, by decoding every candidate bit pattern and testing its rank."""
+def iter_conjugators_scan(m: int, seed: int | None):
+    """Invertible u, each once, by decoding every candidate bit pattern and testing its rank.
+
+    With no seed every pattern in order, with a seed `construct.MAX_ATTEMPTS` draws.
+    """
     nbits = m * m
-    if mode == "exhaustive":
+    if seed is None:
         candidates = iter(range(1 << nbits))
     else:
         rng = random.Random(construct._derived_seed(seed, 0xC0))
-        candidates = (rng.getrandbits(nbits) for _ in range(max_attempts))
+        candidates = (rng.getrandbits(nbits) for _ in range(construct.MAX_ATTEMPTS))
     order = math.prod((1 << m) - (1 << i) for i in range(m))  # |GL(m, 2)|
     seen: set[int] = set()
     for k in candidates:
@@ -238,20 +244,21 @@ def find_addend_scan(B: BitMatrix, R: BitMatrix) -> BitMatrix | None:
 
 
 def search_specs_oracle(
-    m: int, kind: str, count: int, mode: str, seed: int | None = None
+    m: int, kind: str, count: int, seed: int | None = None
 ) -> list[StabilizerSpec]:
     """Group/semigroup specs over the same anchor and conjugators as `search_specs`.
 
-    Each u gets a fresh `is_polynomial_in` on (u B0 u^-1, u u^t) and the
-    addend comes from `find_addend_scan`.
+    The anchor is the first field spec of the derived seed.  Each u gets a
+    fresh `is_polynomial_in` on (u B0 u^-1, u u^t) and the addend comes
+    from `find_addend_scan`.
     """
     anchor_seed = None if seed is None else construct._derived_seed(seed, 0xA5)
-    anchors = construct.search_B(m, 1, mode, anchor_seed)
+    anchor = next(construct.search_specs(m, "field", seed=anchor_seed), None)
     out: list[StabilizerSpec] = []
-    if not anchors:
+    if anchor is None:
         return out
-    b0 = anchors[0]
-    for rows, _ in construct._iter_conjugators(m, mode, seed, construct.DEFAULT_MAX_ATTEMPTS):
+    b0 = anchor.B
+    for rows, _ in construct._iter_conjugators(m, seed):
         if len(out) >= count:
             break
         u = BitMatrix(m, m, rows)

@@ -22,7 +22,6 @@ from mubforge.construct import (
     cyclicity_check,
     find_addend,
     generators,
-    search_B,
     search_specs,
 )
 from mubforge.entangle import entanglement_vector
@@ -62,19 +61,19 @@ def _slow_fibonacci_index(p: Poly2, cap: int) -> int | None:
 
 @pytest.fixture(scope="module")
 def field_specs():
-    return {m: StabilizerSpec.field(search_B(m, 1, "exhaustive")[0]) for m in range(1, 6)}
+    return {m: next(search_specs(m, "field")) for m in range(1, 6)}
 
 
 @pytest.fixture(scope="module")
 def group3():
-    specs = list(search_specs(3, "group", 1, "exhaustive"))
+    specs = list(search_specs(3, "group", 1))
     assert specs, "group-kind search must succeed at m = 3"
     return specs[0]
 
 
 @pytest.fixture(scope="module")
 def semigroup4():
-    specs = list(search_specs(4, "semigroup", 1, "exhaustive"))
+    specs = list(search_specs(4, "semigroup", 1))
     assert specs, "semigroup-kind search must succeed at m = 4"
     return specs[0]
 
@@ -155,10 +154,10 @@ def test_criterion_05_entanglement_counts(field_specs, group3):
     # is of the excluded form p(B) R + D, verified here, so the
     # one-factorizable case is reported as unattainable at m = 3.
     assert find_addend(group3.B, group3.R) is None
-    assert list(search_specs(3, "semigroup", 1, "exhaustive")) == []
+    assert list(search_specs(3, "semigroup", 1)) == []
     print("[acceptance] criterion  5: note: no semigroup addend exists at m = 3 "
           "(every symmetric A is excluded); first semigroup sets appear at m = 4")
-    sg = list(search_specs(4, "semigroup", 1, "exhaustive"))
+    sg = list(search_specs(4, "semigroup", 1))
     assert sg and entanglement_vector(generators(sg[0])).factorizable() == 1
     _report(5, "factorizable counts: field 3 (m<=5); group 2 (m=3); semigroup 1 (m=4)")
 
@@ -166,7 +165,7 @@ def test_criterion_05_entanglement_counts(field_specs, group3):
 def test_criterion_06_partition_oracle_agreement(field_specs, group3, semigroup4):
     constructed = [field_specs[m] for m in range(1, 5)]
     constructed.append(group3)
-    constructed.append(next(iter(search_specs(4, "group", 1, "exhaustive"))))
+    constructed.append(next(iter(search_specs(4, "group", 1))))
     constructed.append(semigroup4)
     for spec in constructed:
         m = spec.m
@@ -196,7 +195,7 @@ def test_criterion_06_partition_oracle_agreement(field_specs, group3, semigroup4
 
 
 def test_criterion_07_two_qubit_negative_result():
-    hits = search_B(2, None, "exhaustive")
+    hits = [s.B for s in search_specs(2, "field", None)]
     assert hits
     for B in hits:
         # brute force over the 8 symmetric 2 x 2 matrices R
@@ -243,13 +242,13 @@ def test_criterion_08_triangular_equivalence(group3):
 def test_criterion_09_symplecticity(field_specs, group3, semigroup4):
     specs = [field_specs[m] for m in range(1, 6)]
     specs += [
-        StabilizerSpec.field(search_B(6, 1, "random", seed=11)[0]),
+        next(search_specs(6, "field", seed=11)),
         group3,
-        next(iter(search_specs(5, "group", 1, "random", seed=11))),
-        next(iter(search_specs(6, "group", 1, "random", seed=11))),
+        next(iter(search_specs(5, "group", 1, seed=11))),
+        next(iter(search_specs(6, "group", 1, seed=11))),
         semigroup4,
-        next(iter(search_specs(5, "semigroup", 1, "random", seed=11))),
-        next(iter(search_specs(6, "semigroup", 1, "random", seed=11))),
+        next(iter(search_specs(5, "semigroup", 1, seed=11))),
+        next(iter(search_specs(6, "semigroup", 1, seed=11))),
     ]
     maps = []
     for spec in specs:

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from mubforge import cli, pauli
-from mubforge.construct import MAX_M, StabilizerSpec, search_B, search_specs
+from mubforge import cli, equiv, pauli
+from mubforge.construct import MAX_M, StabilizerSpec, StandardFormError, search_specs
 
 CLI = [sys.executable, "-m", "mubforge.cli"]
 
@@ -23,9 +23,9 @@ def run_cli(*args, **kwargs):
 def spec_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("specs")
     paths = {}
-    field1 = StabilizerSpec.field(search_B(1, 1, "exhaustive")[0])
-    field3 = StabilizerSpec.field(search_B(3, 1, "exhaustive")[0])
-    group3 = next(iter(search_specs(3, "group", 1, "exhaustive")))
+    field1 = next(search_specs(1, "field"))
+    field3 = next(search_specs(3, "field"))
+    group3 = next(iter(search_specs(3, "group", 1)))
     for name, spec in (("field1", field1), ("field3", field3), ("group3", group3)):
         p = root / f"{name}.json"
         p.write_text(spec.to_json())
@@ -94,6 +94,13 @@ class TestSearch:
         assert report["cyclic_ok"] and report["bandyopadhyay_ok"]
         assert report["mub_verification"] == "passed"
 
+    @pytest.mark.parametrize("m,kind,cap", [(7, "field", 6), (5, "group", 4)])
+    def test_exhaustive_cap_is_usage_error(self, capsys, m, kind, cap):
+        assert cli.main(["search", "--m", str(m), "--kind", kind, "--exhaustive"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"capped at m = {cap}; pass a seed" in err
+
     def test_m_out_of_range(self):
         res = run_cli("search", "--m", "17", "--kind", "field", "--exhaustive")
         assert res.returncode == 1
@@ -146,7 +153,7 @@ class TestBuild:
 
     def test_numeric_cap_above_oracle_cap_is_usage_error(self, tmp_path, capsys):
         spec = tmp_path / "field7.json"
-        spec.write_text(StabilizerSpec.field(search_B(7, 1, "random", seed=1)[0]).to_json())
+        spec.write_text(next(search_specs(7, "field", seed=1)).to_json())
         assert cli.main(["build", str(spec), "--numeric-cap", "7"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -176,7 +183,7 @@ class TestBuild:
         # 4097 classes: the checks run on the standard forms and the order of C,
         # not on the 4^12 - 1 Pauli labels.
         spec = tmp_path / "semigroup12.json"
-        spec.write_text(next(iter(search_specs(12, "semigroup", 1, "random", 1))).to_json())
+        spec.write_text(next(iter(search_specs(12, "semigroup", 1, seed=1))).to_json())
         assert cli.main(["build", str(spec)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["cyclic_ok"] is True and report["bandyopadhyay_ok"] is True
@@ -200,7 +207,7 @@ class TestBuild:
     @pytest.mark.parametrize("kind,m", sorted(GOLDEN_REPORTS))
     def test_numeric_report_matches_golden(self, tmp_path, capsys, kind, m):
         spec = tmp_path / "spec.json"
-        spec.write_text(next(iter(search_specs(m, kind, 1, "random", 1))).to_json())
+        spec.write_text(next(iter(search_specs(m, kind, 1, seed=1))).to_json())
         assert cli.main(["build", str(spec), "--numeric-cap", "6"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["mub_verification"] == "passed"
@@ -287,6 +294,28 @@ class TestEquiv:
         assert res.returncode == 2
         assert "different qubit counts" in res.stderr
 
+    def test_alternating_symmetrizer_is_a_verdict(self, spec_files, monkeypatch, capsys):
+        # No validated spec has an alternating R at m <= 4, so gram_factor is
+        # made to report one.
+        monkeypatch.setattr(equiv, "gram_factor", lambda R: None)
+        assert cli.main(["equiv", str(spec_files["field3"]), str(spec_files["group3"])]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "equivalent": false,\n  "not_expressible": true,\n  "reason": '
+            '"symmetrizer is alternating (zero diagonal): no Gram factorization exists"\n}\n'
+        )
+
+    def test_internal_failure_exits_2(self, spec_files, monkeypatch, capsys):
+        # field3 and group3 share their anchor's polynomial, so the map is
+        # composed and checked against both sets' classes.
+        def broken(spec):
+            raise StandardFormError("orbit step 1 leaves A + F2[B] R")
+
+        monkeypatch.setattr(equiv, "generators", broken)
+        assert cli.main(["equiv", str(spec_files["field3"]), str(spec_files["group3"])]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "orbit step 1 leaves A + F2[B] R" in err
+
     # sha256 of the verdict JSON for the first random spec of seed 1 of each
     # kind, recorded when the intertwiner space still came from an affine
     # solver.  The orthogonal intertwiner of two field anchors is unique, so
@@ -305,7 +334,7 @@ class TestEquiv:
         paths = []
         for kind in (kind_a, kind_b):
             path = tmp_path / f"{kind}.json"
-            path.write_text(next(iter(search_specs(m, kind, 1, "random", 1))).to_json())
+            path.write_text(next(iter(search_specs(m, kind, 1, seed=1))).to_json())
             paths.append(str(path))
         assert cli.main(["equiv", *paths]) == 0
         out = capsys.readouterr().out
@@ -319,7 +348,7 @@ def max_m_specs(tmp_path_factory):
     root = tmp_path_factory.mktemp("max_m")
     for m in (13, MAX_M):
         for kind in ("field", "group", "semigroup"):
-            spec = next(iter(search_specs(m, kind, 1, "random", 1)))
+            spec = next(iter(search_specs(m, kind, 1, seed=1)))
             (root / f"{kind}{m}.json").write_text(spec.to_json())
     return root
 
@@ -396,7 +425,7 @@ class TestMalformedSpecs:
 
 def test_cli_never_imports_sympy(tmp_path):
     spec = tmp_path / "field4.json"
-    spec.write_text(StabilizerSpec.field(search_B(4, 1, "exhaustive")[0]).to_json())
+    spec.write_text(next(search_specs(4, "field")).to_json())
     code = (
         "import sys\n"
         "from mubforge import cli\n"

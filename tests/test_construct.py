@@ -25,7 +25,6 @@ from mubforge.construct import (
     cyclicity_check,
     find_addend,
     generators,
-    search_B,
     search_specs,
 )
 from mubforge.equiv import symplectic_form
@@ -62,15 +61,15 @@ B3_INDEX7 = BitMatrix.from_rows([[0, 0, 1], [0, 1, 1], [1, 1, 0]])
 
 
 def field_spec(m):
-    return StabilizerSpec.field(search_B(m, 1, "exhaustive")[0])
+    return next(search_specs(m, "field"))
 
 
 def group_spec(m=3):
-    return next(iter(search_specs(m, "group", 1, "exhaustive")))
+    return next(iter(search_specs(m, "group", 1)))
 
 
 def semigroup_spec(m=4):
-    return next(iter(search_specs(m, "semigroup", 1, "exhaustive")))
+    return next(iter(search_specs(m, "semigroup", 1)))
 
 
 def orbit(C, m):
@@ -329,7 +328,7 @@ class TestChecksAgainstOracles:
     @settings(max_examples=30, deadline=None)
     @given(kind=st.sampled_from(KINDS), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     def test_searched_specs(self, kind, m, seed):
-        specs = list(search_specs(m, kind, 1, "random", seed))
+        specs = list(search_specs(m, kind, 1, seed=seed))
         for spec in specs:
             C = build_stabilizer(spec)
             gens = generators(spec)
@@ -341,7 +340,7 @@ class TestChecksAgainstOracles:
     @given(kind=st.sampled_from(KINDS), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     def test_closed_form_matches_walk(self, kind, m, seed):
         # The forms p(B) R + A are the walked orbit's forms, each once.
-        for spec in search_specs(m, kind, 1, "random", seed):
+        for spec in search_specs(m, kind, 1, seed=seed):
             gens = generators(spec)
             walk = orbit_forms(build_stabilizer(spec), spec.d)
             assert Counter(gens.standard_forms) == Counter(walk)
@@ -460,9 +459,9 @@ class TestAddend:
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_closed_form_matches_scan_on_searched_specs(self, m):
-        specs = list(search_specs(m, "group", 8, "random", seed=m))
+        specs = list(search_specs(m, "group", 8, seed=m))
         if m <= 4:
-            specs += list(search_specs(m, "group", 40, "exhaustive"))
+            specs += list(search_specs(m, "group", 40))
         assert specs
         for spec in specs:
             assert find_addend(spec.B, spec.R) == find_addend_scan(spec.B, spec.R)
@@ -473,7 +472,7 @@ class TestAddend:
         # B = u B0 u^-1 and R = u u^t for any invertible u, polynomial or not,
         # and the same B with an arbitrary symmetric R.
         rng = random.Random(seed)
-        b0 = search_B(m, 1, "random", seed)[0]
+        b0 = next(search_specs(m, "field", seed=seed)).B
         u = random_invertible(rng, m)
         B = mat_mul(mat_mul(u, b0), mat_inverse(u))
         for R in (mat_mul(u, u.transpose()), random_symmetric(rng, m)):
@@ -482,9 +481,9 @@ class TestAddend:
     def test_no_addend_for_any_nonpolynomial_conjugator_at_three_qubits(self):
         # The early return of search_specs: at m = 3 every non-polynomial R
         # leaves no admissible addend, so stopping at the first one drops nothing.
-        b0 = search_B(3, 1, "exhaustive")[0]
+        b0 = next(search_specs(3, "field")).B
         pairs = []
-        for rows, _ in _iter_conjugators(3, "exhaustive", None, 1 << 18):
+        for rows, _ in _iter_conjugators(3, None):
             u = BitMatrix(3, 3, rows)
             B = mat_mul(mat_mul(u, b0), mat_inverse(u))
             R = mat_mul(u, u.transpose())
@@ -506,7 +505,7 @@ class TestAnchorField:
     @given(m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), polynomial=st.booleans())
     def test_matches_oracle(self, m, seed, polynomial):
         rng = random.Random(seed)
-        b0 = search_B(m, 1, "random", seed)[0]
+        b0 = next(search_specs(m, "field", seed=seed)).B
         if polynomial:
             # u = P q(B0) with P a permutation: u^t u = q(B0)^2 lies in F2[B0].
             q = BitMatrix.zero(m)
@@ -523,9 +522,9 @@ class TestAnchorField:
             assert is_polynomial_in(B, R)
 
     def test_every_conjugator_at_three_qubits(self):
-        b0 = search_B(3, 1, "exhaustive")[0]
+        b0 = next(search_specs(3, "field")).B
         verdicts = []
-        for rows, _ in _iter_conjugators(3, "exhaustive", None, 1 << 18):
+        for rows, _ in _iter_conjugators(3, None):
             u = BitMatrix(3, 3, rows)
             B = mat_mul(mat_mul(u, b0), mat_inverse(u))
             verdict = is_polynomial_in(B, mat_mul(u, u.transpose()))
@@ -536,9 +535,7 @@ class TestAnchorField:
     @pytest.mark.parametrize("kind", ["group", "semigroup"])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_exhaustive_search_matches_oracle(self, kind, m):
-        assert list(search_specs(m, kind, 150, "exhaustive")) == search_specs_oracle(
-            m, kind, 150, "exhaustive"
-        )
+        assert list(search_specs(m, kind, 150)) == search_specs_oracle(m, kind, 150)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -548,8 +545,8 @@ class TestAnchorField:
         count=st.integers(1, 4),
     )
     def test_random_search_matches_oracle(self, kind, m, seed, count):
-        assert list(search_specs(m, kind, count, "random", seed)) == search_specs_oracle(
-            m, kind, count, "random", seed
+        assert list(search_specs(m, kind, count, seed=seed)) == search_specs_oracle(
+            m, kind, count, seed
         )
 
 
@@ -557,20 +554,21 @@ class TestConjugators:
     """Row-by-row GL(m, 2) against decoding every bit pattern with a rank test."""
 
     @staticmethod
-    def matrices(m, mode, seed, max_attempts):
-        return [BitMatrix(m, m, u) for u, _ in _iter_conjugators(m, mode, seed, max_attempts)]
+    def matrices(m, seed):
+        return [BitMatrix(m, m, u) for u, _ in _iter_conjugators(m, seed)]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_exhaustive_matches_scan(self, m):
-        fast = self.matrices(m, "exhaustive", None, 1 << 18)
-        assert fast == list(iter_conjugators_scan(m, "exhaustive", None, 1 << 18))
+        fast = self.matrices(m, None)
+        assert fast == list(iter_conjugators_scan(m, None))
         assert len(fast) == len(set(fast)) == [1, 6, 168, 20160][m - 1]
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     def test_random_matches_scan(self, m, seed):
-        fast = self.matrices(m, "random", seed, 200)
-        assert fast == list(iter_conjugators_scan(m, "random", seed, 200))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(construct, "MAX_ATTEMPTS", 200)
+            assert self.matrices(m, seed) == list(iter_conjugators_scan(m, seed))
 
     @staticmethod
     def assert_inverse_pairs(m, pairs):
@@ -581,67 +579,84 @@ class TestConjugators:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_exhaustive_inverses(self, m):
-        self.assert_inverse_pairs(m, _iter_conjugators(m, "exhaustive", None, 1 << 18))
+        self.assert_inverse_pairs(m, _iter_conjugators(m, None))
 
     @pytest.mark.parametrize("m", [8, 16])
     def test_random_inverses(self, m):
-        pairs = list(itertools.islice(_iter_conjugators(m, "random", m, 1 << 18), 200))
+        pairs = list(itertools.islice(_iter_conjugators(m, m), 200))
         assert len(pairs) == 200
         self.assert_inverse_pairs(m, pairs)
 
     def test_exhaustive_cap(self):
         with pytest.raises(ValueError, match="capped"):
-            next(_iter_conjugators(5, "exhaustive", None, 1 << 18))
+            next(_iter_conjugators(5, None))
 
 
 class TestSearch:
     def test_single_qubit_unique(self):
-        assert search_B(1, None, "exhaustive") == [B1]
+        assert [s.B for s in search_specs(1, "field", None)] == [B1]
 
     def test_two_qubit_includes_companion(self):
-        hits = search_B(2, None, "exhaustive")
+        hits = [s.B for s in search_specs(2, "field", None)]
         assert B2 in hits
         assert all(char_poly(b) == Poly2.from_coeffs([1, 1, 1]) for b in hits)
 
     def test_three_qubit_char_polys(self):
-        hits = search_B(3, None, "exhaustive")
+        hits = [s.B for s in search_specs(3, "field", None)]
         assert hits
         target = Poly2.from_coeffs([1, 1, 0, 1])  # x^3 + x + 1, never x^3 + x^2 + 1
         assert all(char_poly(b) == target for b in hits)
         assert all(b.is_symmetric() for b in hits)
 
     def test_exhaustive_cap(self):
-        with pytest.raises(ValueError, match="random"):
-            search_B(7, 1, "exhaustive")
+        with pytest.raises(ValueError, match="capped at m = 6; pass a seed"):
+            next(search_specs(7, "field"))
 
-    def test_random_requires_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            search_B(4, 1, "random")
+    def test_exhaustive_conjugator_cap(self):
+        # The anchor scan at m = 5 is within its cap; the conjugator walk is not.
+        with pytest.raises(ValueError, match="capped at m = 4; pass a seed"):
+            list(search_specs(5, "semigroup", 1))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_count_zero_yields_nothing(self, kind, seed):
+        assert list(search_specs(4, kind, 0, seed=seed)) == []
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("count", [-1, -5])
+    def test_negative_count_rejected(self, kind, count):
+        with pytest.raises(ValueError, match=f"^count = {count} is negative$"):
+            next(search_specs(4, kind, count))
+
+    def test_m_outside_range_rejected(self):
+        for m in (0, 17):
+            with pytest.raises(ValueError, match=f"m = {m} outside 1..16"):
+                next(search_specs(m, "field", seed=1))
 
     def test_random_deterministic(self):
-        a = search_B(5, 3, "random", seed=42)
-        b = search_B(5, 3, "random", seed=42)
+        a = list(search_specs(5, "field", 3, seed=42))
+        b = list(search_specs(5, "field", 3, seed=42))
         assert a == b
         assert len(a) == 3
-        for mat in a:
-            StabilizerSpec.field(mat).validate()
+        for spec in a:
+            spec.validate()
 
     def test_group_search_empty_small_m(self):
-        assert list(search_specs(1, "group", 5, "exhaustive")) == []
-        assert list(search_specs(2, "group", 5, "exhaustive")) == []
+        assert list(search_specs(1, "group", 5)) == []
+        assert list(search_specs(2, "group", 5)) == []
 
     def test_semigroup_search_empty_at_three_qubits(self):
-        assert list(search_specs(3, "semigroup", 5, "exhaustive")) == []
+        assert list(search_specs(3, "semigroup", 5)) == []
 
     @pytest.mark.parametrize("kind", ["group", "semigroup"])
     def test_full_four_qubit_search_count(self, kind):
         # 20,160 conjugators less the 720 with u^t u in F2[B0].
-        lines = [s.to_json() for s in search_specs(4, kind, None, "exhaustive")]
+        lines = [s.to_json() for s in search_specs(4, kind, None)]
         assert len(lines) == len(set(lines)) == 19440
 
     def test_emitted_specs_validate(self):
         for kind, m in (("field", 3), ("group", 3), ("group", 4), ("semigroup", 4)):
-            specs = list(search_specs(m, kind, 2, "exhaustive"))
+            specs = list(search_specs(m, kind, 2))
             assert specs
             for spec in specs:
                 spec.validate()
@@ -650,8 +665,8 @@ class TestSearch:
                     assert not is_polynomial_in(spec.B, spec.R)
 
     def test_random_spec_search_deterministic(self):
-        a = [s.to_json() for s in search_specs(4, "semigroup", 3, "random", seed=7)]
-        b = [s.to_json() for s in search_specs(4, "semigroup", 3, "random", seed=7)]
+        a = [s.to_json() for s in search_specs(4, "semigroup", 3, seed=7)]
+        b = [s.to_json() for s in search_specs(4, "semigroup", 3, seed=7)]
         assert a == b and len(a) == 3
 
 

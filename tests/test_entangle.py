@@ -22,7 +22,7 @@ from oracles import offdiag_components, partition_of, schmidt_rank
 
 
 def field_spec(m):
-    return next(iter(search_specs(m, "field", 1, "exhaustive")))
+    return next(iter(search_specs(m, "field", 1)))
 
 
 class TestPartitions:
@@ -75,18 +75,18 @@ class TestEntanglementVector:
         assert entanglement_vector(generators(field_spec(m))).factorizable() == 3
 
     def test_group_has_two_factorizable(self):
-        spec = next(iter(search_specs(3, "group", 1, "exhaustive")))
+        spec = next(iter(search_specs(3, "group", 1)))
         assert entanglement_vector(generators(spec)).factorizable() == 2
 
     def test_semigroup_has_one_factorizable(self):
-        spec = next(iter(search_specs(4, "semigroup", 1, "exhaustive")))
+        spec = next(iter(search_specs(4, "semigroup", 1)))
         assert entanglement_vector(generators(spec)).factorizable() == 1
 
     @pytest.mark.parametrize(
         "kind,m", [("field", 1), ("field", 2), ("field", 3), ("field", 4), ("group", 3), ("semigroup", 4)]
     )
     def test_counts_sum_to_d_plus_one(self, kind, m):
-        spec = next(iter(search_specs(m, kind, 1, "exhaustive")))
+        spec = next(iter(search_specs(m, kind, 1)))
         ent = entanglement_vector(generators(spec))
         assert sum(ent.counts) == spec.d + 1
 
@@ -103,7 +103,7 @@ class TestEntanglementVector:
     def test_matches_per_form_oracle(self, kind, m, seed):
         # The Gray-code walk over A + span(basis) against one partition_of
         # per derived standard form.
-        for spec in search_specs(m, kind, 1, "random", seed):
+        for spec in search_specs(m, kind, 1, seed=seed):
             gens = generators(spec)
             ent = entanglement_vector(gens)
             hist = Counter(partition_of(f, m) for f in gens.standard_forms)
@@ -120,8 +120,8 @@ class TestEntanglementVector:
         rng = random.Random(17)
         for spec in (
             field_spec(3),
-            next(iter(search_specs(3, "group", 1, "exhaustive"))),
-            next(iter(search_specs(4, "semigroup", 1, "exhaustive"))),
+            next(iter(search_specs(3, "group", 1))),
+            next(iter(search_specs(4, "semigroup", 1))),
         ):
             m = spec.m
             base = entanglement_vector(generators(spec)).counts
@@ -148,7 +148,7 @@ class TestOracleAgreement:
         "kind,m", [("field", 1), ("field", 2), ("field", 3), ("group", 3)]
     )
     def test_partition_valid_and_minimal(self, kind, m):
-        spec = next(iter(search_specs(m, kind, 1, "exhaustive")))
+        spec = next(iter(search_specs(m, kind, 1)))
         gens = generators(spec)
         for gen, form in zip(gens.generators, gens.standard_forms):
             partition_sizes = partition_of(form, m)

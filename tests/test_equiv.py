@@ -13,7 +13,6 @@ from mubforge.construct import (
     StandardFormError,
     bandyopadhyay_check,
     generators,
-    search_B,
     search_specs,
 )
 from mubforge.equiv import (
@@ -135,7 +134,7 @@ class TestGramFactor:
 
 class TestTransport:
     def test_identity_map_is_noop(self):
-        gens = generators(next(iter(search_specs(2, "field", 1, "exhaustive"))))
+        gens = generators(next(iter(search_specs(2, "field", 1))))
         moved = transport(SymplecticMap.identity(2), gens)
         assert classes_equal(moved, gens)
         assert moved.standard_forms == gens.standard_forms
@@ -144,7 +143,7 @@ class TestTransport:
         # f = [[u, t], [0, (u^t)^-1]] carries the field set of u^-1 B u onto
         # the semigroup set of (B, u u^t, t u^t).
         rng = random.Random(5)
-        B0 = search_B(3, 1, "exhaustive")[0]
+        B0 = next(search_specs(3, "field")).B
         for _ in range(5):
             u = random_invertible(rng, 3)
             S = random_symmetric(rng, 3)
@@ -163,7 +162,7 @@ class TestTransport:
 
     def test_zero_t_gives_group_classes(self):
         rng = random.Random(8)
-        B0 = search_B(3, 1, "exhaustive")[0]
+        B0 = next(search_specs(3, "field")).B
         u = random_invertible(rng, 3)
         f = SymplecticMap.triangular(u, BitMatrix.zero(3))
         moved = transport(f, generators(StabilizerSpec.field(B0)))
@@ -173,7 +172,7 @@ class TestTransport:
         assert classes_equal(moved, generators(target))
 
     def test_requires_symplectic(self):
-        gens = generators(StabilizerSpec.field(search_B(2, 1, "exhaustive")[0]))
+        gens = generators(next(search_specs(2, "field")))
         eye = BitMatrix.identity(2)
         with pytest.raises(ValueError, match="symplectic"):
             transport(SymplecticMap(eye, eye, eye, eye), gens)
@@ -186,7 +185,7 @@ class TestTransport:
         rng = random.Random(seed)
         u = random_invertible(rng, m)
         f = SymplecticMap.triangular(u, mat_mul(u, random_symmetric(rng, m)))
-        for spec in search_specs(m, kind, 1, "random", seed):
+        for spec in search_specs(m, kind, 1, seed=seed):
             gens = generators(spec)
             moved = transport(f, gens)
             oracle = generators_of(m, transport_forms(f, m, gens.standard_forms))
@@ -206,7 +205,7 @@ class TestTransport:
     def test_non_triangular_map_rejected(self):
         # The closed form covers block-triangular maps only; the swap map is
         # symplectic but has a nonzero lower-left block.
-        gens = generators(StabilizerSpec.field(search_B(2, 1, "exhaustive")[0]))
+        gens = generators(next(search_specs(2, "field")))
         J = SymplecticMap.from_matrix(symplectic_form(2))
         with pytest.raises(ValueError, match="block-triangular"):
             transport(J, gens)
@@ -214,17 +213,17 @@ class TestTransport:
 
 class TestClassesEqual:
     def test_reflexive(self):
-        gens = generators(next(iter(search_specs(3, "field", 1, "exhaustive"))))
+        gens = generators(next(iter(search_specs(3, "field", 1))))
         assert classes_equal(gens, gens)
 
     def test_field_vs_group_differ(self):
-        f = generators(StabilizerSpec.field(search_B(3, 1, "exhaustive")[0]))
-        g = generators(next(iter(search_specs(3, "group", 1, "exhaustive"))))
+        f = generators(next(search_specs(3, "field")))
+        g = generators(next(iter(search_specs(3, "group", 1))))
         assert not classes_equal(f, g)
 
     def test_same_polynomial_algebra_same_classes(self):
         # B and B^2 generate the same matrix field, hence the same classes.
-        B = search_B(3, 1, "exhaustive")[0]
+        B = next(search_specs(3, "field")).B
         B_sq = mat_mul(B, B)
         spec_sq = StabilizerSpec.field(B_sq)
         spec_sq.validate()
@@ -233,7 +232,7 @@ class TestClassesEqual:
         )
 
     def test_outside_polynomial_algebra_differs(self):
-        hits = search_B(3, None, "exhaustive")
+        hits = [s.B for s in search_specs(3, "field", None)]
         base = hits[0]
         other = next((b for b in hits if not is_polynomial_in(base, b)), None)
         assert other is not None
@@ -243,8 +242,8 @@ class TestClassesEqual:
         )
 
     def test_mismatched_m_raises(self):
-        a = generators(StabilizerSpec.field(search_B(1, 1, "exhaustive")[0]))
-        b = generators(StabilizerSpec.field(search_B(2, 1, "exhaustive")[0]))
+        a = generators(next(search_specs(1, "field")))
+        b = generators(next(search_specs(2, "field")))
         with pytest.raises(ValueError):
             classes_equal(a, b)
 
@@ -255,17 +254,17 @@ class TestClassesEqual:
         # is its field anchor's set transported.  From m = 3 on, the group and
         # field sets differ in their number of factorizable bases.
         rng = random.Random(seed)
-        B = search_B(m, 1, "random", seed)[0]
+        B = next(search_specs(m, "field", seed=seed)).B
         field = generators(StabilizerSpec.field(B))
         u = random_invertible(rng, m)
         sets = [
             field,
             generators(StabilizerSpec.field(mat_mul(B, B))),
-            generators(StabilizerSpec.field(search_B(m, 1, "random", seed + 1)[0])),
+            generators(next(search_specs(m, "field", seed=seed + 1))),
             transport(SymplecticMap.triangular(u, BitMatrix.zero(m)), field),
         ]
         for kind in ("group", "semigroup"):
-            for spec in search_specs(m, kind, 1, "random", seed):
+            for spec in search_specs(m, kind, 1, seed=seed):
                 f, anchor = field_anchor(spec)
                 sets += [generators(spec), transport(f, generators(anchor))]
         outcomes = set()
@@ -293,7 +292,7 @@ class TestClassesEqual:
 
     def test_canonical_form_ignores_column_operations(self):
         rng = random.Random(13)
-        gens = generators(next(iter(search_specs(2, "field", 1, "exhaustive"))))
+        gens = generators(next(iter(search_specs(2, "field", 1))))
         for gen in gens.generators:
             w = random_invertible(rng, 2)
             assert class_canonical(gen) == class_canonical(mat_mul(gen, w))
@@ -304,7 +303,7 @@ class TestFieldAnchor:
         "kind,m", [("group", 3), ("group", 4), ("semigroup", 4)]
     )
     def test_anchor_reproduces_classes(self, kind, m):
-        spec = next(iter(search_specs(m, kind, 1, "exhaustive")))
+        spec = next(iter(search_specs(m, kind, 1)))
         f, anchor = field_anchor(spec)
         anchor.validate()
         assert anchor.kind == "field"
@@ -312,7 +311,7 @@ class TestFieldAnchor:
         assert classes_equal(transport(f, generators(anchor)), generators(spec))
 
     def test_field_spec_is_its_own_anchor(self):
-        spec = StabilizerSpec.field(search_B(2, 1, "exhaustive")[0])
+        spec = next(search_specs(2, "field"))
         f, anchor = field_anchor(spec)
         assert anchor == spec
         assert f.matrix == BitMatrix.identity(4)
@@ -362,22 +361,22 @@ class TestOrthogonalIntertwiner:
 
 class TestEquivalenceMap:
     def test_identical_specs(self):
-        spec = next(iter(search_specs(3, "group", 1, "exhaustive")))
+        spec = next(iter(search_specs(3, "group", 1)))
         f, reason = equivalence_map(spec, spec)
         assert f is not None
         assert f.matrix == BitMatrix.identity(6)
         assert reason == "identical specs"
 
     def test_field_vs_its_group_variant(self):
-        field = StabilizerSpec.field(search_B(3, 1, "exhaustive")[0])
-        group = next(iter(search_specs(3, "group", 1, "exhaustive")))
+        field = next(search_specs(3, "field"))
+        group = next(iter(search_specs(3, "group", 1)))
         f, _ = equivalence_map(field, group)
         assert f is not None
         assert is_symplectic(f)
         assert classes_equal(transport(f, generators(field)), generators(group))
 
     def test_group_vs_semigroup_same_pair(self):
-        sg = next(iter(search_specs(4, "semigroup", 1, "exhaustive")))
+        sg = next(iter(search_specs(4, "semigroup", 1)))
         g = StabilizerSpec.group(sg.B, sg.R)
         f, _ = equivalence_map(g, sg)
         assert f is not None
@@ -386,7 +385,7 @@ class TestEquivalenceMap:
     def test_conjugate_class_families_are_linked(self):
         # Distinct polynomial algebras, same characteristic polynomial: the
         # classes differ but an orthogonal change of anchor still links them.
-        hits = search_B(3, None, "exhaustive")
+        hits = [s.B for s in search_specs(3, "field", None)]
         base = hits[0]
         other = next(b for b in hits if not is_polynomial_in(base, b))
         spec_a, spec_b = StabilizerSpec.field(base), StabilizerSpec.field(other)
@@ -398,7 +397,7 @@ class TestEquivalenceMap:
     def test_distinct_char_polys_rejected(self):
         from mubforge.gf2 import char_poly
 
-        hits = search_B(4, None, "exhaustive")
+        hits = [s.B for s in search_specs(4, "field", None)]
         base = hits[0]
         other = next(b for b in hits if char_poly(b) != char_poly(base))
         f, reason = equivalence_map(

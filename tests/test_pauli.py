@@ -26,7 +26,7 @@ KINDS = ["field", "group", "semigroup"]
 
 
 def field_gens(m):
-    return generators(next(iter(search_specs(m, "field", 1, "exhaustive"))))
+    return generators(next(iter(search_specs(m, "field", 1))))
 
 
 class TestPauliMatrix:
@@ -140,14 +140,14 @@ class TestClassEigenbasis:
     )
     def test_matches_dense_projector_oracle(self, kind, m, seed):
         # Exact dyadic arithmetic on both sides: equal bit for bit, not up to a tolerance.
-        for spec in search_specs(m, kind, 1, "random", seed):
+        for spec in search_specs(m, kind, 1, seed=seed):
             for gen in generators(spec).generators:
                 assert np.array_equal(class_eigenbasis(gen), dense_class_eigenbasis(gen))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_dense_projector_oracle_at_cap(self, kind):
         # About 3.5 s per set for the dense oracle.
-        spec = next(iter(search_specs(NUMERIC_QUBIT_CAP, kind, 1, "random", 1)))
+        spec = next(iter(search_specs(NUMERIC_QUBIT_CAP, kind, 1, seed=1)))
         for gen in generators(spec).generators:
             assert np.array_equal(class_eigenbasis(gen), dense_class_eigenbasis(gen))
 
@@ -159,7 +159,7 @@ class TestClassEigenbasis:
     def test_cap_at_sixteen_qubits_allocates_nothing(self):
         # A 2^16 x 2^16 complex basis would take 64 GiB, and the 2^16 + 1
         # generators are not derived either.
-        gens = generators(next(iter(search_specs(16, "field", 1, "random", 1))))
+        gens = generators(next(iter(search_specs(16, "field", 1, seed=1))))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"capped at m = {NUMERIC_QUBIT_CAP}.*m = 16"):
@@ -189,16 +189,16 @@ class TestVerifyMub:
         assert result.passed
 
     @pytest.mark.parametrize(
-        "kind,m,mode,seed",
+        "kind,m,seed",
         [
-            ("group", 4, "exhaustive", None),
-            ("group", 5, "random", 3),
-            ("semigroup", 4, "exhaustive", None),
-            ("semigroup", 5, "random", 3),
+            pytest.param("group", 4, None, id="group-4-exhaustive-None"),
+            pytest.param("group", 5, 3, id="group-5-random-3"),
+            pytest.param("semigroup", 4, None, id="semigroup-4-exhaustive-None"),
+            pytest.param("semigroup", 5, 3, id="semigroup-5-random-3"),
         ],
     )
-    def test_constructed_sets_pass(self, kind, m, mode, seed):
-        spec = next(iter(search_specs(m, kind, 1, mode, seed)))
+    def test_constructed_sets_pass(self, kind, m, seed):
+        spec = next(search_specs(m, kind, seed=seed))
         result = verify_mub(mub_from_generators(generators(spec)), tol=1e-10)
         assert result.passed
 

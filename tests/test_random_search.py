@@ -69,7 +69,7 @@ def test_field_search_past_the_last_candidate_is_byte_identical(tmp_path):
 
 def test_random_search_stops_once_every_candidate_is_drawn(monkeypatch):
     # At m = 2 there are 8 candidates: the search must stop at the draw that
-    # completes them, not run on to max_attempts.
+    # completes them, not run on to MAX_ATTEMPTS.
     first_complete = 0
     seen = set()
     replay = random.Random(0)
@@ -84,19 +84,17 @@ def test_random_search_stops_once_every_candidate_is_drawn(monkeypatch):
             return super().getrandbits(k)
 
     monkeypatch.setattr(random, "Random", CountingRandom)
-    hits = construct.search_B(2, None, "random", seed=0)
-    assert sorted(b.data for b in hits) == sorted(
-        b.data for b in construct.search_B(2, None, "exhaustive")
-    )
+    hits = [s.B.data for s in construct.search_specs(2, "field", None, seed=0)]
+    assert sorted(hits) == sorted(s.B.data for s in construct.search_specs(2, "field", None))
     assert len(draws) == first_complete
 
 
-def table_scan_random(m, seed, max_attempts):
+def table_scan_random(m, seed):
     """Oracle: the same sampling, with hits looked up in the admissible table."""
     table = set(poly2.stabilizer_char_polys(m))
     rng = random.Random(seed)
     seen = set()
-    for _ in range(max_attempts):
+    for _ in range(construct.MAX_ATTEMPTS):
         k = rng.getrandbits(m * (m + 1) // 2)
         if k not in seen and char_poly(BitMatrix(m, m, backend.decode_symmetric(m, k))) in table:
             seen.add(k)
@@ -106,7 +104,9 @@ def table_scan_random(m, seed, max_attempts):
 @settings(max_examples=40, deadline=None)
 @given(m=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
 def test_scan_random_matches_table_oracle(m, seed):
-    assert list(construct._scan_random(m, seed, 300)) == list(table_scan_random(m, seed, 300))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construct, "MAX_ATTEMPTS", 300)
+        assert list(construct._field_hits(m, seed)) == list(table_scan_random(m, seed))
 
 
 @settings(max_examples=200, deadline=None)
