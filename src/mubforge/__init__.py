@@ -5,11 +5,11 @@ matrices over F2 built from a matrix B whose characteristic polynomial is
 irreducible with Fibonacci index 2^m + 1, optionally dressed with a
 symmetrizer R and an additive matrix A that control how many bases of the
 resulting set are completely factorizable (three, two, or one).  A complex
-numeric oracle independently verifies unbiasedness and the entanglement
-classification of everything the symbolic layer produces.
+numeric tier builds the cyclic generator U as a circuit and independently
+verifies that its powers are unbiased.
 
-numpy is loaded only by the numeric oracle in `pauli`.  So the oracle's
-names below are resolved on first access, and `import mubforge` stays free
+numpy is loaded only by the numeric tier in `pauli`.  So its
+`verify_mub` is resolved on first access, and `import mubforge` stays free
 of numpy.
 """
 
@@ -56,14 +56,10 @@ from .poly2 import (
 
 __version__ = "0.1.0"
 
-_PAULI_NAMES = frozenset(
-    ("PauliLabel", "class_eigenbasis", "mub_from_generators", "symplectic_product", "verify_mub")
-)
-
 
 def __getattr__(name):
-    if name in _PAULI_NAMES:
-        from . import pauli
+    if name == "verify_mub":
+        from .pauli import verify_mub
 
-        return getattr(pauli, name)
+        return verify_mub
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -64,7 +64,7 @@ KINDS = ("field", "group", "semigroup")
 MAX_M = 16
 EXHAUSTIVE_CAP = 6        # symmetric-candidate space, <= 2^21 candidates
 EXHAUSTIVE_CONJ_CAP = 4   # conjugator space for group/semigroup, <= 2^16
-NUMERIC_QUBIT_CAP = 6     # numeric eigenbases in `pauli`, d + 1 bases of d x d
+NUMERIC_QUBIT_CAP = 8     # numeric tier in `pauli`: d powers of one d x d unitary
 MAX_ATTEMPTS = 1 << 18    # random draws per search, of B and of u alike
 
 Rows = tuple[int, ...]  # a matrix as its row masks, bit j of row i = entry (i, j)
@@ -288,7 +288,6 @@ class GeneratorSet(NamedTuple):
 
 def build_stabilizer(spec: StabilizerSpec) -> BitMatrix:
     """Assemble the 2m x 2m stabilizer matrix C for a validated spec."""
-    spec.validate()
     m = spec.m
     eye = BitMatrix.identity(m)
     zero = BitMatrix.zero(m)
@@ -336,7 +335,7 @@ def standard_form(gen: BitMatrix):
     return mat_mul(up, lo_inv)
 
 
-def generators(spec: StabilizerSpec) -> GeneratorSet:
+def generators(spec: StabilizerSpec, C: BitMatrix | None = None) -> GeneratorSet:
     """Z_BASIS and the d forms p(B) R + A with deg p < m, each once.
 
     These are the standard forms of the orbit C^j (I; 0), j = 0..d, of a
@@ -357,8 +356,13 @@ def generators(spec: StabilizerSpec) -> GeneratorSet:
     The first m orbit steps are still walked, and each standard form plus A
     must lie in the span of the basis; a miss raises StandardFormError
     naming the step, so C stays tied to the classes reported.
+
+    With no C the spec is validated and C built here; a caller that has
+    done both passes its C.
     """
-    C = build_stabilizer(spec)
+    if C is None:
+        spec.validate()
+        C = build_stabilizer(spec)
     m = spec.m
     basis = [spec.R]
     for _ in range(m - 1):

@@ -43,17 +43,23 @@
   Krylov chains.
 - `poly_of_matrix` (Horner) and `schmidt_rank` (an SVD across a qubit cut)
   serve the tests that re-derive Fibonacci blocks and factorizability.
+- `class_eigenbasis` reads the joint eigenbasis of one class off the
+  monomial Pauli action, `mub_from_generators` takes it for all d + 1
+  classes of a set, and `verify_bases` compares every pair of bases, where
+  `pauli.verify_mub` checks the d powers of the cyclic generator U.  They
+  tie the powers of U to the symbolic classes.
 - `pauli_matrix` builds a dense Pauli operator by Kronecker products, and
   `dense_class_eigenbasis` multiplies m dense d x d projectors per sign
-  pattern (O(m d^4) per class), where `pauli.class_eigenbasis` applies each
+  pattern (O(m d^4) per class), where `class_eigenbasis` applies each
   operator as a permutation and a phase to single vectors.
 
 The label and walk oracles cost O(4^m) and O(d) steps, so tests use them
-for m <= 8.
+for m <= 8.  The numeric oracles stop at ORACLE_QUBIT_CAP = 6.
 """
 
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,10 +80,44 @@ from mubforge.gf2 import (
     is_invertible,
     mat_inverse,
     mat_mul,
+    rank,
     vstack,
 )
-from mubforge.pauli import NUMERIC_QUBIT_CAP, PauliLabel, _fix_phase, symplectic_product
+from mubforge.pauli import MubVerification
 from mubforge.poly2 import Poly2
+
+ORACLE_QUBIT_CAP = 6  # d + 1 eigenbases of d x d, and dense d x d Pauli matrices
+
+
+@dataclass(frozen=True)
+class PauliLabel:
+    """Pauli operator label a = (z; x) in F2^(2m), bit i = qubit i."""
+
+    m: int
+    z: int
+    x: int
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
+        for part in (self.z, self.x):
+            if part < 0 or part >> self.m:
+                raise ValueError("label bits outside qubit count")
+
+    @classmethod
+    def from_bits(cls, m: int, packed: int) -> "PauliLabel":
+        lo = (1 << m) - 1
+        return cls(m, packed & lo, packed >> m)
+
+    def site(self, k: int) -> tuple[int, int]:
+        return ((self.z >> k) & 1, (self.x >> k) & 1)
+
+
+def symplectic_product(a: PauliLabel, b: PauliLabel) -> int:
+    """Sum_k (a_z_k b_x_k + a_x_k b_z_k) mod 2; zero iff the operators commute."""
+    if a.m != b.m:
+        raise ValueError("qubit count mismatch")
+    return bin((a.z & b.x) ^ (a.x & b.z)).count("1") & 1
 
 
 def class_labels(gen: BitMatrix) -> list[int]:
@@ -486,8 +526,8 @@ _SITE = {
 
 def pauli_matrix(a: PauliLabel) -> np.ndarray:
     """Tensor product over sites of (-i)^(z_k x_k) Z^(z_k) X^(x_k)."""
-    if a.m > NUMERIC_QUBIT_CAP:
-        raise ValueError(f"numeric Pauli matrices are capped at m = {NUMERIC_QUBIT_CAP}")
+    if a.m > ORACLE_QUBIT_CAP:
+        raise ValueError(f"numeric Pauli matrices are capped at m = {ORACLE_QUBIT_CAP}")
     out = np.array([[1.0 + 0j]])
     for k in range(a.m):
         out = np.kron(out, _SITE[a.site(k)])
@@ -498,7 +538,7 @@ def dense_class_eigenbasis(gen: BitMatrix) -> np.ndarray:
     """The eigenbasis of one class from dense d x d projector products.
 
     Column t is the normalised largest-norm column of prod_i (I + s_i P_i) / 2
-    for the sign pattern in the bits of t, as in `pauli.class_eigenbasis`.
+    for the sign pattern in the bits of t, as in `class_eigenbasis`.
     """
     m = gen.cols
     ops = [pauli_matrix(PauliLabel.from_bits(m, gen.column(j))) for j in range(m)]
@@ -517,3 +557,120 @@ def dense_class_eigenbasis(gen: BitMatrix) -> np.ndarray:
             raise ValueError("projector collapsed: generators not independent")
         basis[:, t] = _fix_phase(v / norm)
     return basis
+
+
+# -- eigenbases of the classes -------------------------------------------------
+#
+# Conventions: qubit 0 is the leftmost tensor factor (most significant bit
+# of the computational index); every eigenvector's global phase is fixed by
+# making its first sufficiently-large component real positive, so repeated
+# runs are bit-identical.
+
+
+def _fix_phase(v: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    scale = np.max(np.abs(v))
+    for comp in v:
+        if abs(comp) > tol * scale:
+            return v * (comp.conjugate() / abs(comp))
+    raise ValueError("zero vector has no phase")
+
+
+_POWERS_OF_MINUS_I = (1 + 0j, -1j, -1 + 0j, 1j)
+
+
+def _monomial_action(a: PauliLabel, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(src, phase) with (P_a v)[r] = phase[r] * v[src[r]] for v indexed by idx.
+
+    P_a = (-i)^(z.x) Z^z X^x maps e_y to (-i)^(z.x) (-1)^(z.(y ^ x)) e_(y ^ x),
+    with qubit k at index bit m - 1 - k.
+    """
+    xmask = 0
+    parity = np.zeros(len(idx), dtype=idx.dtype)
+    for k in range(a.m):
+        z_k, x_k = a.site(k)
+        bit = a.m - 1 - k
+        xmask |= x_k << bit
+        if z_k:
+            parity ^= (idx >> bit) & 1
+    phase = _POWERS_OF_MINUS_I[bin(a.z & a.x).count("1") % 4] * (1 - 2 * parity)
+    return idx ^ xmask, phase
+
+
+def _check_cap(m: int) -> None:
+    if m > ORACLE_QUBIT_CAP:
+        raise ValueError(f"numeric eigenbases are capped at m = {ORACLE_QUBIT_CAP}, got m = {m}")
+
+
+def class_eigenbasis(gen: BitMatrix) -> np.ndarray:
+    """Unitary whose columns are the joint eigenvectors of one class.
+
+    The m generator labels are the columns of the 2m x m matrix; they must be
+    independent and pairwise commuting, and m at most ORACLE_QUBIT_CAP.
+    Column t holds the eigenvector with sign pattern read from the bits of t
+    (qubit-0 generator = most significant bit, bit 0 meaning eigenvalue +1):
+    the normalised first nonzero column of the projector prod_i (I + s_i P_i) / 2.
+    A Pauli operator is monomial, so each half-sum v <- (v + s P v) / 2 is a
+    permutation and a phase on single vectors.  Every intermediate value is
+    a dyadic Gaussian rational, so the arithmetic is exact.
+    """
+    m = gen.cols
+    if gen.rows != 2 * m:
+        raise ValueError("expected a 2m x m generator")
+    _check_cap(m)
+    labels = [PauliLabel.from_bits(m, gen.column(j)) for j in range(m)]
+    if rank(gen) < m:
+        raise ValueError("class generators are dependent")
+    for i in range(m):
+        for j in range(i + 1, m):
+            if symplectic_product(labels[i], labels[j]):
+                raise ValueError("class generators do not commute")
+    d = 1 << m
+    idx = np.arange(d)
+    actions = [_monomial_action(lab, idx) for lab in labels]
+    basis = np.empty((d, d), dtype=complex)
+    todo = idx  # sign patterns still without an eigenvector
+    for j in range(d):
+        # Project e_j for every pending pattern at once.  A rank-1 stabilizer
+        # projector has nonzero columns of one norm, so the first j that a
+        # pattern does not annihilate is its largest-norm column.
+        vecs = np.zeros((len(todo), d), dtype=complex)
+        vecs[:, j] = 1.0
+        for i, (src, phase) in enumerate(actions):
+            sign = 1 - 2 * ((todo >> (m - 1 - i)) & 1)
+            vecs = (vecs + sign[:, None] * (phase * vecs[:, src])) / 2.0
+        hit = np.linalg.norm(vecs, axis=1) >= 1e-9
+        for t, v in zip(todo[hit], vecs[hit]):
+            basis[:, t] = _fix_phase(v / np.linalg.norm(v))
+        todo = todo[~hit]
+        if not len(todo):
+            return basis
+    raise ValueError("projector collapsed: generators not independent")
+
+
+def mub_from_generators(gens: GeneratorSet) -> list[np.ndarray]:
+    """The d + 1 eigenbases of a generator set, in the order of its standard forms.
+
+    The cap is checked before any form is derived, since a set has 2^m of them.
+    """
+    _check_cap(gens.m)
+    return [class_eigenbasis(g) for g in gens.generators]
+
+
+def verify_bases(bases: list[np.ndarray], tol: float = 1e-10) -> MubVerification:
+    """Largest deviation of any cross-basis overlap from 1/d, checked against tol.
+
+    `worst_pair` is the pair of bases at that deviation.
+    """
+    if not bases:
+        raise ValueError("empty basis list")
+    d = bases[0].shape[0]
+    eye = np.eye(d)
+    unit_dev = max(float(np.max(np.abs(b.conj().T @ b - eye))) for b in bases)
+    dev, worst = 0.0, None
+    for i in range(len(bases)):
+        for j in range(i + 1, len(bases)):
+            overlaps = np.abs(bases[i].conj().T @ bases[j]) ** 2
+            pair_dev = float(np.max(np.abs(overlaps - 1.0 / d)))
+            if worst is None or pair_dev > dev:
+                dev, worst = pair_dev, (i, j)
+    return MubVerification(dev, unit_dev, dev <= tol and unit_dev <= tol, worst)

@@ -35,7 +35,7 @@ from mubforge.equiv import (
     transport,
 )
 from mubforge.gf2 import BitMatrix, char_poly, mat_inverse, mat_mul
-from mubforge.pauli import mub_from_generators, verify_mub
+from mubforge.pauli import verify_mub
 from mubforge.poly2 import (
     Poly2,
     X,
@@ -43,7 +43,13 @@ from mubforge.poly2 import (
     fibonacci_poly,
     irreducibles,
 )
-from oracles import class_labels, offdiag_components, schmidt_rank
+from oracles import (
+    class_labels,
+    mub_from_generators,
+    offdiag_components,
+    schmidt_rank,
+    verify_bases,
+)
 
 
 def _report(n: int, label: str) -> None:
@@ -102,8 +108,10 @@ def test_criterion_02_field_pipeline_m2_to_m5(field_specs):
         labels = [lab for g in gens.generators for lab in class_labels(g)]
         assert len(labels) == len(set(labels)) == (1 << (2 * m)) - 1
         assert bandyopadhyay_check(gens)
-        result = verify_mub(mub_from_generators(gens), tol=1e-10)
+        result = verify_mub(spec, tol=1e-10)
         assert result.passed, f"m={m}: deviation {result.max_deviation}"
+        oracle = verify_bases(mub_from_generators(gens), tol=1e-10)
+        assert oracle.passed, f"m={m}: eigenbasis deviation {oracle.max_deviation}"
     _report(2, "field pipeline m=2..5: cyclic, partition, unbiased at 1e-10")
 
 

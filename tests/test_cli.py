@@ -5,9 +5,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from mubforge import cli, equiv, pauli
+from mubforge import cli, construct, equiv, pauli
 from mubforge.construct import MAX_M, StabilizerSpec, StandardFormError, search_specs
 
 CLI = [sys.executable, "-m", "mubforge.cli"]
@@ -56,6 +57,14 @@ class TestSearch:
         res = run_cli("search", "--m", "3", "--kind", "field")
         assert res.returncode == 1
         assert "--seed" in res.stderr
+
+    def test_exhaustive_with_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["search", "--m", "3", "--kind", "field", "--exhaustive", "--seed", "5"])
+        assert exit_info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --seed: not allowed with argument --exhaustive" in err
 
     def test_byte_identical_reruns(self):
         args = ("search", "--m", "4", "--kind", "semigroup", "--seed", "7", "--count", "3")
@@ -131,7 +140,7 @@ class TestBuild:
         assert report["entanglement"]["counts"] == [3]
         assert "mub_worst_pair" not in report
         assert list(report["timings"]) == [
-            "validate", "cyclicity", "classes", "entanglement", "eigenbasis", "verify"
+            "validate", "cyclicity", "classes", "entanglement", "verify"
         ]
 
     def test_wrong_index_rejected(self, spec_files):
@@ -152,12 +161,41 @@ class TestBuild:
         assert res.returncode == 2
 
     def test_numeric_cap_above_oracle_cap_is_usage_error(self, tmp_path, capsys):
-        spec = tmp_path / "field7.json"
-        spec.write_text(next(search_specs(7, "field", seed=1)).to_json())
-        assert cli.main(["build", str(spec), "--numeric-cap", "7"]) == 1
+        spec = tmp_path / "field9.json"
+        spec.write_text(next(search_specs(9, "field", seed=1)).to_json())
+        assert cli.main(["build", str(spec), "--numeric-cap", "9"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "--numeric-cap must be at most 6" in err
+        assert "--numeric-cap must be at most 8" in err
+
+    @pytest.mark.parametrize("kind", ["field", "group", "semigroup"])
+    def test_numeric_tier_at_seven_qubits(self, tmp_path, capsys, kind):
+        spec = tmp_path / "spec7.json"
+        spec.write_text(next(search_specs(7, kind, seed=1)).to_json())
+        assert cli.main(["build", str(spec), "--numeric-cap", "7"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mub_verification"] == "passed"
+        assert report["mub_max_deviation"] <= 1e-15
+
+    def test_spec_validated_once_and_stabilizer_built_once(self, spec_files, monkeypatch, capsys):
+        calls = {"validate": 0, "build_stabilizer": 0}
+        validate = StabilizerSpec.validate
+        build = construct.build_stabilizer
+
+        def counting_validate(spec):
+            calls["validate"] += 1
+            return validate(spec)
+
+        def counting_build(spec):
+            calls["build_stabilizer"] += 1
+            return build(spec)
+
+        monkeypatch.setattr(StabilizerSpec, "validate", counting_validate)
+        monkeypatch.setattr(construct, "build_stabilizer", counting_build)
+        monkeypatch.setattr(cli, "build_stabilizer", counting_build)
+        assert cli.main(["build", str(spec_files["group3"])]) == 0
+        assert calls == {"validate": 1, "build_stabilizer": 1}
+        capsys.readouterr()
 
     def test_negative_numeric_cap_is_usage_error(self, spec_files, capsys):
         assert cli.main(["build", str(spec_files["field3"]), "--numeric-cap", "-3"]) == 1
@@ -216,21 +254,16 @@ class TestBuild:
         assert digest == self.GOLDEN_REPORTS[kind, m]
 
     def test_failed_numeric_check_names_worst_pair(self, spec_files, capsys, monkeypatch):
-        # `build` imports the numeric oracle when its numeric tier runs, so
-        # the patch goes on `pauli`, where that import reads it.
-        original = pauli.mub_from_generators
-
-        def with_duplicate(gens):
-            bases = original(gens)
-            return bases + [bases[0]]
-
-        monkeypatch.setattr(pauli, "mub_from_generators", with_duplicate)
+        # Dropping the diagonal layers leaves U = H, so U^2 = I: the power
+        # j = 2, the pair of bases (0, 2), is the one that breaks.
+        monkeypatch.setattr(pauli, "_quadratic_phase", lambda S, bits: np.ones(len(bits)))
         assert cli.main(["build", str(spec_files["field1"])]) == 2
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report["mub_verification"] == "failed"
-        assert report["mub_worst_pair"] == [0, 3]
-        assert "bases 0 and 3" in captured.err
+        assert report["mub_worst_pair"] == [0, 2]
+        assert report["mub_max_deviation"] == pytest.approx(0.5, abs=1e-12)
+        assert "bases 0 and 2" in captured.err
 
     def test_unwritable_out_exits_2(self, spec_files, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"

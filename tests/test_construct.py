@@ -291,6 +291,8 @@ class TestGenerators:
         monkeypatch.setattr(construct, "build_stabilizer", lambda _spec: unshifted)
         with pytest.raises(StandardFormError, match="orbit step 1 leaves A"):
             generators(spec)
+        # `build` builds C once and hands it to `generators`.
+        monkeypatch.setattr(cli, "build_stabilizer", lambda _spec: unshifted)
         path = tmp_path / "semigroup.json"
         path.write_text(spec.to_json())
         assert cli.main(["build", str(path)]) == 2

@@ -17,8 +17,7 @@ from mubforge.construct import (
 )
 from mubforge.entangle import EntanglementVector, entanglement_vector, partitions_of
 from mubforge.gf2 import BitMatrix, mat_mul
-from mubforge.pauli import class_eigenbasis
-from oracles import offdiag_components, partition_of, schmidt_rank
+from oracles import class_eigenbasis, offdiag_components, partition_of, schmidt_rank
 
 
 def field_spec(m):

@@ -1,4 +1,8 @@
-"""Numeric Pauli layer: dense oracle matrices, commutation, eigenbases, Schmidt ranks."""
+"""Numeric tier: powers of the cyclic generator U, against the eigenbasis oracles.
+
+Dense Pauli matrices, commutation, class eigenbases and Schmidt ranks are
+oracles (`tests/oracles.py`), tested here too.
+"""
 
 import itertools
 
@@ -9,17 +13,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubforge.construct import generators, search_specs
+from mubforge.backend import decode_symmetric
+from mubforge.construct import (
+    SpecValidationError,
+    StabilizerSpec,
+    build_stabilizer,
+    generators,
+    search_specs,
+)
 from mubforge.gf2 import BitMatrix, vstack
-from mubforge.pauli import (
-    NUMERIC_QUBIT_CAP,
+from mubforge.pauli import NUMERIC_QUBIT_CAP, generator_powers, verify_mub
+from oracles import (
+    ORACLE_QUBIT_CAP,
     PauliLabel,
     class_eigenbasis,
+    class_labels,
+    dense_class_eigenbasis,
     mub_from_generators,
+    orbit_forms,
+    pauli_matrix,
+    schmidt_rank,
     symplectic_product,
-    verify_mub,
+    verify_bases,
 )
-from oracles import class_labels, dense_class_eigenbasis, pauli_matrix, schmidt_rank
 
 
 KINDS = ["field", "group", "semigroup"]
@@ -135,7 +151,7 @@ class TestClassEigenbasis:
     @settings(max_examples=30, deadline=None)
     @given(
         kind=st.sampled_from(KINDS),
-        m=st.integers(1, NUMERIC_QUBIT_CAP - 1),
+        m=st.integers(1, ORACLE_QUBIT_CAP - 1),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_dense_projector_oracle(self, kind, m, seed):
@@ -147,13 +163,13 @@ class TestClassEigenbasis:
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_dense_projector_oracle_at_cap(self, kind):
         # About 3.5 s per set for the dense oracle.
-        spec = next(iter(search_specs(NUMERIC_QUBIT_CAP, kind, 1, seed=1)))
+        spec = next(iter(search_specs(ORACLE_QUBIT_CAP, kind, 1, seed=1)))
         for gen in generators(spec).generators:
             assert np.array_equal(class_eigenbasis(gen), dense_class_eigenbasis(gen))
 
     def test_cap_at_seven_qubits(self):
         gen = vstack(BitMatrix.identity(7), BitMatrix.zero(7))
-        with pytest.raises(ValueError, match=f"capped at m = {NUMERIC_QUBIT_CAP}"):
+        with pytest.raises(ValueError, match=f"capped at m = {ORACLE_QUBIT_CAP}"):
             class_eigenbasis(gen)
 
     def test_cap_at_sixteen_qubits_allocates_nothing(self):
@@ -162,7 +178,7 @@ class TestClassEigenbasis:
         gens = generators(next(iter(search_specs(16, "field", 1, seed=1))))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"capped at m = {NUMERIC_QUBIT_CAP}.*m = 16"):
+            with pytest.raises(ValueError, match=f"capped at m = {ORACLE_QUBIT_CAP}.*m = 16"):
                 mub_from_generators(gens)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -171,22 +187,27 @@ class TestClassEigenbasis:
 
 
 class TestVerifyMub:
+    """`pauli.verify_mub` on the powers of U, and the all-pairs oracle on the eigenbases."""
+
     def test_single_qubit_exact(self):
-        result = verify_mub(mub_from_generators(field_gens(1)), tol=1e-12)
-        assert result.passed and result.max_deviation <= 1e-12
+        spec = next(search_specs(1, "field"))
+        for result in (verify_mub(spec, tol=1e-12),
+                       verify_bases(mub_from_generators(generators(spec)), tol=1e-12)):
+            assert result.passed and result.max_deviation <= 1e-12
 
     def test_duplicate_basis_fails(self):
         bases = mub_from_generators(field_gens(1))
         bad = bases + [bases[0]]
-        result = verify_mub(bad, tol=1e-10)
+        result = verify_bases(bad, tol=1e-10)
         assert not result.passed
         assert result.max_deviation == pytest.approx(1.0 - 0.5, abs=1e-12)
         assert result.worst_pair == (0, 3)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_field_sets_pass(self, m):
-        result = verify_mub(mub_from_generators(field_gens(m)), tol=1e-10)
-        assert result.passed
+        spec = next(search_specs(m, "field"))
+        assert verify_mub(spec, tol=1e-10).passed
+        assert verify_bases(mub_from_generators(generators(spec)), tol=1e-10).passed
 
     @pytest.mark.parametrize(
         "kind,m,seed",
@@ -199,8 +220,72 @@ class TestVerifyMub:
     )
     def test_constructed_sets_pass(self, kind, m, seed):
         spec = next(search_specs(m, kind, seed=seed))
-        result = verify_mub(mub_from_generators(generators(spec)), tol=1e-10)
-        assert result.passed
+        assert verify_mub(spec, tol=1e-10).passed
+        assert verify_bases(mub_from_generators(generators(spec)), tol=1e-10).passed
+
+
+def _same_basis(a, b):
+    """True iff the columns of a and b agree up to phase and order."""
+    overlaps = np.abs(a.conj().T @ b) ** 2
+    perm = overlaps > 0.5
+    return (
+        bool(np.all(perm.sum(axis=0) == 1) and np.all(perm.sum(axis=1) == 1))
+        and np.max(np.abs(overlaps - perm)) <= 1e-10
+    )
+
+
+class TestGeneratorPowers:
+    """The powers of U against the symbolic classes and against `validate`."""
+
+    @pytest.mark.parametrize(
+        "kind,m", [("field", 1), ("field", 2), ("field", 3), ("field", 4),
+                   ("group", 3), ("group", 4), ("semigroup", 4)]
+    )
+    def test_powers_are_class_eigenbases(self, kind, m):
+        # U^j diagonalizes the class C^j (I; 0), for j = 0..d + 1.
+        spec = next(search_specs(m, kind))
+        d = spec.d
+        gens = generators(spec)
+        forms = gens.standard_forms
+        bases = mub_from_generators(gens)
+        orbit = orbit_forms(build_stabilizer(spec), d)
+        powers = [np.eye(d, dtype=complex), *generator_powers(spec, d + 1)]
+        matched = []
+        for j, power in enumerate(powers):
+            hits = [k for k, basis in enumerate(bases) if _same_basis(basis, power)]
+            assert len(hits) == 1, (j, hits)
+            assert forms[hits[0]] == orbit[j % (d + 1)]
+            matched.append(hits[0])
+        assert len(set(matched[: d + 1])) == d + 1
+        assert matched[d + 1] == matched[0]
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_field_check_agrees_with_validate(self, m):
+        # Every symmetric B: 64 candidates at m = 3, 1,024 at m = 4.
+        valid = 0
+        for k in range(1 << (m * (m + 1) // 2)):
+            spec = StabilizerSpec.field(BitMatrix(m, m, decode_symmetric(m, k)))
+            try:
+                spec.validate()
+            except SpecValidationError:
+                ok = False
+            else:
+                ok = True
+            valid += ok
+            assert verify_mub(spec).passed is ok, k
+        assert valid == len(list(search_specs(m, "field", None)))
+
+    def test_cap_at_sixteen_qubits_allocates_nothing(self):
+        # A 2^16 x 2^16 complex matrix would take 64 GiB.
+        spec = next(search_specs(16, "field", seed=1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"capped at m = {NUMERIC_QUBIT_CAP}.*m = 16"):
+                verify_mub(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSchmidtRank:
