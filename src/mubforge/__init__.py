@@ -28,7 +28,6 @@ from .construct import (
 )
 from .entangle import EntanglementVector, entanglement_vector
 from .equiv import (
-    AlternatingSymmetrizerError,
     SymplecticMap,
     classes_equal,
     equivalence_map,
@@ -46,13 +45,7 @@ from .gf2 import (
     mat_mul,
     rank,
 )
-from .poly2 import (
-    Poly2,
-    fibonacci_index,
-    fibonacci_poly,
-    is_irreducible,
-    stabilizer_char_polys,
-)
+from .poly2 import fibonacci_index, is_irreducible, stabilizer_char_polys
 
 __version__ = "0.1.0"
 

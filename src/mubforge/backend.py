@@ -42,17 +42,6 @@ def decode_symmetric(m: int, k: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def encode_symmetric(m: int, rows) -> int:
-    """Candidate index of the symmetric matrix with the given row bitmasks."""
-    pairs = _pair_positions(m)
-    n = len(pairs)
-    k = 0
-    for b, (i, j) in enumerate(pairs):
-        if (rows[i] >> j) & 1:
-            k |= 1 << (n - 1 - b)
-    return k
-
-
 def scan_symmetric(m: int, good_polys: tuple[int, ...], start: int, stop: int) -> list[int]:
     """Candidate indices in [start, stop) whose matrix has a good char poly.
 

@@ -29,7 +29,7 @@ from .construct import (
     search_specs,
 )
 from .entangle import entanglement_vector
-from .equiv import AlternatingSymmetrizerError, equivalence_map
+from .equiv import equivalence_map
 
 DEFAULT_TOL = 1e-10
 DEFAULT_NUMERIC_CAP = 5
@@ -245,15 +245,12 @@ def _cmd_equiv(args) -> int:
         return 2
     try:
         f, reason = equivalence_map(spec_a, spec_b)
-    except AlternatingSymmetrizerError as exc:
-        verdict = {"equivalent": False, "not_expressible": True, "reason": str(exc)}
     except ValueError as exc:  # StandardFormError and any other failed step
         print(f"mubforge equiv: cannot build the map: {exc}", file=sys.stderr)
         return 2
-    else:
-        verdict = {"equivalent": f is not None, "reason": reason}
-        if f is not None:
-            verdict["f"] = f.matrix.to_lists()
+    verdict = {"equivalent": f is not None, "reason": reason}
+    if f is not None:
+        verdict["f"] = f.matrix.to_lists()
     return 0 if _emit(args, json.dumps(verdict, indent=2) + "\n") else 2
 
 

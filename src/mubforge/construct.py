@@ -180,17 +180,18 @@ class StabilizerSpec(NamedTuple):
             raise SpecValidationError("A-forced", f"{self.kind} kind requires A = 0")
 
         p = char_poly(self.B)
-        if not p.mask & 1:
+        if not p & 1:
             raise SpecValidationError("B-invertible", "B is singular")
         if not poly2.is_irreducible(p):
             raise SpecValidationError(
-                "char-poly-irreducible", f"characteristic polynomial {p} is reducible"
+                "char-poly-irreducible",
+                f"characteristic polynomial {poly2.poly_str(p)} is reducible",
             )
         idx = poly2.fibonacci_index(p)
         if idx != self.d + 1:
             raise SpecValidationError(
                 "fibonacci-index",
-                f"characteristic polynomial {p} has Fibonacci index {idx}, "
+                f"characteristic polynomial {poly2.poly_str(p)} has Fibonacci index {idx}, "
                 f"need d + 1 = {self.d + 1}",
             )
         if self.kind in ("group", "semigroup"):
@@ -262,28 +263,13 @@ class GeneratorSet(NamedTuple):
     """The d + 1 classes of one set: (I; 0) and the forms A + span(basis).
 
     `generators` gives basis = (R, B R, ..., B^(m-1) R), so a set is held
-    by m + 1 matrices, not by its d forms.
+    by m + 1 matrices, not by its d forms; the form of index i is A plus
+    basis[k] for each set bit k of i.
     """
 
     m: int
     A: BitMatrix
     basis: tuple[BitMatrix, ...]
-
-    @property
-    def standard_forms(self) -> tuple:
-        """Z_BASIS, then A plus basis[k] for each set bit k of i, for i = 0..d - 1."""
-        forms = [self.A]
-        for r in self.basis:
-            forms += [f + r for f in forms]
-        return (Z_BASIS, *forms)
-
-    @property
-    def generators(self) -> tuple[BitMatrix, ...]:
-        """One 2m x m generator per class: (I; 0) for Z_BASIS, (M; I) for a form M."""
-        eye, zero = BitMatrix.identity(self.m), BitMatrix.zero(self.m)
-        return tuple(
-            vstack(eye, zero) if f is Z_BASIS else vstack(f, eye) for f in self.standard_forms
-        )
 
 
 def build_stabilizer(spec: StabilizerSpec) -> BitMatrix:
@@ -481,7 +467,7 @@ def _field_hits(m: int, seed: int | None) -> Iterator[int]:
     if seed is None:
         if m > EXHAUSTIVE_CAP:
             raise ValueError(f"exhaustive search is capped at m = {EXHAUSTIVE_CAP}; pass a seed")
-        polys = tuple(p.mask for p in poly2.stabilizer_char_polys(m))
+        polys = poly2.stabilizer_char_polys(m)
         total = 1 << npairs
         chunk = 1 << backend.BLOCK_BITS
         for s in range(0, total, chunk):

@@ -3,9 +3,16 @@
 A block-triangular symplectic map f = [[u, t], [0, (u^t)^-1]] carries the
 field-kind set of B_f = u^-1 B u onto the group/semigroup-kind set of
 (B, R = u u^t, A = t u^t): the standard forms transform as
-u p(B_f) u^t + t u^t = p(B) R + A.  Conversely any admissible symmetrizer R
-that is not alternating factors as a Gram product, which makes the
-equivalence executable in both directions.
+u p(B_f) u^t + t u^t = p(B) R + A.  Conversely every admissible symmetrizer
+R factors as a Gram product, which makes the equivalence executable in both
+directions.  A symmetric invertible R lacks a Gram factor only when it is
+alternating (zero diagonal), and no valid spec has such an R: then
+char(B) = det(x R + B R), as det R = 1, and N = x R + B R is symmetric over
+F2[x] with a constant diagonal.  In characteristic 2 the Leibniz terms of a
+permutation and its inverse cancel unless it is an involution, which
+contributes the constants N_ii times N_ij^2 = x^2 R_ij + (B R)_ij over its
+2-cycles.  So char(B) lies in F2[x^2], a square, and is reducible for
+m >= 2; at m = 1 the only alternating matrix is 0.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .construct import GeneratorSet, StabilizerSpec, _vec, generators
+from .construct import GeneratorSet, StabilizerSpec, _vec, build_stabilizer, generators
 from .gf2 import (
     BitMatrix,
     _mul_rows,
@@ -27,10 +34,6 @@ from .gf2 import (
     mat_mul,
     rank,
 )
-
-
-class AlternatingSymmetrizerError(ValueError):
-    """R is alternating, so it has no Gram factor and the set no field anchor."""
 
 
 class SymplecticMap(NamedTuple):
@@ -86,8 +89,8 @@ def is_symplectic(f: SymplecticMap) -> bool:
     return mat_mul(mat_mul(mat.transpose(), J), mat) == J
 
 
-def gram_factor(R: BitMatrix) -> BitMatrix | None:
-    """Invertible s with s^t s = R, or None when R is alternating.
+def gram_factor(R: BitMatrix) -> BitMatrix:
+    """Invertible s with s^t s = R; ValueError when R is alternating.
 
     Builds a basis orthonormal with respect to the bilinear form R.  When the
     remaining form turns alternating mid-way, one previously extracted unit
@@ -120,7 +123,7 @@ def gram_factor(R: BitMatrix) -> BitMatrix | None:
             units.append(b)
             continue
         if not units:
-            return None  # alternating form
+            raise ValueError("symmetrizer is alternating (zero diagonal): no Gram factor exists")
         a = pool.pop(0)
         j = next(i for i, w in enumerate(pool) if form_bits(a, w))
         c = pool.pop(j)
@@ -193,17 +196,12 @@ def field_anchor(spec: StabilizerSpec) -> tuple[SymplecticMap, StabilizerSpec]:
     For group/semigroup specs this is the executable direction of the
     equivalence: u = (gram factor)^t gives u u^t = R, the anchor matrix is
     B_f = u^-1 B u (symmetric exactly because B R is), and t = A u^-t.
-    Expects a spec satisfying its kind invariants; raises
-    AlternatingSymmetrizerError when R is alternating.
+    Expects a validated spec, whose R has a Gram factor (see the module
+    docstring).
     """
     if spec.kind == "field":
         return SymplecticMap.identity(spec.m), spec
-    s = gram_factor(spec.R)
-    if s is None:
-        raise AlternatingSymmetrizerError(
-            "symmetrizer is alternating (zero diagonal): no Gram factorization exists"
-        )
-    u = s.transpose()
+    u = gram_factor(spec.R).transpose()
     u_inv = mat_inverse(u)
     anchor_B = mat_mul(mat_mul(u_inv, spec.B), u)
     t = mat_mul(spec.A, u_inv.transpose())
@@ -256,7 +254,7 @@ def equivalence_map(a: StabilizerSpec, b: StabilizerSpec) -> tuple[SymplecticMap
     Both specs are reduced to field anchors through their Gram factors; an
     orthogonal change of anchor then links the anchors whenever they share a
     characteristic polynomial.  The composed map is verified end to end with
-    classes_equal before it is reported.
+    classes_equal before it is reported.  Expects validated specs.
     """
     if a.m != b.m:
         raise ValueError("qubit count mismatch")
@@ -270,6 +268,7 @@ def equivalence_map(a: StabilizerSpec, b: StabilizerSpec) -> tuple[SymplecticMap
     zero = BitMatrix.zero(a.m)
     w_map = SymplecticMap(w, zero, zero, mat_inverse(w.transpose()))
     f = fb.compose(w_map).compose(fa.inverse())
-    if not classes_equal(transport(f, generators(a)), generators(b)):
+    gens_a = generators(a, build_stabilizer(a))
+    if not classes_equal(transport(f, gens_a), generators(b, build_stabilizer(b))):
         return None, "transport failed to reproduce the target classes"
     return f, "transport reproduces the target classes"

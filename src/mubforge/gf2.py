@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import poly2
-from .poly2 import Poly2
 
 
 class NotInvertibleError(ValueError):
@@ -275,8 +274,8 @@ class _SpanReducer:
         return self.reduce(v) == 0
 
 
-def char_poly(a: BitMatrix) -> Poly2:
-    """Characteristic polynomial det(xI + a) from Krylov chains.
+def char_poly(a: BitMatrix) -> int:
+    """Characteristic polynomial det(xI + a), as a `poly2` mask, from Krylov chains.
 
     char(a) = char(a^t), and a^t v is the XOR of the rows of a picked by the
     bits of v.  The chains e_i, a^t e_i, (a^t)^2 e_i, ... for i = 0, 1, ...
@@ -312,7 +311,7 @@ def char_poly(a: BitMatrix) -> Poly2:
                 v ^= low
             v = w
         poly = poly2._mul(poly, r >> start)
-    return Poly2(poly)
+    return poly
 
 
 # -- block helpers ----------------------------------------------------------

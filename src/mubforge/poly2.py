@@ -1,15 +1,15 @@
-"""Arithmetic in F2[x]: binary polynomials, irreducibility, Fibonacci polynomials.
+"""Polynomials over F2: irreducibility and the Fibonacci index.
 
-A polynomial c_0 + c_1 x + ... + c_n x^n is stored as the integer
-c_0 + 2 c_1 + ... + 2^n c_n, so the zero polynomial is 0 and addition is XOR.
-The :class:`Poly2` wrapper gives a typed, immutable view; the `_`-prefixed
-helpers work on raw masks and are shared with the performance kernels.
+A polynomial c_0 + c_1 x + ... + c_n x^n is the int mask
+c_0 + 2 c_1 + ... + 2^n c_n, so the zero polynomial is 0 and addition is
+XOR.  Masks are the only representation: every function here takes and
+returns them, and `poly_str` formats one for messages.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 def _degree(a: int) -> int:
@@ -55,84 +55,15 @@ def _sqr_mod(a: int, p: int) -> int:
     return _mod(_mul(a, a), p)
 
 
-class Poly2:
-    """Immutable polynomial over F2 (lowest-degree coefficient first)."""
-
-    __slots__ = ("mask",)
-
-    def __init__(self, mask: int = 0):
-        if mask < 0:
-            raise ValueError("coefficient mask must be non-negative")
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Poly2 is immutable")
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "Poly2":
-        """Build from coefficients, lowest degree first (values in {0, 1})."""
-        mask = 0
-        for i, c in enumerate(coeffs):
-            if c not in (0, 1):
-                raise ValueError(f"coefficient {c!r} not in GF(2)")
-            mask |= c << i
-        return cls(mask)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return _degree(self.mask)
-
-    def is_zero(self) -> bool:
-        return self.mask == 0
-
-    def coeffs(self) -> tuple[int, ...]:
-        """Coefficients lowest degree first; () for the zero polynomial."""
-        return tuple((self.mask >> i) & 1 for i in range(self.mask.bit_length()))
-
-    def __add__(self, other: "Poly2") -> "Poly2":
-        return Poly2(self.mask ^ other.mask)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "Poly2") -> "Poly2":
-        return Poly2(_mul(self.mask, other.mask))
-
-    def __mod__(self, other: "Poly2") -> "Poly2":
-        return Poly2(_mod(self.mask, other.mask))
-
-    def __floordiv__(self, other: "Poly2") -> "Poly2":
-        return Poly2(_divmod(self.mask, other.mask)[0])
-
-    def __divmod__(self, other: "Poly2") -> tuple["Poly2", "Poly2"]:
-        q, r = _divmod(self.mask, other.mask)
-        return Poly2(q), Poly2(r)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly2) and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash(("Poly2", self.mask))
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __str__(self) -> str:
-        if self.mask == 0:
-            return "0"
-        terms = []
-        for i in range(_degree(self.mask), -1, -1):
-            if (self.mask >> i) & 1:
-                terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
-        return " + ".join(terms)
-
-    def __repr__(self) -> str:
-        return f"Poly2({self})"
-
-
-ZERO = Poly2(0)
-ONE = Poly2(1)
-X = Poly2(2)
+def poly_str(p: int) -> str:
+    """p written out, highest degree first: "x^3 + x + 1", "0" for the zero polynomial."""
+    if p == 0:
+        return "0"
+    terms = []
+    for i in range(_degree(p), -1, -1):
+        if (p >> i) & 1:
+            terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
+    return " + ".join(terms)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -149,7 +80,8 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _is_irreducible_mask(p: int) -> bool:
+def is_irreducible(p: int) -> bool:
+    """Irreducibility over F2; constants and the zero polynomial give False."""
     m = _degree(p)
     if m < 1:
         return False
@@ -171,28 +103,13 @@ def _is_irreducible_mask(p: int) -> bool:
     return True
 
 
-def is_irreducible(p: Poly2) -> bool:
-    """Irreducibility over F2; constants and the zero polynomial give False."""
-    return _is_irreducible_mask(p.mask)
-
-
-def irreducibles(degree: int) -> Iterator[Poly2]:
-    """Yield all irreducible polynomials of exactly the given degree."""
+def irreducibles(degree: int) -> Iterator[int]:
+    """Yield all irreducible polynomials of exactly the given degree, ascending."""
     if degree < 1:
         return
-    for mask in range(1 << degree, 1 << (degree + 1)):
-        if _is_irreducible_mask(mask):
-            yield Poly2(mask)
-
-
-def fibonacci_poly(n: int) -> Poly2:
-    """n-th Fibonacci polynomial over F2: F_0 = 0, F_1 = 1, F_{j+1} = x F_j + F_{j-1}."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    a, b = 0, 1  # F_0, F_1
-    for _ in range(n):
-        a, b = b, _mul(2, b) ^ a
-    return Poly2(a)
+    for p in range(1 << degree, 1 << (degree + 1)):
+        if is_irreducible(p):
+            yield p
 
 
 def _fib_pair_mod(n: int, p: int) -> tuple[int, int]:
@@ -218,7 +135,7 @@ def _fib_pair_mod(n: int, p: int) -> tuple[int, int]:
 INDEX_DEGREE_CAP = 32
 
 
-def fibonacci_index(p: Poly2) -> int:
+def fibonacci_index(p: int) -> int:
     """Least n >= 1 such that the irreducible p divides F_n.
 
     For every irreducible p of degree m other than p(x) = x, the index is a
@@ -232,24 +149,23 @@ def fibonacci_index(p: Poly2) -> int:
     invertible matrix.
     """
     if not is_irreducible(p):
-        raise ValueError(f"{p!r} is not irreducible")
-    m = p.degree
+        raise ValueError(f"{poly_str(p)} is not irreducible")
+    m = _degree(p)
     if m > INDEX_DEGREE_CAP:
         raise ValueError(f"degree {m} exceeds the index-query cap {INDEX_DEGREE_CAP}")
-    pm = p.mask
     for n in ((1 << m) - 1, (1 << m) + 1):
-        if _fib_pair_mod(n, pm)[0] == 0:
+        if _fib_pair_mod(n, p)[0] == 0:
             for q in _prime_factors(n):
-                while n % q == 0 and _fib_pair_mod(n // q, pm)[0] == 0:
+                while n % q == 0 and _fib_pair_mod(n // q, p)[0] == 0:
                     n //= q
             return n
     raise ValueError(
-        f"{p!r} divides no F_n with n | 2^{m}-1 or n | 2^{m}+1 "
+        f"{poly_str(p)} divides no F_n with n | 2^{m}-1 or n | 2^{m}+1 "
         "(only p(x) = x falls outside the divisor rule)"
     )
 
 
-def has_index(p: Poly2, n: int) -> bool:
+def has_index(p: int, n: int) -> bool:
     """True iff the Fibonacci index of p is exactly n.
 
     Uses gcd(F_a, F_b) = F_gcd(a,b): the index is n iff p divides F_n but
@@ -259,14 +175,13 @@ def has_index(p: Poly2, n: int) -> bool:
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    pm = p.mask
-    if _fib_pair_mod(n, pm)[0] != 0:
+    if _fib_pair_mod(n, p)[0] != 0:
         return False
-    return all(_fib_pair_mod(n // q, pm)[0] != 0 for q in _prime_factors(n))
+    return all(_fib_pair_mod(n // q, p)[0] != 0 for q in _prime_factors(n))
 
 
 @functools.lru_cache(maxsize=None)
-def stabilizer_char_polys(m: int) -> tuple[Poly2, ...]:
+def stabilizer_char_polys(m: int) -> tuple[int, ...]:
     """All degree-m irreducibles with Fibonacci index 2^m + 1, ascending by mask."""
     target = (1 << m) + 1
     return tuple(p for p in irreducibles(m) if has_index(p, target))

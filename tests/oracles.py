@@ -38,9 +38,15 @@
 - `offdiag_components` and `partition_of` find the tensor factors of one
   standard form, where `entangle.entanglement_vector` runs over the
   affine family in Gray-code order.
+- `standard_forms` lists all d + 1 standard forms of a set, and
+  `class_generators` one 2m x m generator per class, where a
+  `construct.GeneratorSet` holds the m + 1 matrices of the affine family.
+  `encode_symmetric` inverts `backend.decode_symmetric`.
 - `char_poly_bareiss` is det(xI + a) by fraction-free elimination over
   F2[x], where `gf2.char_poly` multiplies the minimal polynomials of
   Krylov chains.
+- `fibonacci_poly` runs the recursion F_(j+1) = x F_j + F_(j-1) in full,
+  where `poly2` reduces it modulo one polynomial by a squaring ladder.
 - `poly_of_matrix` (Horner) and `schmidt_rank` (an SVD across a qubit cut)
   serve the tests that re-derive Fibonacci blocks and factorizability.
 - `class_eigenbasis` reads the joint eigenbasis of one class off the
@@ -84,7 +90,6 @@ from mubforge.gf2 import (
     vstack,
 )
 from mubforge.pauli import MubVerification
-from mubforge.poly2 import Poly2
 
 ORACLE_QUBIT_CAP = 6  # d + 1 eigenbases of d x d, and dense d x d Pauli matrices
 
@@ -138,6 +143,28 @@ def generators_of(m: int, forms) -> list[BitMatrix]:
     """One 2m x m generator per standard form: (I; 0) for Z_BASIS, (M; I) for M."""
     eye, zero = BitMatrix.identity(m), BitMatrix.zero(m)
     return [vstack(eye, zero) if f is Z_BASIS else vstack(f, eye) for f in forms]
+
+
+def standard_forms(gens: GeneratorSet) -> tuple:
+    """Z_BASIS, then A plus basis[k] for each set bit k of i, for i = 0..d - 1."""
+    forms = [gens.A]
+    for r in gens.basis:
+        forms += [f + r for f in forms]
+    return (Z_BASIS, *forms)
+
+
+def class_generators(gens: GeneratorSet) -> list[BitMatrix]:
+    """One 2m x m generator per class of a set, in the order of `standard_forms`."""
+    return generators_of(gens.m, standard_forms(gens))
+
+
+def encode_symmetric(m: int, rows) -> int:
+    """Candidate index of the symmetric matrix with the given row masks."""
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    k = 0
+    for i, j in pairs:
+        k = (k << 1) | ((rows[i] >> j) & 1)
+    return k
 
 
 def class_partition_check(m: int, forms) -> bool:
@@ -198,7 +225,7 @@ def field_closure_check(gens: GeneratorSet) -> bool:
     contain 0 (additive neutral) and I (multiplicative neutral), and be
     pairwise distinct.
     """
-    mats = [f for f in gens.standard_forms if f is not Z_BASIS]
+    mats = [f for f in standard_forms(gens) if f is not Z_BASIS]
     m = gens.m
     table = {f.data for f in mats}
     if len(table) != 1 << m:
@@ -445,8 +472,8 @@ def class_canonical(gen: BitMatrix) -> tuple[int, ...]:
     return tuple(sorted(basis, reverse=True))
 
 
-def char_poly_bareiss(a: BitMatrix) -> Poly2:
-    """Characteristic polynomial det(xI + a) by fraction-free elimination.
+def char_poly_bareiss(a: BitMatrix) -> int:
+    """Characteristic polynomial det(xI + a), as a mask, by fraction-free elimination.
 
     Entries of xI + a live in F2[x] (stored as coefficient masks); Bareiss
     steps keep every division exact, so the result is computed without
@@ -476,18 +503,28 @@ def char_poly_bareiss(a: BitMatrix) -> Poly2:
                 M[i][j] = q
             M[i][k] = 0
         prev = pk
-    return Poly2(M[m - 1][m - 1])
+    return M[m - 1][m - 1]
 
 
-def poly_of_matrix(p: Poly2, a: BitMatrix) -> BitMatrix:
-    """Evaluate p at a square matrix (Horner over F2)."""
+def fibonacci_poly(n: int) -> int:
+    """n-th Fibonacci polynomial over F2 as a mask: F_0 = 0, F_1 = 1, F_(j+1) = x F_j + F_(j-1)."""
+    if n < 0:
+        raise ValueError("index must be non-negative")
+    a, b = 0, 1  # F_0, F_1
+    for _ in range(n):
+        a, b = b, (b << 1) ^ a
+    return a
+
+
+def poly_of_matrix(p: int, a: BitMatrix) -> BitMatrix:
+    """Evaluate the polynomial mask p at a square matrix (Horner over F2)."""
     if not a.is_square():
         raise ValueError("polynomial of a non-square matrix")
     m = a.rows
     acc = BitMatrix.zero(m)
-    for i in range(p.degree, -1, -1):
+    for i in range(p.bit_length() - 1, -1, -1):
         acc = acc * a
-        if (p.mask >> i) & 1:
+        if (p >> i) & 1:
             acc = acc + BitMatrix.identity(m)
     return acc
 
@@ -653,7 +690,7 @@ def mub_from_generators(gens: GeneratorSet) -> list[np.ndarray]:
     The cap is checked before any form is derived, since a set has 2^m of them.
     """
     _check_cap(gens.m)
-    return [class_eigenbasis(g) for g in gens.generators]
+    return [class_eigenbasis(g) for g in class_generators(gens)]
 
 
 def verify_bases(bases: list[np.ndarray], tol: float = 1e-10) -> MubVerification:

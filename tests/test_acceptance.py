@@ -36,18 +36,15 @@ from mubforge.equiv import (
 )
 from mubforge.gf2 import BitMatrix, char_poly, mat_inverse, mat_mul
 from mubforge.pauli import verify_mub
-from mubforge.poly2 import (
-    Poly2,
-    X,
-    fibonacci_index,
-    fibonacci_poly,
-    irreducibles,
-)
+from mubforge.poly2 import _mod, _mul, fibonacci_index, irreducibles
 from oracles import (
+    class_generators,
     class_labels,
+    fibonacci_poly,
     mub_from_generators,
     offdiag_components,
     schmidt_rank,
+    standard_forms,
     verify_bases,
 )
 
@@ -56,11 +53,14 @@ def _report(n: int, label: str) -> None:
     print(f"[acceptance] criterion {n:2d} ({label}): PASS")
 
 
-def _slow_fibonacci_index(p: Poly2, cap: int) -> int | None:
-    a, b = Poly2(0), Poly2(1)
+X = 0b10  # the polynomial x
+
+
+def _slow_fibonacci_index(p: int, cap: int) -> int | None:
+    a, b = 0, 1
     for n in range(1, cap + 1):
-        a, b = b, (X * b + a) % p
-        if a.is_zero():
+        a, b = b, _mod(_mul(X, b) ^ a, p)
+        if a == 0:
             return n
     return None
 
@@ -105,7 +105,7 @@ def test_criterion_02_field_pipeline_m2_to_m5(field_specs):
         C = build_stabilizer(spec)
         assert cyclicity_check(C, d)
         gens = generators(spec)
-        labels = [lab for g in gens.generators for lab in class_labels(g)]
+        labels = [lab for g in class_generators(gens) for lab in class_labels(g)]
         assert len(labels) == len(set(labels)) == (1 << (2 * m)) - 1
         assert bandyopadhyay_check(gens)
         result = verify_mub(spec, tol=1e-10)
@@ -117,10 +117,10 @@ def test_criterion_02_field_pipeline_m2_to_m5(field_specs):
 
 def test_criterion_03_fibonacci_layer():
     expected = {
-        Poly2.from_coeffs([1, 1]): 3,
-        Poly2.from_coeffs([1, 1, 1]): 5,
-        Poly2.from_coeffs([1, 1, 0, 1]): 9,
-        Poly2.from_coeffs([1, 0, 1, 1]): 7,
+        0b11: 3,  # x + 1
+        0b111: 5,  # x^2 + x + 1
+        0b1011: 9,  # x^3 + x + 1
+        0b1101: 7,  # x^3 + x^2 + 1
     }
     for p, idx in expected.items():
         assert _slow_fibonacci_index(p, 20) == idx
@@ -148,7 +148,7 @@ def test_criterion_04_addition_identity():
     F = [fibonacci_poly(n) for n in range(62)]
     for j in range(1, 31):
         for k in range(1, 31):
-            assert F[j] * F[k + 1] + F[j - 1] * F[k] == F[j + k]
+            assert _mul(F[j], F[k + 1]) ^ _mul(F[j - 1], F[k]) == F[j + k]
     _report(4, "addition identity F_{j+k} = F_j F_{k+1} + F_{j-1} F_k, j,k <= 30")
 
 
@@ -179,7 +179,7 @@ def test_criterion_06_partition_oracle_agreement(field_specs, group3, semigroup4
         m = spec.m
         gens = generators(spec)
         bases = mub_from_generators(gens)
-        for gen, form, basis in zip(gens.generators, gens.standard_forms, bases):
+        for gen, form, basis in zip(class_generators(gens), standard_forms(gens), bases):
             blocks = (
                 [(q,) for q in range(m)]
                 if form is Z_BASIS

@@ -327,20 +327,35 @@ class TestEquiv:
         assert res.returncode == 2
         assert "different qubit counts" in res.stderr
 
-    def test_alternating_symmetrizer_is_a_verdict(self, spec_files, monkeypatch, capsys):
-        # No validated spec has an alternating R at m <= 4, so gram_factor is
-        # made to report one.
-        monkeypatch.setattr(equiv, "gram_factor", lambda R: None)
-        assert cli.main(["equiv", str(spec_files["field3"]), str(spec_files["group3"])]) == 0
-        assert capsys.readouterr().out == (
-            '{\n  "equivalent": false,\n  "not_expressible": true,\n  "reason": '
-            '"symmetrizer is alternating (zero diagonal): no Gram factorization exists"\n}\n'
-        )
+    def test_identical_invalid_specs_fail(self, spec_files, capsys):
+        bad = str(spec_files["bad_index"])
+        assert cli.main(["equiv", bad, bad]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "fibonacci-index" in err
+
+    def test_validates_each_spec_once(self, tmp_path, monkeypatch, capsys):
+        paths = []
+        for kind in ("group", "semigroup"):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(next(iter(search_specs(5, kind, 1, seed=1))).to_json())
+            paths.append(str(path))
+        calls = []
+        validate = StabilizerSpec.validate
+
+        def counting(spec):
+            calls.append(spec.kind)
+            validate(spec)
+
+        monkeypatch.setattr(StabilizerSpec, "validate", counting)
+        assert cli.main(["equiv", *paths]) == 0
+        assert json.loads(capsys.readouterr().out)["equivalent"] is True
+        assert calls == ["group", "semigroup"]
 
     def test_internal_failure_exits_2(self, spec_files, monkeypatch, capsys):
         # field3 and group3 share their anchor's polynomial, so the map is
         # composed and checked against both sets' classes.
-        def broken(spec):
+        def broken(spec, C):
             raise StandardFormError("orbit step 1 leaves A + F2[B] R")
 
         monkeypatch.setattr(equiv, "generators", broken)

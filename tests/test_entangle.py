@@ -17,7 +17,14 @@ from mubforge.construct import (
 )
 from mubforge.entangle import EntanglementVector, entanglement_vector, partitions_of
 from mubforge.gf2 import BitMatrix, mat_mul
-from oracles import class_eigenbasis, offdiag_components, partition_of, schmidt_rank
+from oracles import (
+    class_eigenbasis,
+    class_generators,
+    offdiag_components,
+    partition_of,
+    schmidt_rank,
+    standard_forms,
+)
 
 
 def field_spec(m):
@@ -105,7 +112,7 @@ class TestEntanglementVector:
         for spec in search_specs(m, kind, 1, seed=seed):
             gens = generators(spec)
             ent = entanglement_vector(gens)
-            hist = Counter(partition_of(f, m) for f in gens.standard_forms)
+            hist = Counter(partition_of(f, m) for f in standard_forms(gens))
             assert ent.counts == tuple(hist[p] for p in ent.partitions)
 
     def test_json_dict(self):
@@ -149,7 +156,7 @@ class TestOracleAgreement:
     def test_partition_valid_and_minimal(self, kind, m):
         spec = next(iter(search_specs(m, kind, 1)))
         gens = generators(spec)
-        for gen, form in zip(gens.generators, gens.standard_forms):
+        for gen, form in zip(class_generators(gens), standard_forms(gens)):
             partition_sizes = partition_of(form, m)
             # Reconstruct the actual blocks (not just their sizes).
             if form is Z_BASIS or not isinstance(form, BitMatrix):

@@ -37,9 +37,11 @@ from mubforge.gf2 import (
 from mubforge.poly2 import is_irreducible
 from oracles import (
     class_canonical,
+    class_generators,
     generators_of,
     is_polynomial_in,
     orthogonal_intertwiner_scan,
+    standard_forms,
     transport_forms,
 )
 
@@ -105,25 +107,25 @@ class TestGramFactor:
         assert gram_factor(BitMatrix.identity(3)) == BitMatrix.identity(3)
 
     def test_alternating_two_by_two(self):
-        assert gram_factor(BitMatrix.from_rows([[0, 1], [1, 0]])) is None
+        with pytest.raises(ValueError, match="alternating"):
+            gram_factor(BitMatrix.from_rows([[0, 1], [1, 0]]))
 
     def test_patch_case(self):
         # Naive diagonalization strands an alternating residue here, yet the
         # factorization exists; the hyperbolic patch must recover it.
         R = BitMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
         s = gram_factor(R)
-        assert s is not None and is_invertible(s)
+        assert is_invertible(s)
         assert mat_mul(s.transpose(), s) == R
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_exhaustive_sweep(self, m):
         for R in sym_invertible_matrices(m):
-            alternating = all(R[i, i] == 0 for i in range(m))
-            s = gram_factor(R)
-            if alternating:
-                assert s is None
+            if all(R[i, i] == 0 for i in range(m)):  # alternating
+                with pytest.raises(ValueError, match="alternating"):
+                    gram_factor(R)
             else:
-                assert s is not None
+                s = gram_factor(R)
                 assert is_invertible(s)
                 assert mat_mul(s.transpose(), s) == R
 
@@ -137,7 +139,7 @@ class TestTransport:
         gens = generators(next(iter(search_specs(2, "field", 1))))
         moved = transport(SymplecticMap.identity(2), gens)
         assert classes_equal(moved, gens)
-        assert moved.standard_forms == gens.standard_forms
+        assert standard_forms(moved) == standard_forms(gens)
 
     def test_triangular_transport_makes_semigroup_classes(self):
         # f = [[u, t], [0, (u^t)^-1]] carries the field set of u^-1 B u onto
@@ -188,8 +190,8 @@ class TestTransport:
         for spec in search_specs(m, kind, 1, seed=seed):
             gens = generators(spec)
             moved = transport(f, gens)
-            oracle = generators_of(m, transport_forms(f, m, gens.standard_forms))
-            assert sorted(map(class_canonical, moved.generators)) == sorted(
+            oracle = generators_of(m, transport_forms(f, m, standard_forms(gens)))
+            assert sorted(map(class_canonical, class_generators(moved))) == sorted(
                 map(class_canonical, oracle)
             )
 
@@ -270,8 +272,8 @@ class TestClassesEqual:
         outcomes = set()
         for a in sets:
             for b in sets:
-                oracle = sorted(map(class_canonical, a.generators)) == sorted(
-                    map(class_canonical, b.generators)
+                oracle = sorted(map(class_canonical, class_generators(a))) == sorted(
+                    map(class_canonical, class_generators(b))
                 )
                 assert classes_equal(a, b) == oracle
                 outcomes.add(oracle)
@@ -283,8 +285,8 @@ class TestClassesEqual:
         zero, eye = BitMatrix.zero(2), BitMatrix.identity(2)
         a = GeneratorSet(2, zero, (eye, zero))
         b = GeneratorSet(2, zero, (zero, zero))
-        assert sorted(map(class_canonical, a.generators)) != sorted(
-            map(class_canonical, b.generators)
+        assert sorted(map(class_canonical, class_generators(a))) != sorted(
+            map(class_canonical, class_generators(b))
         )
         assert not classes_equal(a, b)
         assert not classes_equal(b, a)
@@ -293,9 +295,32 @@ class TestClassesEqual:
     def test_canonical_form_ignores_column_operations(self):
         rng = random.Random(13)
         gens = generators(next(iter(search_specs(2, "field", 1))))
-        for gen in gens.generators:
+        for gen in class_generators(gens):
             w = random_invertible(rng, 2)
             assert class_canonical(gen) == class_canonical(mat_mul(gen, w))
+
+
+class TestAlternatingSymmetrizer:
+    """No valid spec has an alternating R, as the `equiv` module docstring proves.
+
+    With R alternating and B R = S symmetric, char(B) = det(x R + S) lies in
+    F2[x^2], a square, so it is never irreducible at m >= 2.
+    """
+
+    @pytest.mark.parametrize("m,count", [(2, 1), (4, 28)])
+    def test_char_poly_has_no_odd_term(self, m, count):
+        from mubforge.backend import decode_symmetric
+
+        alternating = [
+            R for R in sym_invertible_matrices(m) if all(R[i, i] == 0 for i in range(m))
+        ]
+        assert len(alternating) == count
+        odd_terms = 0xAAAA  # x, x^3, x^5, ...
+        for R in alternating:
+            r_inv = mat_inverse(R)
+            for k in range(1 << (m * (m + 1) // 2)):
+                S = BitMatrix(m, m, decode_symmetric(m, k))
+                assert char_poly(mat_mul(S, r_inv)) & odd_terms == 0
 
 
 class TestFieldAnchor:

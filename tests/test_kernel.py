@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 from mubforge import backend, cli
 from mubforge.gf2 import BitMatrix, char_poly
 from mubforge.poly2 import fibonacci_index, stabilizer_char_polys
-
-
-def good_masks(m):
-    return tuple(p.mask for p in stabilizer_char_polys(m))
+from oracles import encode_symmetric
 
 
 def annihilates(rows, poly, m):
@@ -54,7 +51,7 @@ class TestEncoding:
             for _ in range(20):
                 k = rng.getrandbits(n)
                 rows = backend.decode_symmetric(m, k)
-                assert backend.encode_symmetric(m, rows) == k
+                assert encode_symmetric(m, rows) == k
                 mat_sym = all(
                     ((rows[i] >> j) & 1) == ((rows[j] >> i) & 1)
                     for i in range(m)
@@ -72,11 +69,11 @@ class TestEncoding:
 
 class TestScan:
     def test_scan_single_qubit(self):
-        assert backend.scan_symmetric(1, good_masks(1), 0, 2) == [1]
+        assert backend.scan_symmetric(1, stabilizer_char_polys(1), 0, 2) == [1]
 
     def test_scan_finds_valid_matrices(self):
         m = 3
-        hits = backend.scan_symmetric(m, good_masks(m), 0, 1 << 6)
+        hits = backend.scan_symmetric(m, stabilizer_char_polys(m), 0, 1 << 6)
         assert hits
         for k in hits:
             B = BitMatrix(m, m, backend.decode_symmetric(m, k))
@@ -85,7 +82,7 @@ class TestScan:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_full_space_matches_oracle(self, m):
         total = 1 << (m * (m + 1) // 2)
-        polys = good_masks(m)
+        polys = stabilizer_char_polys(m)
         assert backend.scan_symmetric(m, polys, 0, total) == horner_scan(m, polys, 0, total)
 
     @settings(max_examples=40, deadline=None)
@@ -94,7 +91,7 @@ class TestScan:
         total = 1 << (m * (m + 1) // 2)
         start = data.draw(st.integers(0, total))
         stop = data.draw(st.integers(start, min(start + 400, total)))
-        polys = good_masks(m)
+        polys = stabilizer_char_polys(m)
         assert backend.scan_symmetric(m, polys, start, stop) == horner_scan(m, polys, start, stop)
 
     @pytest.mark.parametrize("m", [6, 12])
@@ -103,11 +100,11 @@ class TestScan:
         # oracle there is the characteristic polynomial itself.
         block = 1 << backend.BLOCK_BITS
         start = random.Random(m).getrandbits(m * (m + 1) // 2) // block * block + block - 300
-        polys = good_masks(m)
+        polys = stabilizer_char_polys(m)
         expected = [
             k
             for k in range(start, start + 600)
-            if char_poly(BitMatrix(m, m, backend.decode_symmetric(m, k))).mask in polys
+            if char_poly(BitMatrix(m, m, backend.decode_symmetric(m, k))) in polys
         ]
         assert expected
         assert backend.scan_symmetric(m, polys, start, start + 600) == expected
@@ -116,7 +113,7 @@ class TestScan:
         # The one full space no oracle test covers: its 2^21 candidates give
         # 92,160 hits, hashed as comma-separated indices with the earlier
         # numpy kernel.
-        hits = backend.scan_symmetric(6, good_masks(6), 0, 1 << 21)
+        hits = backend.scan_symmetric(6, stabilizer_char_polys(6), 0, 1 << 21)
         assert len(hits) == 92160
         digest = hashlib.sha256(",".join(map(str, hits)).encode()).hexdigest()
         assert digest == "58d9d48683e254a26986e5d0c0e4fa7b330c39ee22dc187fc1309da9d87b0d3c"

@@ -27,12 +27,14 @@ from oracles import (
     ORACLE_QUBIT_CAP,
     PauliLabel,
     class_eigenbasis,
+    class_generators,
     class_labels,
     dense_class_eigenbasis,
     mub_from_generators,
     orbit_forms,
     pauli_matrix,
     schmidt_rank,
+    standard_forms,
     symplectic_product,
     verify_bases,
 )
@@ -133,7 +135,7 @@ class TestClassEigenbasis:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_diagonalizes_all_class_operators(self, m):
         gens = field_gens(m)
-        for gen in gens.generators:
+        for gen in class_generators(gens):
             basis = class_eigenbasis(gen)
             for packed in class_labels(gen):
                 op = pauli_matrix(PauliLabel.from_bits(m, packed))
@@ -143,8 +145,8 @@ class TestClassEigenbasis:
 
     def test_deterministic(self):
         gens = field_gens(2)
-        first = [class_eigenbasis(g) for g in gens.generators]
-        second = [class_eigenbasis(g) for g in gens.generators]
+        first = [class_eigenbasis(g) for g in class_generators(gens)]
+        second = [class_eigenbasis(g) for g in class_generators(gens)]
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
@@ -157,14 +159,14 @@ class TestClassEigenbasis:
     def test_matches_dense_projector_oracle(self, kind, m, seed):
         # Exact dyadic arithmetic on both sides: equal bit for bit, not up to a tolerance.
         for spec in search_specs(m, kind, 1, seed=seed):
-            for gen in generators(spec).generators:
+            for gen in class_generators(generators(spec)):
                 assert np.array_equal(class_eigenbasis(gen), dense_class_eigenbasis(gen))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_dense_projector_oracle_at_cap(self, kind):
         # About 3.5 s per set for the dense oracle.
         spec = next(iter(search_specs(ORACLE_QUBIT_CAP, kind, 1, seed=1)))
-        for gen in generators(spec).generators:
+        for gen in class_generators(generators(spec)):
             assert np.array_equal(class_eigenbasis(gen), dense_class_eigenbasis(gen))
 
     def test_cap_at_seven_qubits(self):
@@ -246,7 +248,7 @@ class TestGeneratorPowers:
         spec = next(search_specs(m, kind))
         d = spec.d
         gens = generators(spec)
-        forms = gens.standard_forms
+        forms = standard_forms(gens)
         bases = mub_from_generators(gens)
         orbit = orbit_forms(build_stabilizer(spec), d)
         powers = [np.eye(d, dtype=complex), *generator_powers(spec, d + 1)]
