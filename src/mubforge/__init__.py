@@ -31,8 +31,6 @@ from .equiv import (
     SymplecticMap,
     classes_equal,
     equivalence_map,
-    field_anchor,
-    gram_factor,
     is_symplectic,
     symplectic_form,
     transport,

@@ -334,19 +334,6 @@ def vstack(top: BitMatrix, bottom: BitMatrix) -> BitMatrix:
     return BitMatrix(top.rows + bottom.rows, top.cols, top.data + bottom.data)
 
 
-def blocks_of(a: BitMatrix) -> tuple[BitMatrix, BitMatrix, BitMatrix, BitMatrix]:
-    """Split a 2m x 2m matrix into its four m x m blocks."""
-    if a.rows != a.cols or a.rows % 2:
-        raise ValueError("expected an even-sized square matrix")
-    m = a.rows // 2
-    lo = (1 << m) - 1
-    ul = BitMatrix(m, m, (a.data[i] & lo for i in range(m)))
-    ur = BitMatrix(m, m, (a.data[i] >> m for i in range(m)))
-    ll = BitMatrix(m, m, (a.data[m + i] & lo for i in range(m)))
-    lr = BitMatrix(m, m, (a.data[m + i] >> m for i in range(m)))
-    return ul, ur, ll, lr
-
-
 def upper_block(g: BitMatrix) -> BitMatrix:
     """Top half of a stacked 2m x m generator."""
     if g.rows != 2 * g.cols:

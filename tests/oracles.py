@@ -31,10 +31,16 @@
 - `transport_forms` maps every class generator by any symplectic f and
   takes standard forms, where `equiv.transport` maps the affine family of
   a set by a block-triangular f in closed form.
-- `orthogonal_intertwiner_scan` enumerates the solution space of
-  w a = b w (a `nullspace`) for an orthogonal member, where
-  `equiv._orthogonal_intertwiner` computes the unique one from Krylov
-  matrices.
+- `intertwiner_scan` enumerates the solution space of s B_a = B_b s
+  (a `nullspace`) for every invertible s with s R_a s^t = R_b, where
+  `equiv._intertwiner` computes the unique one from Krylov matrices.
+- `gram_factor`, `field_anchor` and `anchored_equivalence_map` are the
+  path `equiv.equivalence_map` replaced: a Gram factor of each R, one
+  field anchor per spec, the orthogonal intertwiner w of the two anchors,
+  and fb w fa^-1 composed from 2m x 2m products, where `equivalence_map`
+  builds [[s, t], [0, s^-t]] from one intertwiner of the specs themselves.
+  The `gram_factor` docstring proves that no valid spec has an
+  alternating R.
 - `offdiag_components` and `partition_of` find the tensor factors of one
   standard form, where `entangle.entanglement_vector` runs over the
   affine family in Gray-code order.
@@ -63,6 +69,7 @@ The label and walk oracles cost O(4^m) and O(d) steps, so tests use them
 for m <= 8.  The numeric oracles stop at ORACLE_QUBIT_CAP = 6.
 """
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -77,7 +84,7 @@ from mubforge.construct import (
     _vec,
     standard_form,
 )
-from mubforge.equiv import SymplecticMap, is_symplectic
+from mubforge.equiv import SymplecticMap, classes_equal, is_symplectic, transport
 from mubforge.gf2 import (
     BitMatrix,
     _echelon,
@@ -372,27 +379,27 @@ def nullspace(coeff: BitMatrix) -> list[int]:
     return basis
 
 
-def orthogonal_intertwiner_scan(a: BitMatrix, b: BitMatrix) -> BitMatrix | None:
-    """First w (deterministic order) with w a w^-1 = b and w w^t = I.
+def intertwiner_scan(a: StabilizerSpec, b: StabilizerSpec) -> list[BitMatrix]:
+    """Every invertible s with s B_a s^-1 = B_b and s R_a s^t = R_b, in a fixed order.
 
     Enumerates all 2^k - 1 nonzero members of the solution space of
-    w a = b w, whose dimension k is m or 0 for anchors with irreducible
-    characteristic polynomials.
+    s B_a = B_b s, whose dimension k is m or 0 when the characteristic
+    polynomials are irreducible.
     """
-    m = a.rows
+    m = a.m
     n = m * m
     rows = []
     for i in range(m):
         for j in range(m):
             mask = 0
             for k in range(m):
-                if a[k, j]:
-                    mask ^= 1 << (i * m + k)  # w_ik a_kj
-                if b[i, k]:
-                    mask ^= 1 << (k * m + j)  # b_ik w_kj
+                if a.B[k, j]:
+                    mask ^= 1 << (i * m + k)  # s_ik (B_a)_kj
+                if b.B[i, k]:
+                    mask ^= 1 << (k * m + j)  # (B_b)_ik s_kj
             rows.append(mask)
     basis = nullspace(BitMatrix(len(rows), n, rows))
-    eye = BitMatrix.identity(m)
+    found = []
     for mask in range(1, 1 << len(basis)):
         bits = 0
         mm = mask
@@ -400,10 +407,139 @@ def orthogonal_intertwiner_scan(a: BitMatrix, b: BitMatrix) -> BitMatrix | None:
             low = mm & -mm
             bits ^= basis[low.bit_length() - 1]
             mm ^= low
-        w = BitMatrix(m, m, ((bits >> (i * m)) & ((1 << m) - 1) for i in range(m)))
-        if is_invertible(w) and mat_mul(w, w.transpose()) == eye:
-            return w
-    return None
+        s = BitMatrix(m, m, ((bits >> (i * m)) & ((1 << m) - 1) for i in range(m)))
+        if is_invertible(s) and mat_mul(mat_mul(s, a.R), s.transpose()) == b.R:
+            found.append(s)
+    return found
+
+
+def gram_factor(R: BitMatrix) -> BitMatrix:
+    """Invertible s with s^t s = R; ValueError when R is alternating.
+
+    Builds a basis orthonormal with respect to the bilinear form R.  When the
+    remaining form turns alternating mid-way, one previously extracted unit
+    vector is combined with a hyperbolic pair and the 3-dimensional patch is
+    re-diagonalized; a nondegenerate symmetric form over F2 fails this
+    process only when it is alternating from the start (zero diagonal), and
+    such forms genuinely admit no Gram factorization: every column of s would
+    need even weight, making s singular.
+
+    No valid spec has an alternating R: then char(B) = det(x R + B R), as
+    det R = 1, and N = x R + B R is symmetric over F2[x] with a constant
+    diagonal.  In characteristic 2 the Leibniz terms of a permutation and
+    its inverse cancel unless it is an involution, which contributes the
+    constants N_ii times N_ij^2 = x^2 R_ij + (B R)_ij over its 2-cycles.  So
+    char(B) lies in F2[x^2], a square, and is reducible for m >= 2; at
+    m = 1 the only alternating matrix is 0.
+    """
+    if not R.is_symmetric() or not is_invertible(R):
+        raise ValueError("Gram factorization needs a symmetric invertible matrix")
+    m = R.rows
+
+    def form_bits(x: int, y: int) -> int:
+        acc = 0
+        xx = x
+        while xx:
+            low = xx & -xx
+            acc ^= bin(R.data[low.bit_length() - 1] & y).count("1") & 1
+            xx ^= low
+        return acc
+
+    pool = [1 << i for i in range(m)]
+    units: list[int] = []
+    while pool:
+        idx = next((i for i, w in enumerate(pool) if form_bits(w, w)), None)
+        if idx is not None:
+            b = pool.pop(idx)
+            pool = [w ^ b if form_bits(w, b) else w for w in pool]
+            units.append(b)
+            continue
+        if not units:
+            raise ValueError("symmetrizer is alternating (zero diagonal): no Gram factor exists")
+        a = pool.pop(0)
+        j = next(i for i, w in enumerate(pool) if form_bits(a, w))
+        c = pool.pop(j)
+        pool = [
+            w ^ (a if form_bits(w, c) else 0) ^ (c if form_bits(w, a) else 0) for w in pool
+        ]
+        v = units.pop()
+        # Gram of (v, a, c) is [[1,0,0],[0,0,1],[0,1,0]]; re-orthonormalize the patch.
+        combos = [v ^ a, v ^ c, v ^ a ^ c, v, a, c, a ^ c]
+        repaired = next(
+            (
+                trio
+                for trio in itertools.combinations(combos, 3)
+                if all(form_bits(x, x) for x in trio)
+                and not any(form_bits(x, y) for x, y in itertools.combinations(trio, 2))
+                and rank(BitMatrix(3, m, trio)) == 3
+            ),
+            None,
+        )
+        assert repaired is not None, "hyperbolic patch must re-diagonalize"
+        units.extend(repaired)
+    # Columns of Q are the orthonormal basis vectors; then Q^t R Q = I,
+    # so s = Q^-1 satisfies s^t s = R.
+    q = BitMatrix(m, m, (sum(((units[j] >> i) & 1) << j for j in range(m)) for i in range(m)))
+    return mat_inverse(q)
+
+
+def field_anchor(spec: StabilizerSpec) -> tuple[SymplecticMap, StabilizerSpec]:
+    """Triangular f and field spec whose transport reproduces spec's classes.
+
+    For group/semigroup specs, u = (gram factor)^t gives u u^t = R, the
+    anchor matrix is B_f = u^-1 B u (symmetric exactly because B R is), and
+    t = A u^-t.  Expects a validated spec, whose R has a Gram factor (see
+    `gram_factor`).
+    """
+    if spec.kind == "field":
+        return SymplecticMap.identity(spec.m), spec
+    u = gram_factor(spec.R).transpose()
+    u_inv = mat_inverse(u)
+    anchor_B = mat_mul(mat_mul(u_inv, spec.B), u)
+    t = mat_mul(spec.A, u_inv.transpose())
+    f = SymplecticMap.triangular(u, t)
+    return f, StabilizerSpec.field(anchor_B)
+
+
+def _map_of(f: BitMatrix) -> SymplecticMap:
+    """The four m x m blocks of a 2m x 2m matrix."""
+    m = f.rows // 2
+    low = (1 << m) - 1
+    top, bottom = f.data[:m], f.data[m:]
+    return SymplecticMap(
+        BitMatrix(m, m, (r & low for r in top)),
+        BitMatrix(m, m, (r >> m for r in top)),
+        BitMatrix(m, m, (r & low for r in bottom)),
+        BitMatrix(m, m, (r >> m for r in bottom)),
+    )
+
+
+def anchored_equivalence_map(
+    a: StabilizerSpec, b: StabilizerSpec
+) -> tuple[SymplecticMap | None, str]:
+    """`equiv.equivalence_map` through field anchors: fb w fa^-1 on 2m x 2m matrices.
+
+    w is the orthogonal intertwiner of the two anchors, read off
+    `intertwiner_scan`, and fa^-1 a 2m x 2m inverse.  Expects validated
+    specs.
+    """
+    if a.m != b.m:
+        raise ValueError("qubit count mismatch")
+    if a.to_json_dict() == b.to_json_dict():
+        return SymplecticMap.identity(a.m), "identical specs"
+    fa, anchor_a = field_anchor(a)
+    fb, anchor_b = field_anchor(b)
+    ws = intertwiner_scan(anchor_a, anchor_b)
+    if not ws:
+        return None, "field anchors are not orthogonally conjugate (distinct class families)"
+    w = ws[0]
+    zero = BitMatrix.zero(a.m)
+    w_map = SymplecticMap(w, zero, zero, mat_inverse(w.transpose()))
+    f = _map_of(mat_mul(mat_mul(fb.matrix, w_map.matrix), mat_inverse(fa.matrix)))
+    gens_a = construct.generators(a)
+    if not classes_equal(transport(f, gens_a), construct.generators(b)):
+        return None, "transport failed to reproduce the target classes"
+    return f, "transport reproduces the target classes"
 
 
 def offdiag_components(a: BitMatrix) -> list[tuple[int, ...]]:

@@ -6,7 +6,6 @@ marks the criterion FAILED.  Existence statements are settled by search and
 reported, never presumed.
 """
 
-import json
 import subprocess
 import sys
 
@@ -28,19 +27,19 @@ from mubforge.entangle import entanglement_vector
 from mubforge.equiv import (
     SymplecticMap,
     classes_equal,
-    field_anchor,
-    gram_factor,
     is_symplectic,
     symplectic_form,
     transport,
 )
-from mubforge.gf2 import BitMatrix, char_poly, mat_inverse, mat_mul
+from mubforge.gf2 import BitMatrix, mat_inverse, mat_mul
 from mubforge.pauli import verify_mub
 from mubforge.poly2 import _mod, _mul, fibonacci_index, irreducibles
 from oracles import (
     class_generators,
     class_labels,
     fibonacci_poly,
+    field_anchor,
+    gram_factor,
     mub_from_generators,
     offdiag_components,
     schmidt_rank,

@@ -1,4 +1,4 @@
-"""Symplectic maps, Gram factorization, transport, and class equality."""
+"""Symplectic maps, transport, class equality, intertwiners and equivalence maps."""
 
 import random
 
@@ -11,17 +11,16 @@ from mubforge.construct import (
     GeneratorSet,
     StabilizerSpec,
     StandardFormError,
+    _derived_seed,
     bandyopadhyay_check,
     generators,
     search_specs,
 )
 from mubforge.equiv import (
     SymplecticMap,
-    _orthogonal_intertwiner,
+    _intertwiner,
     classes_equal,
     equivalence_map,
-    field_anchor,
-    gram_factor,
     is_symplectic,
     symplectic_form,
     transport,
@@ -32,15 +31,17 @@ from mubforge.gf2 import (
     is_invertible,
     mat_inverse,
     mat_mul,
-    rank,
 )
 from mubforge.poly2 import is_irreducible
 from oracles import (
+    anchored_equivalence_map,
     class_canonical,
     class_generators,
+    field_anchor,
     generators_of,
+    gram_factor,
+    intertwiner_scan,
     is_polynomial_in,
-    orthogonal_intertwiner_scan,
     standard_forms,
     transport_forms,
 )
@@ -71,6 +72,29 @@ def random_anchor(rng, m):
             return a
 
 
+def same_seed_specs(m, seed):
+    """Field spec, field anchor, group spec and semigroup spec of one seed.
+
+    The anchor is the field spec the group and semigroup search of seed starts
+    from.  The group and semigroup specs are conjugates of the anchor, so they share
+    its char(B); the first field spec may not.  Group specs start at m = 3
+    and semigroup specs at m = 4.
+    """
+    specs = [
+        next(search_specs(m, "field", seed=seed)),
+        next(search_specs(m, "field", seed=_derived_seed(seed, 0xA5))),
+    ]
+    for kind in ("group", "semigroup"):
+        specs += search_specs(m, kind, 1, seed=seed)
+    return specs
+
+
+def swap_map(m):
+    """J = [[0, I], [I, 0]] as a map."""
+    zero, eye = BitMatrix.zero(m), BitMatrix.identity(m)
+    return SymplecticMap(zero, eye, eye, zero)
+
+
 def sym_invertible_matrices(m):
     from mubforge.backend import decode_symmetric
 
@@ -94,8 +118,9 @@ class TestIsSymplectic:
             assert is_symplectic(f)
 
     def test_swap_form(self):
-        J = symplectic_form(2)
-        assert is_symplectic(SymplecticMap.from_matrix(J))
+        J = swap_map(2)
+        assert J.matrix == symplectic_form(2)
+        assert is_symplectic(J)
 
     def test_singular_blocks_rejected(self):
         eye = BitMatrix.identity(2)
@@ -200,7 +225,7 @@ class TestTransport:
         # under the swap map; that failure must surface, not be patched.
         m = 2
         M = BitMatrix.from_rows([[1, 0], [0, 0]])
-        J = SymplecticMap.from_matrix(symplectic_form(m))
+        J = swap_map(m)
         with pytest.raises(StandardFormError):
             transport_forms(J, m, [M])
 
@@ -208,7 +233,7 @@ class TestTransport:
         # The closed form covers block-triangular maps only; the swap map is
         # symplectic but has a nonzero lower-left block.
         gens = generators(next(search_specs(2, "field")))
-        J = SymplecticMap.from_matrix(symplectic_form(2))
+        J = swap_map(2)
         with pytest.raises(ValueError, match="block-triangular"):
             transport(J, gens)
 
@@ -301,7 +326,7 @@ class TestClassesEqual:
 
 
 class TestAlternatingSymmetrizer:
-    """No valid spec has an alternating R, as the `equiv` module docstring proves.
+    """No valid spec has an alternating R, as the `oracles.gram_factor` docstring proves.
 
     With R alternating and B R = S symmetric, char(B) = det(x R + S) lies in
     F2[x^2], a square, so it is never irreducible at m >= 2.
@@ -353,7 +378,7 @@ class TestFieldAnchor:
 
 
 class TestOrthogonalIntertwiner:
-    """The closed form against enumeration of the intertwiner space."""
+    """The closed form on field specs against enumeration of the intertwiner space."""
 
     @settings(max_examples=40, deadline=None)
     @given(m=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
@@ -365,9 +390,9 @@ class TestOrthogonalIntertwiner:
         b = random_anchor(rng, m)
         while char_poly(b) != char_poly(a):
             b = random_anchor(rng, m)
-        w = _orthogonal_intertwiner(a, b)
+        w = _intertwiner(StabilizerSpec.field(a), StabilizerSpec.field(b))
         assert w is not None
-        assert w == orthogonal_intertwiner_scan(a, b)
+        assert [w] == intertwiner_scan(StabilizerSpec.field(a), StabilizerSpec.field(b))
         assert mat_mul(w, a) == mat_mul(b, w)
         assert mat_mul(w, w.transpose()) == BitMatrix.identity(m)
 
@@ -375,13 +400,34 @@ class TestOrthogonalIntertwiner:
     @given(m=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
     def test_distinct_char_polys(self, m, seed):
         rng = random.Random(seed)
-        a = random_anchor(rng, m)
-        b = random_anchor(rng, m)
-        if char_poly(a) != char_poly(b):
-            assert _orthogonal_intertwiner(a, b) is None
-            assert orthogonal_intertwiner_scan(a, b) is None
+        a = StabilizerSpec.field(random_anchor(rng, m))
+        b = StabilizerSpec.field(random_anchor(rng, m))
+        if char_poly(a.B) != char_poly(b.B):
+            assert _intertwiner(a, b) is None
+            assert intertwiner_scan(a, b) == []
         else:
-            assert _orthogonal_intertwiner(a, b) == orthogonal_intertwiner_scan(a, b)
+            assert [_intertwiner(a, b)] == intertwiner_scan(a, b)
+
+
+class TestIntertwiner:
+    """Exactly one s with s B_a s^-1 = B_b and s R_a s^t = R_b, for every kind."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_unique_and_closed_form(self, m, seed):
+        specs = same_seed_specs(m, seed)
+        assert len(specs) == 2 + (m >= 3) + (m >= 4)
+        for a in specs:
+            for b in specs:
+                found = intertwiner_scan(a, b)
+                if char_poly(a.B) == char_poly(b.B):
+                    assert found == [_intertwiner(a, b)]
+                    s = found[0]
+                    assert mat_mul(s, a.B) == mat_mul(b.B, s)
+                    assert mat_mul(mat_mul(s, a.R), s.transpose()) == b.R
+                else:
+                    assert found == [] and _intertwiner(a, b) is None
+        assert all(len(intertwiner_scan(specs[1], spec)) == 1 for spec in specs[2:])
 
 
 class TestEquivalenceMap:
@@ -430,3 +476,19 @@ class TestEquivalenceMap:
         )
         assert f is None
         assert "not orthogonally conjugate" in reason
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_matches_anchored_oracle(self, m, seed):
+        # Every ordered kind pair, and equivalent non-identical pairs from
+        # m = 3 on.
+        specs = same_seed_specs(m, seed)
+        reasons = set()
+        for a in specs:
+            for b in specs:
+                f, reason = equivalence_map(a, b)
+                f_oracle, reason_oracle = anchored_equivalence_map(a, b)
+                assert reason == reason_oracle
+                assert (f and f.matrix) == (f_oracle and f_oracle.matrix)
+                reasons.add(reason)
+        assert m < 3 or "transport reproduces the target classes" in reasons
