@@ -484,7 +484,7 @@ def _field_hits(m: int, seed: int | None) -> Iterator[int]:
             continue
         drawn.add(k)
         p = char_poly(BitMatrix(m, m, backend.decode_symmetric(m, k)))
-        if poly2.is_irreducible(p) and poly2.has_index(p, target):
+        if p & 1 and poly2.is_irreducible(p) and poly2.fibonacci_index(p) == target:
             yield k
 
 
@@ -505,9 +505,9 @@ def _iter_conjugators(m: int, seed: int | None) -> Iterator[tuple[Rows, Rows]]:
     any row in the span of the rows above it, so every u it yields is
     invertible and no rank test is needed.  The span is kept as a dict
     from each vector v to its coordinates c in the rows so far (v = c u),
-    so row j of u^-1 is the coordinate mask of e_j.  Sampling runs
-    Gauss-Jordan on [u | I] for each new draw, which decides invertibility
-    and gives u^-1 in one elimination.
+    so row j of u^-1 is the coordinate mask of e_j.  Sampling reduces the
+    rows of each new draw, tagged with their indices, which decides
+    invertibility and gives u^-1 in one elimination (`gf2._inverse_rows`).
     """
     if seed is None:
         if m > EXHAUSTIVE_CONJ_CAP:

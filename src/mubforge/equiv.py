@@ -67,11 +67,6 @@ class SymplecticMap(NamedTuple):
         zero = BitMatrix.zero(m)
         return cls(eye, zero, zero, eye)
 
-    @classmethod
-    def triangular(cls, u: BitMatrix, t: BitMatrix) -> "SymplecticMap":
-        """f = [[u, t], [0, (u^t)^-1]]; symplectic iff u^-1 t is symmetric."""
-        return cls(u, t, BitMatrix.zero(u.rows), mat_inverse(u.transpose()))
-
 
 def symplectic_form(m: int) -> BitMatrix:
     """J = [[0, I], [I, 0]]."""

@@ -3,9 +3,10 @@
 A vector is an integer bitmask (bit j = entry j) and a matrix stores each
 row as one, so row operations are single XORs and everything stays exact.
 Matrices are immutable after construction; every operation returns a fresh
-object.  Two eliminations serve everything: `_echelon` reduces fully (rank,
-inverse) and `_SpanReducer` tests membership incrementally (spans
-of packed matrices, and the Krylov chains of `char_poly`).
+object.  One elimination serves everything: `_SpanReducer` keeps a basis
+with distinct leading bits.  Its size is the rank, membership is a zero
+remainder, and vectors tagged in their low bits with their index give the
+inverse (`_inverse_rows`) and the Krylov chains of `char_poly`.
 """
 
 from __future__ import annotations
@@ -66,17 +67,6 @@ class BitMatrix:
     def zero(cls, rows: int, cols: int | None = None) -> "BitMatrix":
         return cls(rows, cols if cols is not None else rows, (0,) * rows)
 
-    @classmethod
-    def from_text(cls, text: str) -> "BitMatrix":
-        """Parse the fixture format: one row per line of '0'/'1' characters."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        return cls.from_rows([[int(ch) for ch in ln.strip()] for ln in lines])
-
-    def to_text(self) -> str:
-        return "\n".join(
-            "".join(str((r >> j) & 1) for j in range(self.cols)) for r in self.data
-        )
-
     # -- accessors ---------------------------------------------------------
 
     def __getitem__(self, key: tuple[int, int]) -> int:
@@ -84,11 +74,6 @@ class BitMatrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
         return (self.data[i] >> j) & 1
-
-    def column(self, j: int) -> int:
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        return sum(((r >> j) & 1) << i for i, r in enumerate(self.data))
 
     def to_lists(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
@@ -131,15 +116,7 @@ class BitMatrix:
     def is_symmetric(self) -> bool:
         if not self.is_square():
             raise ValueError("symmetry is defined for square matrices")
-        # Row i below the diagonal against column i above it.
-        d = self.data
-        for i, r in enumerate(d):
-            col = 0
-            for j in range(i):
-                col |= ((d[j] >> i) & 1) << j
-            if col != r & ((1 << i) - 1):
-                return False
-        return True
+        return self.data == tuple(_transpose_rows(self.data, self.cols))
 
     def __eq__(self, other) -> bool:
         return (
@@ -152,7 +129,7 @@ class BitMatrix:
         return hash(("BitMatrix", self.rows, self.cols, self.data))
 
     def __repr__(self) -> str:
-        return f"BitMatrix.from_text({self.to_text()!r})"
+        return f"BitMatrix.from_rows({self.to_lists()})"
 
 
 # -- free functions (the operation surface) --------------------------------
@@ -190,65 +167,12 @@ def _transpose_rows(rows: Sequence[int], cols: int) -> list[int]:
     return out
 
 
-def _echelon(data: list[int], n_rows: int, pivot_cols: int) -> tuple[list[int], list[int]]:
-    """In-place reduced row echelon over the first pivot_cols columns.
-
-    Pivot choice is the lowest row index, so results are reproducible.
-    Returns (reduced rows, pivot column list).
-    """
-    rank = 0
-    pivots = []
-    for c in range(pivot_cols):
-        pivot = None
-        for i in range(rank, n_rows):
-            if (data[i] >> c) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        data[rank], data[pivot] = data[pivot], data[rank]
-        for i in range(n_rows):
-            if i != rank and ((data[i] >> c) & 1):
-                data[i] ^= data[rank]
-        pivots.append(c)
-        rank += 1
-    return data, pivots
-
-
-def rank(a: BitMatrix) -> int:
-    _, pivots = _echelon(list(a.data), a.rows, a.cols)
-    return len(pivots)
-
-
-def is_invertible(a: BitMatrix) -> bool:
-    return a.is_square() and rank(a) == a.rows
-
-
-def mat_inverse(a: BitMatrix) -> BitMatrix:
-    """Inverse over F2; raises NotInvertibleError on rank deficiency."""
-    if not a.is_square():
-        raise ValueError("inverse of a non-square matrix")
-    inv = _inverse_rows(a.data)
-    if inv is None:
-        raise NotInvertibleError(f"matrix has rank {rank(a)} < {a.rows}")
-    return BitMatrix(a.rows, a.rows, inv)
-
-
-def _inverse_rows(rows: Sequence[int]) -> list[int] | None:
-    """Row masks of the inverse of a square matrix, by Gauss-Jordan on [a | I]; None if singular."""
-    m = len(rows)
-    aug = [r | (1 << (m + i)) for i, r in enumerate(rows)]
-    reduced, pivots = _echelon(aug, m, m)
-    if len(pivots) != m:
-        return None
-    return [r >> m for r in reduced]
-
-
 class _SpanReducer:
-    """Incremental membership for a span of packed F2 vectors.
+    """Incremental span of packed F2 vectors: a basis and membership.
 
     The basis vectors have distinct leading bits and are kept highest first,
-    so one pass of `reduce` clears every leading bit v shares with them.
+    so one pass of `reduce` clears every leading bit v shares with them, and
+    the basis size is the rank of the vectors added.
     """
 
     def __init__(self, vectors: Iterable[int] = ()):
@@ -272,6 +196,41 @@ class _SpanReducer:
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
+
+
+def rank(a: BitMatrix) -> int:
+    return len(_SpanReducer(a.data).basis)
+
+
+def is_invertible(a: BitMatrix) -> bool:
+    return a.is_square() and rank(a) == a.rows
+
+
+def mat_inverse(a: BitMatrix) -> BitMatrix:
+    """Inverse over F2; raises NotInvertibleError on rank deficiency."""
+    if not a.is_square():
+        raise ValueError("inverse of a non-square matrix")
+    inv = _inverse_rows(a.data)
+    if inv is None:
+        raise NotInvertibleError(f"matrix has rank {rank(a)} < {a.rows}")
+    return BitMatrix(a.rows, a.rows, inv)
+
+
+def _inverse_rows(rows: Sequence[int]) -> list[int] | None:
+    """Row masks of the inverse of a square matrix; None if singular.
+
+    Row i is reduced as (r << m) | (1 << i), so the low m bits of each basis
+    vector name the rows that sum to it.  The matrix is singular iff some
+    basis vector has no bit above the tags; the smallest one is checked, as
+    the basis is kept highest first.  Otherwise every bit above the tags
+    leads a basis vector, so e_j shifted above them reduces to the tags of
+    the rows that sum to e_j: row j of the inverse.
+    """
+    m = len(rows)
+    span = _SpanReducer((r << m) | (1 << i) for i, r in enumerate(rows))
+    if span.basis[-1] >> m == 0:
+        return None
+    return [span.reduce(1 << (m + j)) for j in range(m)]
 
 
 def char_poly(a: BitMatrix) -> int:

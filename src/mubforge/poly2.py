@@ -165,23 +165,8 @@ def fibonacci_index(p: int) -> int:
     )
 
 
-def has_index(p: int, n: int) -> bool:
-    """True iff the Fibonacci index of p is exactly n.
-
-    Uses gcd(F_a, F_b) = F_gcd(a,b): the index is n iff p divides F_n but
-    not F_{n/q} for any prime q dividing n (a smaller multiple elsewhere
-    would force a proper divisor of n to work too).  Needs only
-    1 + omega(n) evaluations instead of a scan over all divisors.
-    """
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    if _fib_pair_mod(n, p)[0] != 0:
-        return False
-    return all(_fib_pair_mod(n // q, p)[0] != 0 for q in _prime_factors(n))
-
-
 @functools.lru_cache(maxsize=None)
 def stabilizer_char_polys(m: int) -> tuple[int, ...]:
     """All degree-m irreducibles with Fibonacci index 2^m + 1, ascending by mask."""
     target = (1 << m) + 1
-    return tuple(p for p in irreducibles(m) if has_index(p, target))
+    return tuple(p for p in irreducibles(m) if p & 1 and fibonacci_index(p) == target)

@@ -1,4 +1,4 @@
-"""Slow, independent oracles for the fast paths of `construct` and `equiv`.
+"""Slow, independent oracles for the fast paths of `gf2`, `construct` and `equiv`.
 
 - `class_labels`, `class_partition_check` and `bandyopadhyay_oracle`
   enumerate every nonzero Pauli label of every class, which
@@ -39,6 +39,8 @@
   field anchor per spec, the orthogonal intertwiner w of the two anchors,
   and fb w fa^-1 composed from 2m x 2m products, where `equivalence_map`
   builds [[s, t], [0, s^-t]] from one intertwiner of the specs themselves.
+  `triangular_map(u, t)` builds the block-triangular map [[u, t], [0, u^-t]]
+  that tests and `field_anchor` transport sets by.
   The `gram_factor` docstring proves that no valid spec has an
   alternating R.
 - `offdiag_components` and `partition_of` find the tensor factors of one
@@ -48,6 +50,13 @@
   `class_generators` one 2m x m generator per class, where a
   `construct.GeneratorSet` holds the m + 1 matrices of the affine family.
   `encode_symmetric` inverts `backend.decode_symmetric`.
+- `echelon` is Gauss-Jordan elimination with the lowest pivot row, and
+  `echelon_rank` and `echelon_inverse` (on [a | I]) are read off it, where
+  `gf2.rank` and `gf2.mat_inverse` reduce rows, tagged with their indices,
+  into one span.  `nullspace` reads its basis off `echelon` too.
+- `orthogonal_order`, `general_linear_order` and `exhaustive_total` count
+  the specs of each exhaustive search in closed form, where
+  `construct.search_specs` enumerates them.
 - `char_poly_bareiss` is det(xI + a) by fraction-free elimination over
   F2[x], where `gf2.char_poly` multiplies the minimal polynomials of
   Krylov chains.
@@ -87,7 +96,6 @@ from mubforge.construct import (
 from mubforge.equiv import SymplecticMap, classes_equal, is_symplectic, transport
 from mubforge.gf2 import (
     BitMatrix,
-    _echelon,
     _SpanReducer,
     _transpose_rows,
     is_invertible,
@@ -135,7 +143,7 @@ def symplectic_product(a: PauliLabel, b: PauliLabel) -> int:
 def class_labels(gen: BitMatrix) -> list[int]:
     """All nonzero Pauli labels G c (c != 0) as packed 2m-bit integers."""
     m = gen.cols
-    cols = [gen.column(j) for j in range(m)]
+    cols = _transpose_rows(gen.data, m)
     out = []
     for c in range(1, 1 << m):
         v = 0
@@ -185,7 +193,7 @@ def class_partition_check(m: int, forms) -> bool:
         if seen.intersection(labels):
             return False
         seen.update(labels)
-        cols = [PauliLabel.from_bits(m, gen.column(j)) for j in range(m)]
+        cols = [PauliLabel.from_bits(m, c) for c in _transpose_rows(gen.data, m)]
         for i in range(m):
             for j in range(i + 1, m):
                 if symplectic_product(cols[i], cols[j]):
@@ -362,10 +370,83 @@ def transport_forms(f: SymplecticMap, m: int, forms) -> list:
     return [standard_form(mat_mul(mat, g)) for g in generators_of(m, forms)]
 
 
+def echelon(data: list[int], n_rows: int, pivot_cols: int) -> tuple[list[int], list[int]]:
+    """In-place reduced row echelon over the first pivot_cols columns.
+
+    Pivot choice is the lowest row index, so results are reproducible.
+    Returns (reduced rows, pivot column list).
+    """
+    rank = 0
+    pivots = []
+    for c in range(pivot_cols):
+        pivot = None
+        for i in range(rank, n_rows):
+            if (data[i] >> c) & 1:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        data[rank], data[pivot] = data[pivot], data[rank]
+        for i in range(n_rows):
+            if i != rank and ((data[i] >> c) & 1):
+                data[i] ^= data[rank]
+        pivots.append(c)
+        rank += 1
+    return data, pivots
+
+
+def echelon_rank(a: BitMatrix) -> int:
+    """Rank over F2: the number of Gauss-Jordan pivots."""
+    return len(echelon(list(a.data), a.rows, a.cols)[1])
+
+
+def echelon_inverse(a: BitMatrix) -> BitMatrix | None:
+    """Inverse of a square matrix by Gauss-Jordan on [a | I]; None if singular."""
+    m = a.rows
+    reduced, pivots = echelon([r | (1 << (m + i)) for i, r in enumerate(a.data)], m, m)
+    if len(pivots) != m:
+        return None
+    return BitMatrix(m, m, (r >> m for r in reduced))
+
+
+def orthogonal_order(m: int) -> int:
+    """|O(m, F2)|, the number of w with w w^t = I.
+
+    |O(2k+1)| = 2^(k^2) prod_{i=1..k} (4^i - 1) and
+    |O(2k)| = 2^(k^2) prod_{i=1..k-1} (4^i - 1) (MacWilliams, "Orthogonal
+    matrices over finite fields", Amer. Math. Monthly 76 (1969) 152-164).
+    """
+    k = m // 2
+    return 2 ** (k * k) * math.prod(4**i - 1 for i in range(1, k + m % 2))
+
+
+def general_linear_order(m: int) -> int:
+    """|GL(m, 2)|, the number of invertible m x m matrices over F2."""
+    return math.prod((1 << m) - (1 << i) for i in range(m))
+
+
+def exhaustive_total(m: int, kind: str) -> int:
+    """The number of specs the exhaustive search of one kind emits.
+
+    Field: symmetric matrices with one irreducible characteristic polynomial
+    form one free orbit under a -> w a w^t, w orthogonal (the intertwiner of
+    `equiv` is unique), so each admissible polynomial gives |O(m)| of them.
+    Group: every conjugator u except those with u^t u in F2[B0].  No nonzero
+    c in F2[B0] is alternating (see `gram_factor`), so each is congruent to
+    I, and |O(m)| values of u give it: |GL(m, 2)| - |O(m)| (2^m - 1).
+    Semigroup: the group total at m >= 4, where m(m - 1)/2 > m leaves an
+    addend for every R, and 0 below, where none is left.
+    """
+    if kind == "field":
+        return len(poly2.stabilizer_char_polys(m)) * orthogonal_order(m)
+    group = general_linear_order(m) - orthogonal_order(m) * ((1 << m) - 1)
+    return group if kind == "group" or m >= 4 else 0
+
+
 def nullspace(coeff: BitMatrix) -> list[int]:
     """Basis of {x : coeff @ x = 0}, one vector per non-pivot column, ascending."""
     n = coeff.cols
-    reduced, pivots = _echelon(list(coeff.data), coeff.rows, n)
+    reduced, pivots = echelon(list(coeff.data), coeff.rows, n)
     pivot_set = set(pivots)
     basis = []
     for free in range(n):
@@ -483,6 +564,11 @@ def gram_factor(R: BitMatrix) -> BitMatrix:
     return mat_inverse(q)
 
 
+def triangular_map(u: BitMatrix, t: BitMatrix) -> SymplecticMap:
+    """f = [[u, t], [0, (u^t)^-1]]; symplectic iff u^-1 t is symmetric."""
+    return SymplecticMap(u, t, BitMatrix.zero(u.rows), mat_inverse(u.transpose()))
+
+
 def field_anchor(spec: StabilizerSpec) -> tuple[SymplecticMap, StabilizerSpec]:
     """Triangular f and field spec whose transport reproduces spec's classes.
 
@@ -497,8 +583,7 @@ def field_anchor(spec: StabilizerSpec) -> tuple[SymplecticMap, StabilizerSpec]:
     u_inv = mat_inverse(u)
     anchor_B = mat_mul(mat_mul(u_inv, spec.B), u)
     t = mat_mul(spec.A, u_inv.transpose())
-    f = SymplecticMap.triangular(u, t)
-    return f, StabilizerSpec.field(anchor_B)
+    return triangular_map(u, t), StabilizerSpec.field(anchor_B)
 
 
 def _map_of(f: BitMatrix) -> SymplecticMap:
@@ -590,10 +675,8 @@ def partition_of(entry, m: int) -> tuple[int, ...]:
 
 def class_canonical(gen: BitMatrix) -> tuple[int, ...]:
     """Canonical form of a class: reduced echelon basis of its column space."""
-    m = gen.cols
-    cols = [gen.column(j) for j in range(m)]
     basis: list[int] = []
-    for v in cols:
+    for v in _transpose_rows(gen.data, gen.cols):
         for b in basis:
             v = min(v, v ^ b)
         if v:
@@ -714,7 +797,7 @@ def dense_class_eigenbasis(gen: BitMatrix) -> np.ndarray:
     for the sign pattern in the bits of t, as in `class_eigenbasis`.
     """
     m = gen.cols
-    ops = [pauli_matrix(PauliLabel.from_bits(m, gen.column(j))) for j in range(m)]
+    ops = [pauli_matrix(PauliLabel.from_bits(m, c)) for c in _transpose_rows(gen.data, m)]
     d = 1 << m
     eye = np.eye(d, dtype=complex)
     basis = np.empty((d, d), dtype=complex)
@@ -790,7 +873,7 @@ def class_eigenbasis(gen: BitMatrix) -> np.ndarray:
     if gen.rows != 2 * m:
         raise ValueError("expected a 2m x m generator")
     _check_cap(m)
-    labels = [PauliLabel.from_bits(m, gen.column(j)) for j in range(m)]
+    labels = [PauliLabel.from_bits(m, c) for c in _transpose_rows(gen.data, m)]
     if rank(gen) < m:
         raise ValueError("class generators are dependent")
     for i in range(m):

@@ -46,9 +46,11 @@ from oracles import (
     class_labels,
     cyclicity_walk,
     encode_symmetric,
+    exhaustive_total,
     fibonacci_poly,
     field_closure_check,
     find_addend_scan,
+    general_linear_order,
     generators_of,
     is_polynomial_in,
     iter_conjugators_scan,
@@ -495,7 +497,7 @@ class TestAddend:
             R = mat_mul(u, u.transpose())
             if not is_polynomial_in(B, R):
                 pairs.append((B, R))
-        assert len(pairs) == 126
+        assert len(pairs) == exhaustive_total(3, "group")
         assert all(find_addend(B, R) is None for B, R in pairs)
 
 
@@ -536,7 +538,8 @@ class TestAnchorField:
             verdict = is_polynomial_in(B, mat_mul(u, u.transpose()))
             assert self.anchor_field_test(b0, u) == verdict
             verdicts.append(verdict)
-        assert len(verdicts) == 168 and verdicts.count(False) == 126
+        assert len(verdicts) == general_linear_order(3)
+        assert verdicts.count(False) == exhaustive_total(3, "group")
 
     @pytest.mark.parametrize("kind", ["group", "semigroup"])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -567,7 +570,7 @@ class TestConjugators:
     def test_exhaustive_matches_scan(self, m):
         fast = self.matrices(m, None)
         assert fast == list(iter_conjugators_scan(m, None))
-        assert len(fast) == len(set(fast)) == [1, 6, 168, 20160][m - 1]
+        assert len(fast) == len(set(fast)) == general_linear_order(m)
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
@@ -658,7 +661,11 @@ class TestSearch:
     def test_full_four_qubit_search_count(self, kind):
         # 20,160 conjugators less the 720 with u^t u in F2[B0].
         lines = [s.to_json() for s in search_specs(4, kind, None)]
-        assert len(lines) == len(set(lines)) == 19440
+        assert len(lines) == len(set(lines)) == exhaustive_total(4, kind)
+
+    @pytest.mark.parametrize("kind, m", [("field", m) for m in range(1, 6)] + [("group", 3)])
+    def test_exhaustive_total_matches_closed_form(self, kind, m):
+        assert sum(1 for _ in search_specs(m, kind, None)) == exhaustive_total(m, kind)
 
     def test_emitted_specs_validate(self):
         for kind, m in (("field", 3), ("group", 3), ("group", 4), ("semigroup", 4)):

@@ -44,6 +44,7 @@ from oracles import (
     is_polynomial_in,
     standard_forms,
     transport_forms,
+    triangular_map,
 )
 
 
@@ -175,7 +176,7 @@ class TestTransport:
             u = random_invertible(rng, 3)
             S = random_symmetric(rng, 3)
             t = mat_mul(u, S)  # u^-1 t = S keeps f symplectic
-            f = SymplecticMap.triangular(u, t)
+            f = triangular_map(u, t)
             assert is_symplectic(f)
             field_gens = generators(StabilizerSpec.field(B0))
             moved = transport(f, field_gens)
@@ -191,7 +192,7 @@ class TestTransport:
         rng = random.Random(8)
         B0 = next(search_specs(3, "field")).B
         u = random_invertible(rng, 3)
-        f = SymplecticMap.triangular(u, BitMatrix.zero(3))
+        f = triangular_map(u, BitMatrix.zero(3))
         moved = transport(f, generators(StabilizerSpec.field(B0)))
         B = mat_mul(mat_mul(u, B0), mat_inverse(u))
         target = StabilizerSpec.group(B, mat_mul(u, u.transpose()))
@@ -211,7 +212,7 @@ class TestTransport:
         # symplectic; the affine image must hold the classes of f G.
         rng = random.Random(seed)
         u = random_invertible(rng, m)
-        f = SymplecticMap.triangular(u, mat_mul(u, random_symmetric(rng, m)))
+        f = triangular_map(u, mat_mul(u, random_symmetric(rng, m)))
         for spec in search_specs(m, kind, 1, seed=seed):
             gens = generators(spec)
             moved = transport(f, gens)
@@ -288,7 +289,7 @@ class TestClassesEqual:
             field,
             generators(StabilizerSpec.field(mat_mul(B, B))),
             generators(next(search_specs(m, "field", seed=seed + 1))),
-            transport(SymplecticMap.triangular(u, BitMatrix.zero(m)), field),
+            transport(triangular_map(u, BitMatrix.zero(m)), field),
         ]
         for kind in ("group", "semigroup"):
             for spec in search_specs(m, kind, 1, seed=seed):

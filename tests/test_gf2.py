@@ -17,7 +17,14 @@ from mubforge.gf2 import (
     rank,
 )
 from mubforge.poly2 import _mul
-from oracles import char_poly_bareiss, nullspace, offdiag_components, poly_of_matrix
+from oracles import (
+    char_poly_bareiss,
+    echelon_inverse,
+    echelon_rank,
+    nullspace,
+    offdiag_components,
+    poly_of_matrix,
+)
 
 B22 = BitMatrix.from_rows([[1, 1], [1, 0]])
 
@@ -89,6 +96,47 @@ class TestInverse:
             inv = mat_inverse(a)
             assert mat_mul(a, inv) == BitMatrix.identity(5)
             assert mat_mul(inv, a) == BitMatrix.identity(5)
+
+
+@st.composite
+def square_matrices(draw, m):
+    """A dense m x m matrix, or one made singular by a row that sums others."""
+    rows = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        others = draw(st.integers(0, (1 << m) - 1)) & ~(1 << i)
+        rows[i] = 0
+        for j in range(m):
+            if (others >> j) & 1:
+                rows[i] ^= rows[j]
+    return BitMatrix(m, m, rows)
+
+
+class TestGaussJordanReference:
+    """Rank and inverse from the tagged span reduction against Gauss-Jordan."""
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_square_matches_reference(self, m, data):
+        a = data.draw(square_matrices(m))
+        r = echelon_rank(a)
+        assert rank(a) == r
+        assert is_invertible(a) == (r == m)
+        inv = echelon_inverse(a)
+        if inv is None:
+            with pytest.raises(NotInvertibleError, match=f"^matrix has rank {r} < {m}$"):
+                mat_inverse(a)
+        else:
+            assert mat_inverse(a) == inv
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 16), cols=st.integers(1, 16), data=st.data())
+    def test_rectangular_rank_matches_reference(self, rows, cols, data):
+        entries = st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows)
+        a = BitMatrix(rows, cols, data.draw(entries))
+        assert rank(a) == echelon_rank(a)
+        assert not is_invertible(a) or rows == cols
 
 
 class TestSolveAffine:
@@ -278,11 +326,10 @@ class TestOffdiagComponents:
 
 class TestFormatsAndTypes:
     def test_text_round_trip(self):
-        text = "0110\n1010\n0001"
-        mat = BitMatrix.from_text(text)
-        assert mat.to_text() == text
+        mat = BitMatrix.from_rows([[0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
+        assert repr(mat) == "BitMatrix.from_rows([[0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 0, 1]])"
+        assert eval(repr(mat)) == mat
         assert mat[0, 1] == 1 and mat[0, 0] == 0
-        assert [mat.column(j) for j in range(4)] == [0b010, 0b001, 0b011, 0b100]
 
     def test_immutability(self):
         with pytest.raises(AttributeError):

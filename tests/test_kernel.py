@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mubforge import backend, cli
 from mubforge.gf2 import BitMatrix, char_poly
 from mubforge.poly2 import fibonacci_index, stabilizer_char_polys
-from oracles import encode_symmetric
+from oracles import encode_symmetric, exhaustive_total
 
 
 def annihilates(rows, poly, m):
@@ -111,10 +111,10 @@ class TestScan:
 
     def test_full_six_qubit_space_is_pinned(self):
         # The one full space no oracle test covers: its 2^21 candidates give
-        # 92,160 hits, hashed as comma-separated indices with the earlier
-        # numpy kernel.
+        # |stabilizer_char_polys(6)| |O(6)| = 92,160 hits, hashed as
+        # comma-separated indices with the earlier numpy kernel.
         hits = backend.scan_symmetric(6, stabilizer_char_polys(6), 0, 1 << 21)
-        assert len(hits) == 92160
+        assert len(hits) == exhaustive_total(6, "field")
         digest = hashlib.sha256(",".join(map(str, hits)).encode()).hexdigest()
         assert digest == "58d9d48683e254a26986e5d0c0e4fa7b330c39ee22dc187fc1309da9d87b0d3c"
 

@@ -15,7 +15,6 @@ from mubforge.poly2 import (
     _mod,
     _mul,
     fibonacci_index,
-    has_index,
     irreducibles,
     is_irreducible,
     poly_str,
@@ -260,18 +259,16 @@ class TestFibonacciIndexOracle:
 
 
 class TestHasIndex:
+    """Index exactly 2^m + 1, tested as p & 1 and fibonacci_index(p) == 2^m + 1."""
+
     @pytest.mark.parametrize("degree", range(1, 11))
     def test_matches_general_index_search(self, degree):
+        # Both ways against the divisor scan; the p & 1 guard keeps
+        # p(x) = x, which `fibonacci_index` rejects, out at degree 1.
+        admissible = set(stabilizer_char_polys(degree))
         for p in irreducibles(degree):
-            if p == X:
-                # index 2: the prime-cofactor test gives the right answers too
-                assert has_index(p, 2) and not has_index(p, 3)
-                continue
-            idx = fibonacci_index(p)
-            assert has_index(p, idx)
-            for other in (1, 2, 3, idx - 1, idx + 1, 2 * idx):
-                if other != idx and other >= 1:
-                    assert not has_index(p, other)
+            expected = p != X and divisor_scan_index(p) == (1 << degree) + 1
+            assert (p in admissible) == expected, poly_str(p)
 
 
 class TestStabilizerCharPolys:
