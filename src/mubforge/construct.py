@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import random
 from typing import Iterator, NamedTuple
 
@@ -207,15 +206,15 @@ class StabilizerSpec(NamedTuple):
     # -- JSON wire format --------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        out = {"m": self.m, "kind": self.kind, "B": self.B.to_lists()}
-        if self.kind in ("group", "semigroup"):
-            out["R"] = self.R.to_lists()
-        if self.kind == "semigroup":
-            out["A"] = self.A.to_lists()
-        return out
+        """The wire format as a dict: `to_json` parsed back, so one encoder decides the keys."""
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """`to_json_dict` as compact JSON, written straight from the row masks."""
+        """The spec as compact JSON, written straight from the row masks.
+
+        The keys are m, kind and B, then R for the group and semigroup kinds
+        and A for the semigroup kind: the forced blocks are left out.
+        """
         parts = [f'{{"m":{self.m},"kind":{json.dumps(self.kind)},"B":{_matrix_json(self.B)}']
         if self.kind in ("group", "semigroup"):
             parts.append(f',"R":{_matrix_json(self.R)}')
@@ -273,15 +272,14 @@ class GeneratorSet(NamedTuple):
 
 
 def build_stabilizer(spec: StabilizerSpec) -> BitMatrix:
-    """Assemble the 2m x 2m stabilizer matrix C for a validated spec."""
-    m = spec.m
-    eye = BitMatrix.identity(m)
-    zero = BitMatrix.zero(m)
-    if spec.kind == "field":
-        return block2x2(spec.B, eye, eye, zero)
+    """Assemble the 2m x 2m stabilizer matrix C for a validated spec.
+
+    C = [[B + A R^-1, R + B A + A R^-1 A], [R^-1, R^-1 A]], the semigroup
+    form for every kind: `validate` forces A = 0 for the field and group
+    kinds, which leaves [[B, R], [R^-1, 0]], and R = I for the field kind,
+    which leaves [[B, I], [I, 0]].
+    """
     rinv = mat_inverse(spec.R)
-    if spec.kind == "group":
-        return block2x2(spec.B, spec.R, rinv, zero)
     arinv = mat_mul(spec.A, rinv)
     ul = spec.B + arinv
     ur = spec.R + mat_mul(spec.B, spec.A) + mat_mul(arinv, spec.A)
@@ -452,16 +450,32 @@ def find_addend(B: BitMatrix, R: BitMatrix) -> BitMatrix | None:
 # -- search ------------------------------------------------------------------
 
 
+def _draws(seed: int, nbits: int) -> Iterator[int]:
+    """Distinct uniform nbits-bit indices from random.Random(seed), in draw order.
+
+    Each of at most MAX_ATTEMPTS attempts makes one getrandbits call.  A
+    repeat is skipped, and the stream stops once all 2^nbits indices have
+    been drawn.  Both seeded searches, of B and of u, draw through here.
+    """
+    rng = random.Random(seed)
+    drawn: set[int] = set()
+    for _ in range(MAX_ATTEMPTS):
+        if len(drawn) == 1 << nbits:
+            return
+        k = rng.getrandbits(nbits)
+        if k not in drawn:
+            drawn.add(k)
+            yield k
+
+
 def _field_hits(m: int, seed: int | None) -> Iterator[int]:
     """Candidate indices of the symmetric B whose char poly is admissible, each once.
 
     Admissible means irreducible with Fibonacci index d + 1.  With no seed
     the kernel scans all 2^(m(m+1)/2) candidates in ascending order, one
-    block at a time (capped at m = EXHAUSTIVE_CAP).  With a seed, candidates
-    are drawn uniformly and each new draw is tested directly, so no table of
-    admissible polynomials is built.  Every drawn index is recorded, so a
-    repeat is skipped, and sampling stops after MAX_ATTEMPTS draws or once
-    every candidate has been drawn.
+    block at a time (capped at m = EXHAUSTIVE_CAP).  With a seed the
+    candidates come from `_draws`, and each is tested directly, so no table
+    of admissible polynomials is built.
     """
     npairs = m * (m + 1) // 2
     if seed is None:
@@ -474,15 +488,7 @@ def _field_hits(m: int, seed: int | None) -> Iterator[int]:
             yield from backend.scan_symmetric(m, polys, s, min(s + chunk, total))
         return
     target = (1 << m) + 1
-    rng = random.Random(seed)
-    drawn: set[int] = set()
-    for _ in range(MAX_ATTEMPTS):
-        if len(drawn) == 1 << npairs:
-            return
-        k = rng.getrandbits(npairs)
-        if k in drawn:
-            continue
-        drawn.add(k)
+    for k in _draws(seed, npairs):
         p = char_poly(BitMatrix(m, m, backend.decode_symmetric(m, k)))
         if p & 1 and poly2.is_irreducible(p) and poly2.fibonacci_index(p) == target:
             yield k
@@ -496,10 +502,11 @@ def _iter_conjugators(m: int, seed: int | None) -> Iterator[tuple[Rows, Rows]]:
     """Invertible matrices u with their inverses, as row masks (u, u^-1).
 
     Each u comes once: with no seed every u in row-major lexicographic order
-    (capped at m = EXHAUSTIVE_CONJ_CAP), with a seed sampled, for at most
-    MAX_ATTEMPTS draws.  An index k holds row i of u in its i-th group of m
-    bits from the top, with column 0 as the group's top bit, so a row mask
-    is its group's bits reversed.
+    (capped at m = EXHAUSTIVE_CONJ_CAP), with a seed in the order `_draws`
+    gives the m^2-bit indices, of which the singular ones are dropped; the
+    draws stop once all 2^(m^2) bit patterns have been drawn.  An index k
+    holds row i of u in its i-th group of m bits from the top, with column
+    0 as the group's top bit, so a row mask is its group's bits reversed.
 
     The exhaustive walk builds u one row at a time in that order and skips
     any row in the span of the rows above it, so every u it yields is
@@ -538,21 +545,12 @@ def _iter_conjugators(m: int, seed: int | None) -> Iterator[tuple[Rows, Rows]]:
         yield from extend([], {0: 0})
         return
     nbits = m * m
-    rng = random.Random(_derived_seed(seed, 0xC0))
-    order = math.prod((1 << m) - (1 << i) for i in range(m))  # |GL(m, 2)|
-    seen: set[int] = set()
-    for _ in range(MAX_ATTEMPTS):
-        k = rng.getrandbits(nbits)
-        if k in seen:
-            continue
+    for k in _draws(_derived_seed(seed, 0xC0), nbits):
         bits = f"{k:0{nbits}b}"
         u = tuple(int(bits[i * m : (i + 1) * m][::-1], 2) for i in range(m))
         inv = _inverse_rows(u)
         if inv is not None:
-            seen.add(k)
             yield u, tuple(inv)
-            if len(seen) == order:
-                return
 
 
 def search_specs(
@@ -564,7 +562,10 @@ def search_specs(
     candidate order, which is capped at m = EXHAUSTIVE_CAP, and group and
     semigroup specs walk every conjugator u, which is capped at
     m = EXHAUSTIVE_CONJ_CAP.  A seed selects seeded uniform sampling, up to
-    MAX_M.  Either way the stream is fixed by the arguments.
+    MAX_M: B and u are drawn by `_draws`, which skips repeats and stops once
+    every index has been drawn, so at small m a seeded search with a large
+    count ends with every spec the exhaustive one finds.  Either way the
+    stream is fixed by the arguments.
 
     Group and semigroup specs are parametrized as B = u B0 u^-1, R = u u^t
     over invertible u, with B0 the first field-kind hit: every symmetrizer

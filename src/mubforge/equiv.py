@@ -155,11 +155,11 @@ def equivalence_map(a: StabilizerSpec, b: StabilizerSpec) -> tuple[SymplecticMap
     """
     if a.m != b.m:
         raise ValueError("qubit count mismatch")
-    if a.to_json_dict() == b.to_json_dict():
+    if a == b:
         return SymplecticMap.identity(a.m), "identical specs"
     s = _intertwiner(a, b)
     if s is None:
-        return None, "field anchors are not orthogonally conjugate (distinct class families)"
+        return None, "characteristic polynomials of B differ (distinct class families)"
     v = mat_inverse(s.transpose())
     f = SymplecticMap(s, mat_mul(s, a.A) + mat_mul(b.A, v), BitMatrix.zero(a.m), v)
     gens_a = generators(a, build_stabilizer(a))

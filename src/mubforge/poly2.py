@@ -113,23 +113,26 @@ def irreducibles(degree: int) -> Iterator[int]:
 
 
 def _fib_pair_mod(n: int, p: int) -> tuple[int, int]:
-    """(F_n, F_{n+1}) mod p by squaring the generator [[x,1],[1,0]]."""
-    # Invariant: the j-th power of the generator is [[F_{j+1}, F_j], [F_j, F_{j-1}]].
-    ra, rb, rc = _mod(1, p), 0, _mod(1, p)  # accumulator = identity: F_1, F_0, F_-1
-    ga, gb, gc = _mod(2, p), _mod(1, p), 0  # generator: F_2, F_1, F_0
-    while n:
-        if n & 1:
-            na = _mod(_mul(ra, ga) ^ _mul(rb, gb), p)
-            nb = _mod(_mul(ra, gb) ^ _mul(rb, gc), p)
-            nc = _mod(_mul(rb, gb) ^ _mul(rc, gc), p)
-            ra, rb, rc = na, nb, nc
-        n >>= 1
-        if n:
-            na = _mod(_mul(ga, ga) ^ _mul(gb, gb), p)
-            nb = _mod(_mul(gb, ga ^ gc), p)
-            nc = _mod(_mul(gb, gb) ^ _mul(gc, gc), p)
-            ga, gb, gc = na, nb, nc
-    return rb, ra
+    """(F_n, F_{n+1}) mod p by the characteristic-2 doubling ladder.
+
+    F_0 = 0, F_1 = 1 and F_{k+1} = x F_k + F_{k-1}.  The addition rule
+    F_{a+b} = F_{a+1} F_b + F_a F_{b-1} gives, with a = b = k and with
+    a = k, b = k + 1, and since F_{k+1} + F_{k-1} = x F_k and squaring is
+    additive over F2:
+
+        F_{2k}     = F_k (F_{k+1} + F_{k-1}) = x F_k^2,
+        F_{2k+1}   = F_{k+1}^2 + F_k^2       = (F_k + F_{k+1})^2.
+
+    So (F_k, F_{k+1}) steps to (F_{2k}, F_{2k+1}), and on a set bit of n on
+    to (F_{2k+1}, x F_{2k+1} + F_{2k}), reading n from its top bit: two
+    squarings per bit.
+    """
+    a, b = 0, _mod(1, p)  # (F_0, F_1)
+    for bit in range(n.bit_length() - 1, -1, -1):
+        a, b = _mod(_mul(a, a) << 1, p), _sqr_mod(a ^ b, p)
+        if (n >> bit) & 1:
+            a, b = b, _mod((b << 1) ^ a, p)
+    return a, b
 
 
 INDEX_DEGREE_CAP = 32
@@ -143,10 +146,11 @@ def fibonacci_index(p: int) -> int:
     n with p | F_n are exactly the multiples of the index, so p divides F_N
     for at most one N = 2^m -+ 1 (the two are coprime and F_1 = 1), and the
     index is reached from that N by stripping prime factors q while p still
-    divides F_{N/q}.  The cap keeps the trial-division factoring of N below
-    ~65k steps.  The single exception p(x) = x (index 2, dividing neither)
-    is rejected; it never arises as the characteristic polynomial of an
-    invertible matrix.
+    divides F_{N/q}.  Each test p | F_n is one run of the doubling ladder
+    `_fib_pair_mod`, about log2(n) <= m + 1 steps of two squarings mod p.
+    The cap keeps the trial-division factoring of N below ~65k steps.  The
+    single exception p(x) = x (index 2, dividing neither) is rejected; it
+    never arises as the characteristic polynomial of an invertible matrix.
     """
     if not is_irreducible(p):
         raise ValueError(f"{poly_str(p)} is not irreducible")

@@ -61,7 +61,7 @@
   F2[x], where `gf2.char_poly` multiplies the minimal polynomials of
   Krylov chains.
 - `fibonacci_poly` runs the recursion F_(j+1) = x F_j + F_(j-1) in full,
-  where `poly2` reduces it modulo one polynomial by a squaring ladder.
+  where `poly2` reduces it modulo one polynomial by a doubling ladder.
 - `poly_of_matrix` (Horner) and `schmidt_rank` (an SVD across a qubit cut)
   serve the tests that re-derive Fibonacci blocks and factorizability.
 - `class_eigenbasis` reads the joint eigenbasis of one class off the
@@ -616,7 +616,9 @@ def anchored_equivalence_map(
     fb, anchor_b = field_anchor(b)
     ws = intertwiner_scan(anchor_a, anchor_b)
     if not ws:
-        return None, "field anchors are not orthogonally conjugate (distinct class families)"
+        # The anchors are orthogonally conjugate iff char(B_a) = char(B_b),
+        # as the `equiv` module docstring shows, so the verdicts agree.
+        return None, "characteristic polynomials of B differ (distinct class families)"
     w = ws[0]
     zero = BitMatrix.zero(a.m)
     w_map = SymplecticMap(w, zero, zero, mat_inverse(w.transpose()))

@@ -667,6 +667,17 @@ class TestSearch:
     def test_exhaustive_total_matches_closed_form(self, kind, m):
         assert sum(1 for _ in search_specs(m, kind, None)) == exhaustive_total(m, kind)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_search_exhausts_small_spaces(self, kind, m, seed):
+        # At m <= 3 every B index and every u pattern is drawn well within
+        # MAX_ATTEMPTS, so a seeded search ends with the exhaustive total.
+        specs = list(search_specs(m, kind, None, seed=seed))
+        assert len(specs) == len(set(specs)) == exhaustive_total(m, kind)
+        for spec in specs:
+            spec.validate()
+
     def test_emitted_specs_validate(self):
         for kind, m in (("field", 3), ("group", 3), ("group", 4), ("semigroup", 4)):
             specs = list(search_specs(m, kind, 2))
@@ -701,9 +712,16 @@ class TestJson:
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(KINDS), m=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
     def test_to_json_matches_json_dumps(self, kind, m, seed):
-        # The row-mask writer against the generic encoder of the same dict,
-        # on arbitrary (not necessarily valid) matrices up to MAX_M.
+        # The row-mask writer against the generic encoder of the wire dict,
+        # built here from `to_lists`, on arbitrary (not necessarily valid)
+        # matrices up to MAX_M.
         rng = random.Random(seed)
         B, R, A = (BitMatrix(m, m, [rng.getrandbits(m) for _ in range(m)]) for _ in range(3))
         spec = StabilizerSpec(kind, m, B, R, A)
-        assert spec.to_json() == json.dumps(spec.to_json_dict(), separators=(",", ":"))
+        wire = {"m": m, "kind": kind, "B": B.to_lists()}
+        if kind != "field":
+            wire["R"] = R.to_lists()
+        if kind == "semigroup":
+            wire["A"] = A.to_lists()
+        assert spec.to_json() == json.dumps(wire, separators=(",", ":"))
+        assert spec.to_json_dict() == wire

@@ -33,7 +33,7 @@ def degree(p: int) -> int:
 
 
 def fib_mod(n: int, p: int) -> int:
-    """F_n(x) mod p(x) by the squaring ladder of `poly2._fib_pair_mod`."""
+    """F_n(x) mod p(x) by the doubling ladder of `poly2._fib_pair_mod`."""
     return poly2._fib_pair_mod(n, p)[0]
 
 
@@ -144,6 +144,20 @@ class TestFibonacciPolynomials:
         for j in range(1, 31):
             for k in range(1, 31):
                 assert _mul(F[j], F[k + 1]) ^ _mul(F[j - 1], F[k]) == F[j + k]
+
+    def test_doubling_identities(self):
+        # The two steps of the ladder in `_fib_pair_mod`, symbolically.
+        F = [fibonacci_poly(n) for n in range(62)]
+        for k in range(30):
+            assert F[2 * k] == _mul(X, _mul(F[k], F[k]))
+            assert F[2 * k + 1] == _mul(F[k] ^ F[k + 1], F[k] ^ F[k + 1])
+
+    def test_pair_matches_recursion(self):
+        # Both halves of the pair, for every nonzero modulus of degree < 7.
+        F = [fibonacci_poly(n) for n in range(141)]
+        for p in range(1, 128):
+            for n in range(140):
+                assert poly2._fib_pair_mod(n, p) == (_mod(F[n], p), _mod(F[n + 1], p))
 
     def test_mod_consistency_small(self):
         for p in (X2X1, X3X1, X3X2):

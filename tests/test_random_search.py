@@ -89,6 +89,30 @@ def test_random_search_stops_once_every_candidate_is_drawn(monkeypatch):
     assert len(draws) == first_complete
 
 
+def test_conjugator_draws_stop_once_every_pattern_is_drawn(monkeypatch):
+    # At m = 2 there are 16 bit patterns, 6 of them invertible: the draws of
+    # u must run until all 16 are drawn, the same rule as the draws of B.
+    # Under seed 5 the sixth invertible u comes at draw 40 and the sixteenth
+    # pattern at draw 70, so stopping at |GL(2, 2)| would fail here.
+    first_complete = 0
+    seen = set()
+    replay = random.Random(construct._derived_seed(5, 0xC0))
+    while len(seen) < 16:
+        seen.add(replay.getrandbits(4))
+        first_complete += 1
+    draws = []
+
+    class CountingRandom(random.Random):
+        def getrandbits(self, k):
+            draws.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    drawn = [u for u, _ in construct._iter_conjugators(2, 5)]
+    assert sorted(drawn) == sorted(u for u, _ in construct._iter_conjugators(2, None))
+    assert draws == [4] * first_complete
+
+
 def table_scan_random(m, seed):
     """Oracle: the same sampling, with hits looked up in the admissible table."""
     table = set(poly2.stabilizer_char_polys(m))
