@@ -7,10 +7,6 @@ symmetrizer R and an additive matrix A that control how many bases of the
 resulting set are completely factorizable (three, two, or one).  A complex
 numeric tier builds the cyclic generator U as a circuit and independently
 verifies that its powers are unbiased.
-
-numpy is loaded only by the numeric tier in `pauli`.  So its
-`verify_mub` is resolved on first access, and `import mubforge` stays free
-of numpy.
 """
 
 from .construct import (
@@ -43,14 +39,7 @@ from .gf2 import (
     mat_mul,
     rank,
 )
+from .pauli import verify_mub
 from .poly2 import fibonacci_index, is_irreducible, stabilizer_char_polys
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    if name == "verify_mub":
-        from .pauli import verify_mub
-
-        return verify_mub
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

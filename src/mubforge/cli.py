@@ -17,6 +17,7 @@ import time
 from pathlib import Path
 
 from .construct import (
+    MAX_ATTEMPTS,
     MAX_M,
     NUMERIC_QUBIT_CAP,
     SpecValidationError,
@@ -30,6 +31,7 @@ from .construct import (
 )
 from .entangle import entanglement_vector
 from .equiv import equivalence_map
+from .pauli import verify_mub
 
 DEFAULT_TOL = 1e-10
 DEFAULT_NUMERIC_CAP = 5
@@ -110,14 +112,27 @@ def _cmd_search(args) -> int:
         print("mubforge search: error: --seed is required unless --exhaustive", file=sys.stderr)
         return 1
     lines = []
+    stats: dict = {}
     try:
-        for spec in search_specs(args.m, args.kind, args.count, args.seed):
+        for spec in search_specs(args.m, args.kind, args.count, args.seed, stats):
             lines.append(spec.to_json())
     except ValueError as exc:
         print(f"mubforge search: error: {exc}", file=sys.stderr)
         return 1
     if not _emit(args, "".join(line + "\n" for line in lines)):
         return 2
+    stop = stats.get("stop")  # set only when a seeded stream ends short of --count
+    if stop:
+        why = {
+            "space-exhausted": "every index was drawn, so no other spec exists",
+            "max-attempts": f"MAX_ATTEMPTS = {MAX_ATTEMPTS} draws ran out before every index "
+            "was drawn",
+        }
+        print(
+            f"mubforge search: stopped at {len(lines)} of {args.count} specs ({stop}): "
+            f"{why[stop]}",
+            file=sys.stderr,
+        )
     if not lines:
         hints = {
             "field": "no symmetric matrix with an admissible characteristic polynomial",
@@ -182,8 +197,6 @@ def _cmd_build(args) -> int:
     if not (cyclic_ok and bandy_ok):
         report["mub_verification"] = "skipped (symbolic checks failed)"
     elif spec.m <= args.numeric_cap:
-        from .pauli import verify_mub  # loads numpy
-
         t0 = time.perf_counter()
         result = verify_mub(spec, args.tol)
         timings["verify"] = time.perf_counter() - t0

@@ -450,25 +450,29 @@ def find_addend(B: BitMatrix, R: BitMatrix) -> BitMatrix | None:
 # -- search ------------------------------------------------------------------
 
 
-def _draws(seed: int, nbits: int) -> Iterator[int]:
+def _draws(seed: int, nbits: int, stats: dict | None = None) -> Iterator[int]:
     """Distinct uniform nbits-bit indices from random.Random(seed), in draw order.
 
     Each of at most MAX_ATTEMPTS attempts makes one getrandbits call.  A
     repeat is skipped, and the stream stops once all 2^nbits indices have
     been drawn.  Both seeded searches, of B and of u, draw through here.
+    When the stream ends, stats["stop"] says why: "space-exhausted" if every
+    index was drawn, else "max-attempts".
     """
     rng = random.Random(seed)
     drawn: set[int] = set()
     for _ in range(MAX_ATTEMPTS):
         if len(drawn) == 1 << nbits:
-            return
+            break
         k = rng.getrandbits(nbits)
         if k not in drawn:
             drawn.add(k)
             yield k
+    if stats is not None:
+        stats["stop"] = "space-exhausted" if len(drawn) == 1 << nbits else "max-attempts"
 
 
-def _field_hits(m: int, seed: int | None) -> Iterator[int]:
+def _field_hits(m: int, seed: int | None, stats: dict | None = None) -> Iterator[int]:
     """Candidate indices of the symmetric B whose char poly is admissible, each once.
 
     Admissible means irreducible with Fibonacci index d + 1.  With no seed
@@ -488,7 +492,7 @@ def _field_hits(m: int, seed: int | None) -> Iterator[int]:
             yield from backend.scan_symmetric(m, polys, s, min(s + chunk, total))
         return
     target = (1 << m) + 1
-    for k in _draws(seed, npairs):
+    for k in _draws(seed, npairs, stats):
         p = char_poly(BitMatrix(m, m, backend.decode_symmetric(m, k)))
         if p & 1 and poly2.is_irreducible(p) and poly2.fibonacci_index(p) == target:
             yield k
@@ -498,7 +502,9 @@ def _derived_seed(seed: int, salt: int) -> int:
     return (seed * 2654435761 + salt) % (1 << 32)
 
 
-def _iter_conjugators(m: int, seed: int | None) -> Iterator[tuple[Rows, Rows]]:
+def _iter_conjugators(
+    m: int, seed: int | None, stats: dict | None = None
+) -> Iterator[tuple[Rows, Rows]]:
     """Invertible matrices u with their inverses, as row masks (u, u^-1).
 
     Each u comes once: with no seed every u in row-major lexicographic order
@@ -545,7 +551,7 @@ def _iter_conjugators(m: int, seed: int | None) -> Iterator[tuple[Rows, Rows]]:
         yield from extend([], {0: 0})
         return
     nbits = m * m
-    for k in _draws(_derived_seed(seed, 0xC0), nbits):
+    for k in _draws(_derived_seed(seed, 0xC0), nbits, stats):
         bits = f"{k:0{nbits}b}"
         u = tuple(int(bits[i * m : (i + 1) * m][::-1], 2) for i in range(m))
         inv = _inverse_rows(u)
@@ -554,7 +560,7 @@ def _iter_conjugators(m: int, seed: int | None) -> Iterator[tuple[Rows, Rows]]:
 
 
 def search_specs(
-    m: int, kind: str, count: int | None = 1, seed: int | None = None
+    m: int, kind: str, count: int | None = 1, seed: int | None = None, stats: dict | None = None
 ) -> Iterator[StabilizerSpec]:
     """Stream up to `count` specs of the requested kind (None: all of them).
 
@@ -565,7 +571,10 @@ def search_specs(
     MAX_M: B and u are drawn by `_draws`, which skips repeats and stops once
     every index has been drawn, so at small m a seeded search with a large
     count ends with every spec the exhaustive one finds.  Either way the
-    stream is fixed by the arguments.
+    stream is fixed by the arguments.  When a seeded stream ends before
+    `count`, stats["stop"] (if stats is given) names the sampler's reason,
+    "space-exhausted" or "max-attempts"; a semigroup search that finds no
+    addend ends without one.
 
     Group and semigroup specs are parametrized as B = u B0 u^-1, R = u u^t
     over invertible u, with B0 the first field-kind hit: every symmetrizer
@@ -584,17 +593,19 @@ def search_specs(
     if kind == "field":
         specs = (
             StabilizerSpec.field(BitMatrix(m, m, backend.decode_symmetric(m, k)))
-            for k in _field_hits(m, seed)
+            for k in _field_hits(m, seed, stats)
         )
     else:
-        specs = _conjugate_specs(m, kind, seed)
+        specs = _conjugate_specs(m, kind, seed, stats)
     yield from itertools.islice(specs, count)
 
 
-def _conjugate_specs(m: int, kind: str, seed: int | None) -> Iterator[StabilizerSpec]:
+def _conjugate_specs(
+    m: int, kind: str, seed: int | None, stats: dict | None
+) -> Iterator[StabilizerSpec]:
     """Every group or semigroup spec the conjugator walk reaches, in its order."""
     anchor_seed = None if seed is None else _derived_seed(seed, 0xA5)
-    k0 = next(_field_hits(m, anchor_seed), None)
+    k0 = next(_field_hits(m, anchor_seed, stats), None)
     if k0 is None:
         return
     b0 = BitMatrix(m, m, backend.decode_symmetric(m, k0))
@@ -602,7 +613,7 @@ def _conjugate_specs(m: int, kind: str, seed: int | None) -> Iterator[Stabilizer
     # F2[B] = u F2[B0] u^-1, so u u^t = u p(B0) u^-1 <=> u^t u = p(B0).
     # So the span of I, B0, ..., B0^(m-1) is built once per search.
     field = _SpanReducer([_vec(b0**k) for k in range(m)])
-    for u, u_inv in _iter_conjugators(m, seed):
+    for u, u_inv in _iter_conjugators(m, seed, stats):
         ut = _transpose_rows(u, m)
         if field.contains(_pack(_mul_rows(ut, u), m)):
             continue

@@ -22,17 +22,34 @@ With R = I and A = 0 where the kind fixes them, the semigroup formula
 covers all three.  Basis j is U^j applied to the computational basis: its
 columns are the joint eigenvectors of the class C^j (I; 0), up to phase and
 order.  Since (U^i)^+ U^j = U^(j-i), the whole set is unbiased iff every
-entry of U^j has squared modulus 1/d for j = 1..d.  `verify_mub` keeps one
-d x d matrix M = U^j and applies U to it d times, each time a fast
-Walsh-Hadamard pass, a row permutation and two diagonals: O(d^3 log d) in
-place of the d + 1 eigenbases and (d + 1) d / 2 products of an all-pairs
-overlap check.  That check, the eigenbases of the classes and the dense
-Pauli matrices live with the tests (`tests/oracles.py`), where they tie the
-powers of U to the symbolic classes.
+entry of U^j has squared modulus 1/d for j = 1..d.
 
-This is the one place numpy is used; the package and the CLI import this
-module only when the numeric tier of `build` runs, or when `verify_mub` is
-read off `mubforge`.
+One column of each power decides this.  Each layer maps Pauli operators to
+Pauli operators up to a phase, for any symmetric S and any invertible G, so
+U^j X^y U^-j = i^c Z^a X^b for some c, a and b.  Then column y of U^j is
+
+    U^j e_y = U^j X^y e_0 = i^c Z^a X^b U^j e_0,
+
+column 0 with its entries permuted by x -> x + b and multiplied by
+i^c (-1)^(a.x): the same squared moduli.  The float steps keep this exactly.
+Multiplying by a phase in {+-1, +-i} is exact.  A butterfly fed (p u, +-p v)
+or (p v, +-p u) for one phase p returns p (u + v) and p (u - v), in some
+order and with some signs, because float addition commutes and rounds
+symmetrically about 0.  Scaling by a real number and permuting entries
+commute with both.  By induction over the layers, the computed column y of
+every power is the computed column 0 moved by such a map, so the largest
+deviation of |U^j_x0|^2 from 1/d is that of the whole power, bit for bit.
+`verify_mub` applies U d times to one vector, U^(j-1) e_0 -> U^j e_0, in
+pure Python: a diagonal, m butterfly passes, a permutation and a diagonal,
+O(m d) per power and O(m d^2) in all, where the d x d powers took
+O(d^3 log d).  Unitarity is not covered by that argument, so it is checked
+on every column of U: the adjoint circuit D_pre^* H^(x)m P^t D_post^* takes
+U e_y back to e_y, which is U^+ U = I column by column, O(m d^2) again.
+
+The full d x d powers (numpy), the class eigenbases, the all-pairs overlap
+check and the dense Pauli matrices live with the tests (`tests/oracles.py`),
+where they tie the powers of U to the symbolic classes and check this
+module bit for bit.
 
 Conventions: qubit 0 is the leftmost tensor factor (most significant bit of
 the computational index).  H^(x)m carries the scale 2^(-m/2), exact for
@@ -41,70 +58,65 @@ even m, where every entry of every power is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import NamedTuple
 
 from .construct import NUMERIC_QUBIT_CAP, StabilizerSpec
 from .gf2 import BitMatrix, mat_inverse, mat_mul
 
-_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+_POWERS_OF_I = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
-def _quadratic_phase(S: BitMatrix, bits: np.ndarray) -> np.ndarray:
+def _qubit_masks(m: int) -> list[int]:
+    """For each index, its qubit bits y as a mask with bit i = y_i (index bits reversed)."""
+    return [int(f"{r:0{m}b}"[::-1], 2) for r in range(1 << m)]
+
+
+def _quadratic_phase(S: BitMatrix) -> list[complex]:
     """The diagonal of D_S: i^(y^t S y) for the qubit bits y of each index."""
-    s = np.array(S.to_lists())
-    q = bits @ np.diag(s) + 2 * ((bits @ np.triu(s, 1)) * bits).sum(axis=1)
-    return _POWERS_OF_I[q % 4]
+    diag = sum(row & (1 << i) for i, row in enumerate(S.data))
+    upper = [row >> (i + 1) << (i + 1) for i, row in enumerate(S.data)]
+    phases = []
+    for y in _qubit_masks(S.rows):
+        cross = sum((u & y).bit_count() for i, u in enumerate(upper) if y >> i & 1)
+        phases.append(_POWERS_OF_I[((diag & y).bit_count() + 2 * cross) % 4])
+    return phases
 
 
-def _generator_layers(spec: StabilizerSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _generator_layers(spec: StabilizerSpec) -> tuple[list[complex], list[complex], list[int]]:
     """U = D_A P_(R^-1) D_(R^-1 B) H^(x)m D_A as (pre, post, src).
 
-    (U M)[r] = post[r] * (H^(x)m (pre * M))[src[r]] row by row, since
-    P_(R^-1) moves row R r to row r.
+    (U v)[r] = post[r] * (H^(x)m (pre * v))[src[r]] entry by entry, since
+    P_(R^-1) moves entry R r to entry r.
     """
-    m = spec.m
-    bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    src = (bits @ np.array(spec.R.to_lists()).T) % 2 @ (1 << np.arange(m - 1, -1, -1))
-    phase = _quadratic_phase(mat_mul(mat_inverse(spec.R), spec.B), bits)
-    outer = _quadratic_phase(spec.A, bits)
-    return outer, outer * phase[src], src
+    masks = _qubit_masks(spec.m)
+    rows = spec.R.data
+    # masks is an involution: the index of a mask is its own mask.
+    src = [
+        masks[sum(((row & y).bit_count() & 1) << i for i, row in enumerate(rows))]
+        for y in masks
+    ]
+    phase = _quadratic_phase(mat_mul(mat_inverse(spec.R), spec.B))
+    outer = _quadratic_phase(spec.A)
+    return outer, [o * phase[s] for o, s in zip(outer, src)], src
 
 
-def _hadamard(M: np.ndarray) -> None:
-    """Apply H^(x)m to the rows of M in place: one butterfly pass per qubit."""
-    d = M.shape[0]
-    h = 1
-    while h < d:
-        pairs = M.reshape(d // (2 * h), 2, h, -1)
-        total = pairs[:, 0] + pairs[:, 1]
-        pairs[:, 1] = pairs[:, 0] - pairs[:, 1]
-        pairs[:, 0] = total
-        h *= 2
-    # 2.0 ** (-m / 2) is 2^(-m/2) correctly rounded; 1 / np.sqrt(d) rounds
+def _hadamard(v: list[complex]) -> list[complex]:
+    """H^(x)m v: one butterfly pass per qubit, from the last qubit to the first.
+
+    Each pass pairs entries 2k and 2k + 1 and writes (a + b, a - b) to k and
+    k + d/2, which moves the low index bit to the top: after m passes the
+    order is back, and pass t has paired indices that differ in bit t.
+    """
+    for _ in range(len(v).bit_length() - 1):
+        even, odd = v[0::2], v[1::2]
+        v = [a + b for a, b in zip(even, odd)] + [a - b for a, b in zip(even, odd)]
+    # 2.0 ** (-m / 2) is 2^(-m/2) correctly rounded; 1 / sqrt(d) rounds
     # twice, which at m = 5 moves the reported deviation from 2^-56 to 1.5e-16.
-    M *= 2.0 ** (-(d.bit_length() - 1) / 2)
+    scale = 2.0 ** (-(len(v).bit_length() - 1) / 2)
+    return [x * scale for x in v]
 
 
-def generator_powers(spec: StabilizerSpec, count: int) -> Iterator[np.ndarray]:
-    """U^1, ..., U^count as d x d complex matrices, each a new array."""
-    if spec.m > NUMERIC_QUBIT_CAP:
-        raise ValueError(
-            f"the numeric tier is capped at m = {NUMERIC_QUBIT_CAP}, got m = {spec.m}"
-        )
-    pre, post, src = _generator_layers(spec)
-    M = np.eye(spec.d, dtype=complex)
-    for _ in range(count):
-        M = M * pre[:, None]
-        _hadamard(M)
-        M = post[:, None] * M[src]
-        yield M
-
-
-@dataclass(frozen=True)
-class MubVerification:
+class MubVerification(NamedTuple):
     max_deviation: float
     unitarity_deviation: float
     passed: bool
@@ -112,21 +124,41 @@ class MubVerification:
 
 
 def verify_mub(spec: StabilizerSpec, tol: float = 1e-10) -> MubVerification:
-    """Largest deviation of |U^j_xy|^2 from 1/d over j = 1..d, checked against tol.
+    """Largest deviation of |U^j_x0|^2 from 1/d over j = 1..d, checked against tol.
 
-    Unitarity is checked once, on U.  The cap is checked before anything is
-    allocated.
+    Column 0 of each power stands for the whole power (module docstring).
+    Unitarity is checked once, on every column of U.  The cap is checked
+    before anything is allocated.
     """
+    if spec.m > NUMERIC_QUBIT_CAP:
+        raise ValueError(
+            f"the numeric tier is capped at m = {NUMERIC_QUBIT_CAP}, got m = {spec.m}"
+        )
     d = spec.d
-    dev, worst, unit_dev = 0.0, None, 0.0
-    for j, M in enumerate(generator_powers(spec, d), start=1):
-        if j == 1:
-            # U^+ U from real products: a complex one (zgemm) took 16 ms at
-            # d = 64 with OpenBLAS 0.3.31 on 2 cores, the four real ones 0.1 ms.
-            re, im = M.real, M.imag
-            gram = re.T @ re + im.T @ im + 1j * (re.T @ im - im.T @ re)
-            unit_dev = float(np.max(np.abs(gram - np.eye(d))))
-        power_dev = float(np.max(np.abs(np.abs(M) ** 2 - 1.0 / d)))
+    pre, post, src = _generator_layers(spec)
+    pre_conj = [p.conjugate() for p in pre]
+    post_conj = [p.conjugate() for p in post]
+
+    def apply(v: list[complex]) -> list[complex]:
+        h = _hadamard([p * x for p, x in zip(pre, v)])
+        return [p * h[s] for p, s in zip(post, src)]
+
+    unit_dev = 0.0
+    for y in range(d):
+        column = apply([1.0 if x == y else 0.0 for x in range(d)])
+        back = [0j] * d
+        for p, s, x in zip(post_conj, src, column):
+            back[s] += p * x
+        back = [p * x for p, x in zip(pre_conj, _hadamard(back))]
+        back[y] -= 1.0
+        unit_dev = max(unit_dev, max(map(abs, back)))
+
+    inv_d = 1.0 / d
+    dev, worst = 0.0, None
+    v: list[complex] = [1 + 0j] + [0j] * (d - 1)
+    for j in range(1, d + 1):
+        v = apply(v)
+        power_dev = max(abs(a * a - inv_d) for a in map(abs, v))
         if worst is None or power_dev > dev:
             dev, worst = power_dev, (0, j)
     return MubVerification(dev, unit_dev, dev <= tol and unit_dev <= tol, worst)

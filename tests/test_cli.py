@@ -5,7 +5,6 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from mubforge import cli, construct, equiv, pauli
@@ -121,6 +120,36 @@ class TestSearch:
         assert res.returncode == 1
         assert res.stdout == ""
         assert "--count must be >= 1" in res.stderr
+
+    def test_seeded_search_names_space_exhausted(self):
+        # The run CI makes: every conjugator pattern of m = 3 is drawn, which
+        # gives all 126 group specs.  A count it reaches prints nothing.
+        res = run_cli("search", "--m", "3", "--kind", "group", "--seed", "1", "--count", "1000")
+        assert res.returncode == 0
+        assert res.stdout.count("\n") == exhaustive_total(3, "group") == 126
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+            "78de19dd960d4a9ece0befbc4932cd92a56ed59768fa4f4aaf13ded880970e44"
+        )
+        assert res.stderr == (
+            "mubforge search: stopped at 126 of 1000 specs (space-exhausted): "
+            "every index was drawn, so no other spec exists\n"
+        )
+        full = run_cli("search", "--m", "3", "--kind", "group", "--seed", "1", "--count", "126")
+        assert (full.returncode, full.stdout, full.stderr) == (0, res.stdout, "")
+
+    def test_seeded_search_names_max_attempts(self):
+        # 2^18 draws cannot collect all 2^16 patterns of u at m = 4 (about
+        # 7.5e5 draws are needed on average), so 19,099 of the 19,440 specs.
+        res = run_cli("search", "--m", "4", "--kind", "group", "--seed", "1", "--count", "100000")
+        assert res.returncode == 0
+        assert res.stdout.count("\n") == 19099 < exhaustive_total(4, "group")
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+            "7181bf2429003e4a73d1e29eac8a0c299d4f942a7ca2a84f74fc4ba2dfebc82b"
+        )
+        assert res.stderr == (
+            "mubforge search: stopped at 19099 of 100000 specs (max-attempts): "
+            f"MAX_ATTEMPTS = {construct.MAX_ATTEMPTS} draws ran out before every index was drawn\n"
+        )
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
@@ -257,7 +286,7 @@ class TestBuild:
     def test_failed_numeric_check_names_worst_pair(self, spec_files, capsys, monkeypatch):
         # Dropping the diagonal layers leaves U = H, so U^2 = I: the power
         # j = 2, the pair of bases (0, 2), is the one that breaks.
-        monkeypatch.setattr(pauli, "_quadratic_phase", lambda S, bits: np.ones(len(bits)))
+        monkeypatch.setattr(pauli, "_quadratic_phase", lambda S: [1.0] * (1 << S.rows))
         assert cli.main(["build", str(spec_files["field1"])]) == 2
         captured = capsys.readouterr()
         report = json.loads(captured.out)
@@ -514,31 +543,19 @@ run("build", f"{tmp}/field6.json", "--numeric-cap", 5, "--out", f"{tmp}/report.j
 run("classify", f"{tmp}/field6.json", f"{tmp}/group6.json", f"{tmp}/semigroup6.json",
     "--out", f"{tmp}/classify.txt")
 run("equiv", f"{tmp}/field6.json", f"{tmp}/group6.json", "--out", f"{tmp}/equiv.json")
+run("build", f"{tmp}/semigroup6.json", "--numeric-cap", 6, "--out", f"{tmp}/report6.json")
+run("search", "--m", 8, "--kind", "group", "--seed", 3, "--out", f"{tmp}/group8.json")
+run("build", f"{tmp}/group8.json", "--numeric-cap", 8, "--out", f"{tmp}/report8.json")
 print("numpy" in sys.modules)
 """
 
-NUMPY_RUN = """
-import sys
-import mubforge
-from mubforge import cli
 
-tmp = sys.argv[1]
-assert cli.main(["search", "--m", "3", "--kind", "field", "--exhaustive",
-                 "--out", f"{tmp}/field3.json"]) == 0
-assert cli.main(["build", f"{tmp}/field3.json", "--out", f"{tmp}/report3.json"]) == 0
-assert mubforge.verify_mub is sys.modules["mubforge.pauli"].verify_mub
-try:
-    mubforge.no_such_name
-except AttributeError:
-    print("AttributeError")
-"""
-
-
-def test_symbolic_commands_never_import_numpy(tmp_path):
-    # numpy is loaded only by the numeric oracle: search of every kind and
-    # mode, symbolic build, classify and equiv run without it.  Importing the
-    # CLI loads neither inspect nor dataclasses, which cost about a quarter
-    # of its import time.
+def test_cli_commands_never_import_numpy(tmp_path):
+    # No module of the package imports numpy, which only the test oracles
+    # use: search of every kind and mode, build with and without its numeric
+    # tier (at m = 6 and m = 8), classify and equiv run without it.  Importing
+    # the CLI loads neither inspect nor dataclasses, which cost about a
+    # quarter of its import time.
     res = subprocess.run([sys.executable, "-c", NO_NUMPY_RUN, str(tmp_path)],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
@@ -549,10 +566,7 @@ def test_symbolic_commands_never_import_numpy(tmp_path):
     assert (tmp_path / "all3-group.jsonl").read_text()
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["mub_verification"] == "skipped (m > 5)"
-
-    res = subprocess.run([sys.executable, "-c", NUMPY_RUN, str(tmp_path)],
-                         capture_output=True, text=True, timeout=300)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "AttributeError"
-    report = json.loads((tmp_path / "report3.json").read_text())
-    assert report["mub_verification"] == "passed"
+    for name in ("report6.json", "report8.json"):
+        report = json.loads((tmp_path / name).read_text())
+        assert report["mub_verification"] == "passed"
+        assert report["mub_max_deviation"] == 0.0

@@ -1,7 +1,7 @@
 """Numeric tier: powers of the cyclic generator U, against the eigenbasis oracles.
 
-Dense Pauli matrices, commutation, class eigenbases and Schmidt ranks are
-oracles (`tests/oracles.py`), tested here too.
+Dense Pauli matrices, commutation, class eigenbases, the full d x d powers
+of U and Schmidt ranks are oracles (`tests/oracles.py`), tested here too.
 """
 
 import itertools
@@ -21,8 +21,9 @@ from mubforge.construct import (
     generators,
     search_specs,
 )
+from mubforge import pauli
 from mubforge.gf2 import BitMatrix, vstack
-from mubforge.pauli import NUMERIC_QUBIT_CAP, generator_powers, verify_mub
+from mubforge.pauli import NUMERIC_QUBIT_CAP, verify_mub
 from oracles import (
     ORACLE_QUBIT_CAP,
     PauliLabel,
@@ -30,6 +31,7 @@ from oracles import (
     class_generators,
     class_labels,
     dense_class_eigenbasis,
+    generator_powers,
     mub_from_generators,
     orbit_forms,
     pauli_matrix,
@@ -37,6 +39,7 @@ from oracles import (
     standard_forms,
     symplectic_product,
     verify_bases,
+    verify_powers,
 )
 
 
@@ -224,6 +227,53 @@ class TestVerifyMub:
         spec = next(search_specs(m, kind, seed=seed))
         assert verify_mub(spec, tol=1e-10).passed
         assert verify_bases(mub_from_generators(generators(spec)), tol=1e-10).passed
+
+    def test_non_unitary_circuit_fails(self, monkeypatch):
+        # Entries 0 and 1 of U v both read entry src[0]: U is singular.
+        layers = pauli._generator_layers
+
+        def collide(spec):
+            pre, post, src = layers(spec)
+            return pre, post, [src[0], *src[:-1]]
+
+        monkeypatch.setattr(pauli, "_generator_layers", collide)
+        result = verify_mub(next(search_specs(2, "field")))
+        assert result.unitarity_deviation > 0.1
+        assert not result.passed
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exact_at_eight_qubits(self, kind):
+        # Even m: the scale 2^-4 and every entry of every power are exact.
+        spec = next(search_specs(8, kind, seed=1))
+        result = verify_mub(spec)
+        assert result.passed
+        assert result.max_deviation == 0.0
+
+
+def _same_verdict(spec):
+    """verify_mub and the full-matrix oracle agree bit for bit on the verdict."""
+    fast, full = verify_mub(spec), verify_powers(spec)
+    assert (fast.max_deviation, fast.passed, fast.worst_pair) == (
+        full.max_deviation, full.passed, full.worst_pair
+    ), spec
+    assert fast.unitarity_deviation <= 1e-14 and full.unitarity_deviation <= 1e-14
+
+
+class TestColumnReduction:
+    """Column 0 of each power against every entry of the full d x d powers."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_symmetric_b(self, m):
+        # Valid and invalid field specs alike: 1,024 candidates at m = 4.
+        for k in range(1 << (m * (m + 1) // 2)):
+            _same_verdict(StabilizerSpec.field(BitMatrix(m, m, decode_symmetric(m, k))))
+
+    @pytest.mark.parametrize("m", [5, 6, 7])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_seeded_specs(self, kind, m):
+        for seed in (1, 2):
+            for spec in search_specs(m, kind, 1, seed=seed):
+                _same_verdict(spec)
 
 
 def _same_basis(a, b):
