@@ -12,7 +12,7 @@ bit-sliced in Python ints, so no search loads numpy.
 from __future__ import annotations
 
 import re
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_, or_, xor
 
 BLOCK_BITS = 13  # the kernel tests 2^13 candidates at a time
@@ -26,8 +26,9 @@ _INDEX_BITS = tuple(
 )
 
 
-def _pair_positions(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m) for j in range(i, m)]
+@lru_cache(maxsize=None)
+def _pair_positions(m: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i, j) for i in range(m) for j in range(i, m))
 
 
 def decode_symmetric(m: int, k: int) -> tuple[int, ...]:

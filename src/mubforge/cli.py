@@ -2,18 +2,23 @@
 
 Exit codes: 0 = success (including empty search results and negative
 equivalence verdicts), 2 = validation or internal failure, named on stderr,
-1 = usage error.  Search output is JSON lines so long runs can be piped and
-truncated; identical commands with identical seeds produce byte-identical
-output.
+1 = usage error.  Search output is JSON lines, written as each spec is
+found, so long runs can be piped and truncated; identical commands with
+identical seeds produce byte-identical output.  Every command writes its
+output the same way: a failed write to stdout or --out exits 2 and says
+so, and a pipe closed by its reader ends the output quietly.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from .construct import (
@@ -84,17 +89,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, text: str) -> bool:
-    """Write `text` to `args.out`, or stdout; False, reported on stderr, if that fails."""
-    if args.out is None:
-        sys.stdout.write(text)
-        return True
+def _write(args, chunks) -> bool:
+    """Write each text chunk to `args.out`, or stdout, as it comes, and flush once at the end.
+
+    A failed write is named on stderr and gives False.  A closed pipe ends
+    the write quietly and gives True.  After either, stdout points at the
+    null device, so the flush at interpreter exit cannot fail again.
+    """
     try:
-        args.out.write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+            out.writelines(chunks)
+            out.flush()
+        return True
     except OSError as exc:
-        print(f"mubforge {args.command}: cannot write output: {exc}", file=sys.stderr)
-        return False
-    return True
+        if args.out is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"mubforge {args.command}: cannot write output: {exc}", file=sys.stderr)
+        return isinstance(exc, BrokenPipeError)
 
 
 def _load_spec(path: Path) -> StabilizerSpec:
@@ -102,25 +114,24 @@ def _load_spec(path: Path) -> StabilizerSpec:
 
 
 def _cmd_search(args) -> int:
-    if not 1 <= args.m <= MAX_M:
-        print(f"mubforge search: error: --m must be in 1..{MAX_M}", file=sys.stderr)
-        return 1
     if args.count < 1:
         print("mubforge search: error: --count must be >= 1", file=sys.stderr)
         return 1
     if not args.exhaustive and args.seed is None:
         print("mubforge search: error: --seed is required unless --exhaustive", file=sys.stderr)
         return 1
-    lines = []
     stats: dict = {}
+    specs = search_specs(args.m, args.kind, args.count, args.seed, stats)
     try:
-        for spec in search_specs(args.m, args.kind, args.count, args.seed, stats):
-            lines.append(spec.to_json())
+        head = list(itertools.islice(specs, 1))  # usage errors raise here, before any write
     except ValueError as exc:
         print(f"mubforge search: error: {exc}", file=sys.stderr)
         return 1
-    if not _emit(args, "".join(line + "\n" for line in lines)):
+    drawn = itertools.count()  # zip ticks it once per spec taken, so next(drawn) counts them
+    lines = (spec.to_json() + "\n" for spec, _ in zip(itertools.chain(head, specs), drawn))
+    if not _write(args, lines):
         return 2
+    found = next(drawn)
     stop = stats.get("stop")  # set only when a seeded stream ends short of --count
     if stop:
         why = {
@@ -129,11 +140,10 @@ def _cmd_search(args) -> int:
             "was drawn",
         }
         print(
-            f"mubforge search: stopped at {len(lines)} of {args.count} specs ({stop}): "
-            f"{why[stop]}",
+            f"mubforge search: stopped at {found} of {args.count} specs ({stop}): {why[stop]}",
             file=sys.stderr,
         )
-    if not lines:
+    if not found:
         hints = {
             "field": "no symmetric matrix with an admissible characteristic polynomial",
             "group": "no non-polynomial symmetrizer exists or was found",
@@ -216,7 +226,7 @@ def _cmd_build(args) -> int:
     else:
         report["mub_verification"] = f"skipped (m > {args.numeric_cap})"
     report["timings"] = timings
-    if not _emit(args, json.dumps(report, indent=2) + "\n"):
+    if not _write(args, [json.dumps(report, indent=2) + "\n"]):
         return 2
     if cyclic_ok and bandy_ok and numeric_ok:
         return 0
@@ -237,11 +247,10 @@ def _cmd_classify(args) -> int:
             failed = True
             print(f"mubforge classify: {path}: {exc}", file=sys.stderr)
             rows.append((str(path), "-", "-", "error"))
-    widths = [max(len(r[i]) for r in rows + [("file", "kind", "m", "counts")]) for i in range(4)]
-    header = ("file", "kind", "m", "counts")
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows]
-    written = _emit(args, "".join(line.rstrip() + "\n" for line in lines))
+    table = [("file", "kind", "m", "counts"), *rows]
+    widths = [max(len(row[i]) for row in table) for i in range(4)]
+    lines = ("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in table)
+    written = _write(args, lines)
     return 2 if failed or not written else 0
 
 
@@ -264,17 +273,12 @@ def _cmd_equiv(args) -> int:
     verdict = {"equivalent": f is not None, "reason": reason}
     if f is not None:
         verdict["f"] = f.matrix.to_lists()
-    return 0 if _emit(args, json.dumps(verdict, indent=2) + "\n") else 2
+    return 0 if _write(args, [json.dumps(verdict, indent=2) + "\n"]) else 2
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "search": _cmd_search,
-        "build": _cmd_build,
-        "classify": _cmd_classify,
-        "equiv": _cmd_equiv,
-    }
+    handlers = dict(search=_cmd_search, build=_cmd_build, classify=_cmd_classify, equiv=_cmd_equiv)
     return handlers[args.command](args)
 
 

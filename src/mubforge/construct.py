@@ -133,6 +133,11 @@ def _vec(mat: BitMatrix) -> int:
     return _pack(mat.data, mat.cols)
 
 
+def reverse_bits(x: int, n: int) -> int:
+    """x < 2^n with its n bits in reverse order."""
+    return int(f"{x:0{n}b}"[::-1], 2)
+
+
 class StabilizerSpec(NamedTuple):
     """Recipe for one complete cyclic set: kind plus the matrices B, R, A."""
 
@@ -528,7 +533,7 @@ def _iter_conjugators(
                 f"exhaustive group/semigroup search is capped at m = {EXHAUSTIVE_CONJ_CAP}; "
                 "pass a seed"
             )
-        rev = [int(f"{p:0{m}b}"[::-1], 2) for p in range(1 << m)]
+        rev = [reverse_bits(p, m) for p in range(1 << m)]
         units = [1 << j for j in range(m)]
         last = 1 << (m - 1)
 
@@ -550,10 +555,11 @@ def _iter_conjugators(
 
         yield from extend([], {0: 0})
         return
-    nbits = m * m
-    for k in _draws(_derived_seed(seed, 0xC0), nbits, stats):
-        bits = f"{k:0{nbits}b}"
-        u = tuple(int(bits[i * m : (i + 1) * m][::-1], 2) for i in range(m))
+    mask = (1 << m) - 1
+    for k in _draws(_derived_seed(seed, 0xC0), m * m, stats):
+        # Reversing all m^2 bits puts row i, reversed, at bits i*m .. (i+1)*m - 1.
+        rows = reverse_bits(k, m * m)
+        u = tuple(rows >> (i * m) & mask for i in range(m))
         inv = _inverse_rows(u)
         if inv is not None:
             yield u, tuple(inv)

@@ -60,15 +60,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .construct import NUMERIC_QUBIT_CAP, StabilizerSpec
+from .construct import NUMERIC_QUBIT_CAP, StabilizerSpec, reverse_bits
 from .gf2 import BitMatrix, mat_inverse, mat_mul
 
 _POWERS_OF_I = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
-def _qubit_masks(m: int) -> list[int]:
-    """For each index, its qubit bits y as a mask with bit i = y_i (index bits reversed)."""
-    return [int(f"{r:0{m}b}"[::-1], 2) for r in range(1 << m)]
 
 
 def _quadratic_phase(S: BitMatrix) -> list[complex]:
@@ -76,7 +71,7 @@ def _quadratic_phase(S: BitMatrix) -> list[complex]:
     diag = sum(row & (1 << i) for i, row in enumerate(S.data))
     upper = [row >> (i + 1) << (i + 1) for i, row in enumerate(S.data)]
     phases = []
-    for y in _qubit_masks(S.rows):
+    for y in (reverse_bits(r, S.rows) for r in range(1 << S.rows)):
         cross = sum((u & y).bit_count() for i, u in enumerate(upper) if y >> i & 1)
         phases.append(_POWERS_OF_I[((diag & y).bit_count() + 2 * cross) % 4])
     return phases
@@ -88,9 +83,10 @@ def _generator_layers(spec: StabilizerSpec) -> tuple[list[complex], list[complex
     (U v)[r] = post[r] * (H^(x)m (pre * v))[src[r]] entry by entry, since
     P_(R^-1) moves entry R r to entry r.
     """
-    masks = _qubit_masks(spec.m)
+    # The qubit bits y of each index, as a mask with bit i = y_i: the index
+    # bits reversed.  That is an involution, so the index of a mask is its mask.
+    masks = [reverse_bits(r, spec.m) for r in range(1 << spec.m)]
     rows = spec.R.data
-    # masks is an involution: the index of a mask is its own mask.
     src = [
         masks[sum(((row & y).bit_count() & 1) << i for i, row in enumerate(rows))]
         for y in masks

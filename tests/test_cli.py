@@ -1,7 +1,9 @@
 """End-to-end CLI behaviour: flags, exit codes, JSON output, determinism."""
 
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -157,6 +159,29 @@ class TestSearch:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "cannot write output" in err and str(out) in err
+
+    def test_lines_leave_as_they_are_found(self, monkeypatch):
+        # The second spec is asked for only after the first line was written.
+        out = io.StringIO()
+        first, second = search_specs(3, "field", 2)
+
+        def two_specs(*args):
+            yield first
+            assert out.getvalue() == first.to_json() + "\n"
+            yield second
+
+        monkeypatch.setattr(cli, "search_specs", two_specs)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["search", "--m", "3", "--kind", "field", "--exhaustive"]) == 0
+        assert out.getvalue() == first.to_json() + "\n" + second.to_json() + "\n"
+
+    def test_usage_error_leaves_out_untouched(self, tmp_path, capsys):
+        out = tmp_path / "specs.jsonl"
+        out.write_text("kept\n")
+        argv = ["search", "--m", "7", "--kind", "field", "--exhaustive", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "capped at m = 6" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
 
 
 class TestBuild:
@@ -484,6 +509,39 @@ MALFORMED_SPECS = {
     "string-m": ('{"m": "2", "kind": "field", "B": [[1, 1], [1, 0]]}', '"m" must be an integer'),
     "deeply-nested": ("[" * 100000 + "]" * 100000, "nested too deeply"),
 }
+
+
+class TestOutput:
+    """Every command writes through one path: a failed write exits 2, a closed pipe is quiet."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["search", "build", "classify", "equiv"])
+    def test_full_stdout_exits_2(self, spec_files, command):
+        spec = str(spec_files["field3"])
+        args = {
+            "search": ["--m", "4", "--kind", "group", "--exhaustive", "--count", "1048576"],
+            "build": [spec],
+            "classify": [spec],
+            "equiv": [spec, spec],
+        }[command]
+        with open("/dev/full", "w") as full:
+            res = subprocess.run(CLI + [command, *args], stdout=full, stderr=subprocess.PIPE,
+                                 text=True, timeout=300)
+        assert res.returncode == 2
+        # One line, and no traceback from the write or from the flush at exit.
+        assert res.stderr.startswith(f"mubforge {command}: cannot write output: ")
+        assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+    def test_closed_pipe_ends_search_quietly(self, tmp_path):
+        err = tmp_path / "err.txt"
+        args = ["search", "--m", "4", "--kind", "group", "--exhaustive", "--count", "1048576"]
+        with open(err, "w") as err_file:
+            proc = subprocess.Popen(CLI + args, stdout=subprocess.PIPE, stderr=err_file)
+            line = proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.wait(timeout=300) == 0
+        StabilizerSpec.from_json(line).validate()
+        assert err.read_text() == ""
 
 
 class TestMalformedSpecs:
