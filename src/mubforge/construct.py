@@ -7,8 +7,9 @@ polynomial of B must be irreducible with Fibonacci index d + 1 = 2^m + 1;
 that single condition makes the stabilizer matrix C cyclic of order d + 1.
 
 The three kinds produce sets with three, two and one completely factorizable
-bases once R is not a polynomial in B (group) and A additionally avoids every
-matrix of the form p(B) R + diagonal (semigroup).
+bases once R is not a polynomial in B (group), which for these R means B is
+not symmetric, and A additionally avoids every matrix of the form
+p(B) R + diagonal (semigroup).
 
 A set's classes are (I; 0) and the d standard forms p(B) R + A with
 deg p < m.  They are held as the affine family A + span{R, B R, ...,
@@ -25,11 +26,20 @@ Search builds group and semigroup specs from one field-kind anchor B0 and a
 change of basis u: B = u B0 u^-1 and R = u u^t, so the standard forms are
 p(B) R + A = u p(B0) u^t + A.  The conjugator walk hands out u^-1 with each
 u, so every product runs on row masks and no inverse is taken per u.  R is
-a polynomial in B exactly when u^t u is one in B0, which is one membership
-test in a span built once per search, and the addend is the first pair
-matrix E_ij + E_ji outside span{B^k R} + diagonals.  In the quotient by the
-diagonals that span has at most m dimensions, so the addend is found in at
-most m + 1 tests.
+a polynomial in B exactly when B is symmetric, so the filter is a symmetry
+test on B: two products and a transpose per u, and one more of each, for R,
+only for the u kept.  R is symmetric and invertible, BR is symmetric and
+char(B) is irreducible, so:
+
+- If R = p(B), then R B = B R = (B R)^t = R B^t, and R is invertible, so
+  B = B^t.
+- If B = B^t, then B R = (B R)^t = R B, so R lies in the centraliser of B.
+  B is cyclic (its characteristic polynomial is irreducible, hence also its
+  minimal one), and the centraliser of a cyclic matrix is F2[B].
+
+The addend is the first pair matrix E_ij + E_ji outside span{B^k R} +
+diagonals.  In the quotient by the diagonals that span has at most m
+dimensions, so the addend is found in at most m + 1 tests.
 """
 
 from __future__ import annotations
@@ -51,10 +61,8 @@ from .gf2 import (
     block2x2,
     char_poly,
     is_invertible,
-    lower_block,
     mat_inverse,
     mat_mul,
-    upper_block,
     vstack,
 )
 
@@ -311,8 +319,11 @@ def standard_form(gen: BitMatrix):
     Raises StandardFormError when the lower block is singular but nonzero,
     which cannot happen for generators of a valid spec.
     """
-    lo = lower_block(gen)
-    up = upper_block(gen)
+    m = gen.cols
+    if gen.rows != 2 * m:
+        raise ValueError("expected a 2m x m generator")
+    up = BitMatrix(m, m, gen.data[:m])
+    lo = BitMatrix(m, m, gen.data[m:])
     if lo.is_zero():
         if not is_invertible(up):
             raise StandardFormError("zero lower block with singular upper block")
@@ -585,10 +596,11 @@ def search_specs(
     Group and semigroup specs are parametrized as B = u B0 u^-1, R = u u^t
     over invertible u, with B0 the first field-kind hit: every symmetrizer
     expressible as a Gram product arises this way, and the non-polynomial
-    filter (two factorizable bases) plus the addend filter (one factorizable
-    basis) are applied before anything is emitted.  Distinct u give distinct
-    (B, R): w = u^-1 u' commutes with B0, so w lies in the field F2[B0], and
-    w w^t = w^2 = I forces w = I.  So no spec repeats once no u does.
+    filter (two factorizable bases), which is B != B^t here, plus the addend
+    filter (one factorizable basis) are applied before anything is emitted.
+    Distinct u give distinct (B, R): w = u^-1 u' commutes with B0, so w lies
+    in the field F2[B0], and w w^t = w^2 = I forces w = I.  So no spec
+    repeats once no u does.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -614,17 +626,16 @@ def _conjugate_specs(
     k0 = next(_field_hits(m, anchor_seed, stats), None)
     if k0 is None:
         return
-    b0 = BitMatrix(m, m, backend.decode_symmetric(m, k0))
-    # R = u u^t is a polynomial in B = u B0 u^-1 iff u^t u is one in B0:
-    # F2[B] = u F2[B0] u^-1, so u u^t = u p(B0) u^-1 <=> u^t u = p(B0).
-    # So the span of I, B0, ..., B0^(m-1) is built once per search.
-    field = _SpanReducer([_vec(b0**k) for k in range(m)])
+    b0 = backend.decode_symmetric(m, k0)
     for u, u_inv in _iter_conjugators(m, seed, stats):
-        ut = _transpose_rows(u, m)
-        if field.contains(_pack(_mul_rows(ut, u), m)):
+        # R = u u^t is a polynomial in B = u B0 u^-1 iff B is symmetric (see
+        # the module docstring): R is symmetric and invertible, B R = u B0 u^t
+        # is symmetric, and char(B) = char(B0) is irreducible.
+        b = _mul_rows(_mul_rows(u, b0), u_inv)
+        if b == _transpose_rows(b, m):
             continue
-        R = BitMatrix(m, m, _mul_rows(u, ut))
-        B = BitMatrix(m, m, _mul_rows(_mul_rows(u, b0.data), u_inv))
+        B = BitMatrix(m, m, b)
+        R = BitMatrix(m, m, _mul_rows(u, _transpose_rows(u, m)))
         if kind == "group":
             yield StabilizerSpec.group(B, R)
             continue

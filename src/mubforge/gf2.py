@@ -292,16 +292,3 @@ def vstack(top: BitMatrix, bottom: BitMatrix) -> BitMatrix:
         raise ValueError("column mismatch in vstack")
     return BitMatrix(top.rows + bottom.rows, top.cols, top.data + bottom.data)
 
-
-def upper_block(g: BitMatrix) -> BitMatrix:
-    """Top half of a stacked 2m x m generator."""
-    if g.rows != 2 * g.cols:
-        raise ValueError("expected a 2m x m generator")
-    return BitMatrix(g.cols, g.cols, g.data[: g.cols])
-
-
-def lower_block(g: BitMatrix) -> BitMatrix:
-    """Bottom half of a stacked 2m x m generator."""
-    if g.rows != 2 * g.cols:
-        raise ValueError("expected a 2m x m generator")
-    return BitMatrix(g.cols, g.cols, g.data[g.cols :])

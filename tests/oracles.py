@@ -17,7 +17,7 @@
   tests each rank, where `construct._iter_conjugators` builds invertible
   matrices row by row and hands out each inverse with it.
 - `is_polynomial_in` rebuilds span{I, B, ..., B^(m-1)} for one B, where
-  `construct.search_specs` tests u^t u against the anchor's field once per u.
+  `construct.search_specs` tests whether B = u B0 u^-1 is symmetric.
 - `addend_excluded_span` spans {p(B) R} + diagonals in all m^2 entries,
   and `find_addend_scan` decodes the symmetric candidates one by one
   against it, up to 4^m + 1 of them, where `construct.find_addend` tries

@@ -1,5 +1,6 @@
 """Stabilizer construction, lemma-condition filters, and the searches."""
 
+import functools
 import itertools
 import json
 import random
@@ -26,16 +27,18 @@ from mubforge.construct import (
     find_addend,
     generators,
     search_specs,
+    standard_form,
 )
-from mubforge.equiv import symplectic_form
+from mubforge.entangle import entanglement_vector
+from mubforge.equiv import classes_equal, symplectic_form
 from mubforge.gf2 import (
     BitMatrix,
-    _SpanReducer,
     block2x2,
     char_poly,
     is_invertible,
     mat_inverse,
     mat_mul,
+    vstack,
 )
 from mubforge.poly2 import is_irreducible
 from oracles import (
@@ -314,6 +317,20 @@ class TestGenerators:
         assert not bandyopadhyay_check(field_family(eye))
         assert not bandyopadhyay_oracle(2, forms)
 
+    def test_standard_form_reads_the_two_blocks(self):
+        # (M X; X) normalizes to M, (I; 0) to Z_BASIS; only a 2m x m matrix is a generator.
+        eye, zero = BitMatrix.identity(2), BitMatrix.zero(2)
+        X = BitMatrix.from_rows([[1, 1], [0, 1]])
+        assert standard_form(vstack(mat_mul(B2, X), X)) == B2
+        assert standard_form(vstack(eye, zero)) is Z_BASIS
+        singular = BitMatrix.from_rows([[1, 0], [0, 0]])
+        with pytest.raises(StandardFormError, match="lower block of a class generator"):
+            standard_form(vstack(eye, singular))
+        with pytest.raises(StandardFormError, match="zero lower block"):
+            standard_form(vstack(singular, zero))
+        with pytest.raises(ValueError, match="2m x m"):
+            standard_form(vstack(eye, vstack(eye, zero)))
+
     @pytest.mark.parametrize(
         "make", [lambda: field_spec(2), lambda: field_spec(4), group_spec]
     )
@@ -502,12 +519,20 @@ class TestAddend:
 
 
 class TestAnchorField:
-    """u^t u in F2[B0] decides whether u u^t is a polynomial in u B0 u^-1."""
+    """Conjugates of the anchor: R = u u^t lies in F2[u B0 u^-1] iff that B is symmetric."""
 
     @staticmethod
-    def anchor_field_test(b0, u):
-        field = _SpanReducer([_vec(b0**k) for k in range(b0.rows)])
-        return field.contains(_vec(mat_mul(u.transpose(), u)))
+    @functools.lru_cache(maxsize=None)
+    def conjugates(m):
+        """(B, R, R in F2[B]) for every u of the exhaustive walk, in walk order."""
+        b0 = next(search_specs(m, "field")).B
+        out = []
+        for rows, _ in _iter_conjugators(m, None):
+            u = BitMatrix(m, m, rows)
+            B = mat_mul(mat_mul(u, b0), mat_inverse(u))
+            R = mat_mul(u, u.transpose())
+            out.append((B, R, is_polynomial_in(B, R)))
+        return tuple(out)
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), polynomial=st.booleans())
@@ -515,7 +540,8 @@ class TestAnchorField:
         rng = random.Random(seed)
         b0 = next(search_specs(m, "field", seed=seed)).B
         if polynomial:
-            # u = P q(B0) with P a permutation: u^t u = q(B0)^2 lies in F2[B0].
+            # u = P q(B0) with P a permutation: B = P B0 P^t is symmetric and
+            # R = P q(B0)^2 P^t = q(B)^2 lies in F2[B].
             q = BitMatrix.zero(m)
             while q.is_zero():
                 q = poly_of_matrix(rng.getrandbits(m), b0)
@@ -525,21 +551,31 @@ class TestAnchorField:
             u = random_invertible(rng, m)
         B = mat_mul(mat_mul(u, b0), mat_inverse(u))
         R = mat_mul(u, u.transpose())
-        assert self.anchor_field_test(b0, u) == is_polynomial_in(B, R)
+        assert B.is_symmetric() == is_polynomial_in(B, R)
         if polynomial:
-            assert is_polynomial_in(B, R)
+            assert B.is_symmetric()
 
-    def test_every_conjugator_at_three_qubits(self):
-        b0 = next(search_specs(3, "field")).B
-        verdicts = []
-        for rows, _ in _iter_conjugators(3, None):
-            u = BitMatrix(3, 3, rows)
-            B = mat_mul(mat_mul(u, b0), mat_inverse(u))
-            verdict = is_polynomial_in(B, mat_mul(u, u.transpose()))
-            assert self.anchor_field_test(b0, u) == verdict
-            verdicts.append(verdict)
-        assert len(verdicts) == general_linear_order(3)
-        assert verdicts.count(False) == exhaustive_total(3, "group")
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_every_conjugator(self, m):
+        triples = self.conjugates(m)
+        assert len(triples) == general_linear_order(m)
+        assert all(B.is_symmetric() == poly for B, _, poly in triples)
+        kept = sum(not B.is_symmetric() for B, _, _ in triples)
+        assert kept == exhaustive_total(m, "group")
+        assert len(triples) - kept == {3: 42, 4: 720}[m]
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_symmetric_conjugates_give_the_field_classes(self, m):
+        # A group spec whose R is a polynomial in B is valid, but it is the
+        # field set of B over again: its classes match, and three bases factor.
+        pairs = [(B, R) for B, R, _ in self.conjugates(m) if B.is_symmetric()]
+        assert pairs
+        for B, R in pairs:
+            spec = StabilizerSpec.group(B, R)
+            spec.validate()
+            gens = generators(spec)
+            assert classes_equal(gens, generators(StabilizerSpec.field(B)))
+            assert entanglement_vector(gens).factorizable() == 3
 
     @pytest.mark.parametrize("kind", ["group", "semigroup"])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -659,7 +695,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("kind", ["group", "semigroup"])
     def test_full_four_qubit_search_count(self, kind):
-        # 20,160 conjugators less the 720 with u^t u in F2[B0].
+        # 20,160 conjugators less the 720 whose B = u B0 u^-1 is symmetric.
         lines = [s.to_json() for s in search_specs(4, kind, None)]
         assert len(lines) == len(set(lines)) == exhaustive_total(4, kind)
 
