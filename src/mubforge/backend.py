@@ -58,41 +58,35 @@ def scan_symmetric(m: int, good_polys: tuple[int, ...], start: int, stop: int) -
     products and a few XORs per poly, instead of a matrix Horner evaluation
     per poly.
 
-    The test runs on a block of 2^BLOCK_BITS candidates at once, bit-sliced:
-    each matrix entry and each vector coordinate is one int whose bit o
-    belongs to candidate base + o.  Row i of B v is the XOR over j of
-    B_ij & v_j, and a candidate hits where some p leaves every coordinate
-    of sum_t p_t v_t zero.
+    The test runs on the block of 2^BLOCK_BITS candidates that holds
+    [start, stop), bit-sliced: each matrix entry and each vector coordinate
+    is one int whose bit o belongs to candidate base + o.  Row i of B v is
+    the XOR over j of B_ij & v_j, and a candidate hits where some p leaves
+    every coordinate of sum_t p_t v_t zero.  [start, stop) must lie inside
+    one block; `construct._field_hits` walks the blocks.
     """
     pairs = _pair_positions(m)
     n = len(pairs)
-    size = 1 << BLOCK_BITS
-    hits: list[int] = []
-    lo = start
-    while lo < stop:
-        base = lo & -size
-        hi = min(stop, base + size)
-        # base has its low BLOCK_BITS bits clear, so each entry comes either
-        # from base (the same for the whole block) or from one offset bit s.
-        high = decode_symmetric(m, base)
-        entries = [[_FULL if (r >> j) & 1 else 0 for j in range(m)] for r in high]
-        for s in range(min(n, BLOCK_BITS)):
-            i, j = pairs[n - 1 - s]
-            entries[i][j] = entries[j][i] = _INDEX_BITS[s]
-        v = [_FULL] + [0] * (m - 1)
-        krylov = [v]
-        for _ in range(m):
-            v = [reduce(xor, map(and_, row, v)) for row in entries]
-            krylov.append(v)
-        miss = _FULL
-        for p in good_polys:
-            w = [0] * m
-            for t, vt in enumerate(krylov):
-                if (p >> t) & 1:
-                    w = list(map(xor, w, vt))
-            miss &= reduce(or_, w)
-        hit = ~miss & ((1 << (hi - base)) - (1 << (lo - base)))
-        bits = bin(hit)[:1:-1]  # character o is bit o
-        hits.extend(base + one.start() for one in re.finditer("1", bits))
-        lo = hi
-    return hits
+    base = start & -(1 << BLOCK_BITS)
+    # base has its low BLOCK_BITS bits clear, so each entry comes either
+    # from base (the same for the whole block) or from one offset bit s.
+    high = decode_symmetric(m, base)
+    entries = [[_FULL if (r >> j) & 1 else 0 for j in range(m)] for r in high]
+    for s in range(min(n, BLOCK_BITS)):
+        i, j = pairs[n - 1 - s]
+        entries[i][j] = entries[j][i] = _INDEX_BITS[s]
+    v = [_FULL] + [0] * (m - 1)
+    krylov = [v]
+    for _ in range(m):
+        v = [reduce(xor, map(and_, row, v)) for row in entries]
+        krylov.append(v)
+    miss = _FULL
+    for p in good_polys:
+        w = [0] * m
+        for t, vt in enumerate(krylov):
+            if (p >> t) & 1:
+                w = list(map(xor, w, vt))
+        miss &= reduce(or_, w)
+    hit = ~miss & ((1 << (stop - base)) - (1 << (start - base)))
+    bits = bin(hit)[:1:-1]  # character o is bit o
+    return [base + one.start() for one in re.finditer("1", bits)]

@@ -22,6 +22,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from .construct import (
+    KINDS,
     MAX_ATTEMPTS,
     MAX_M,
     NUMERIC_QUBIT_CAP,
@@ -36,9 +37,8 @@ from .construct import (
 )
 from .entangle import entanglement_vector
 from .equiv import equivalence_map
-from .pauli import verify_mub
+from .pauli import DEFAULT_TOL, verify_mub
 
-DEFAULT_TOL = 1e-10
 DEFAULT_NUMERIC_CAP = 5
 
 
@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
 
     p_search = sub.add_parser("search", help="search for stabilizer specifications")
     p_search.add_argument("--m", type=int, required=True, help=f"number of qubits (1..{MAX_M})")
-    p_search.add_argument("--kind", required=True, choices=["field", "group", "semigroup"])
+    p_search.add_argument("--kind", required=True, choices=KINDS)
     p_search.add_argument("--count", type=int, default=1, help="maximum number of specs")
     mode = p_search.add_mutually_exclusive_group()
     mode.add_argument(
@@ -94,8 +94,12 @@ def _write(args, chunks) -> bool:
 
     A failed write is named on stderr and gives False.  A closed pipe ends
     the write quietly and gives True.  After either, stdout points at the
-    null device, so the flush at interpreter exit cannot fail again.
+    null device, so the flush at interpreter exit cannot fail again.  A
+    stdout closed from the start (sys.stdout is None) is a failed write.
     """
+    if args.out is None and sys.stdout is None:
+        print(f"mubforge {args.command}: cannot write output: stdout is closed", file=sys.stderr)
+        return False
     try:
         with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
             out.writelines(chunks)

@@ -493,14 +493,13 @@ def _field_hits(m: int, seed: int | None, stats: dict | None = None) -> Iterator
 
     Admissible means irreducible with Fibonacci index d + 1.  With no seed
     the kernel scans all 2^(m(m+1)/2) candidates in ascending order, one
-    block at a time (capped at m = EXHAUSTIVE_CAP).  With a seed the
+    call per block of 2^BLOCK_BITS; this is the only loop over blocks.  The
+    caller, `search_specs`, has checked the cap.  With a seed the
     candidates come from `_draws`, and each is tested directly, so no table
     of admissible polynomials is built.
     """
     npairs = m * (m + 1) // 2
     if seed is None:
-        if m > EXHAUSTIVE_CAP:
-            raise ValueError(f"exhaustive search is capped at m = {EXHAUSTIVE_CAP}; pass a seed")
         polys = poly2.stabilizer_char_polys(m)
         total = 1 << npairs
         chunk = 1 << backend.BLOCK_BITS
@@ -524,7 +523,7 @@ def _iter_conjugators(
     """Invertible matrices u with their inverses, as row masks (u, u^-1).
 
     Each u comes once: with no seed every u in row-major lexicographic order
-    (capped at m = EXHAUSTIVE_CONJ_CAP), with a seed in the order `_draws`
+    (`search_specs` has checked the cap), with a seed in the order `_draws`
     gives the m^2-bit indices, of which the singular ones are dropped; the
     draws stop once all 2^(m^2) bit patterns have been drawn.  An index k
     holds row i of u in its i-th group of m bits from the top, with column
@@ -539,11 +538,6 @@ def _iter_conjugators(
     invertibility and gives u^-1 in one elimination (`gf2._inverse_rows`).
     """
     if seed is None:
-        if m > EXHAUSTIVE_CONJ_CAP:
-            raise ValueError(
-                f"exhaustive group/semigroup search is capped at m = {EXHAUSTIVE_CONJ_CAP}; "
-                "pass a seed"
-            )
         rev = [reverse_bits(p, m) for p in range(1 << m)]
         units = [1 << j for j in range(m)]
         last = 1 << (m - 1)
@@ -584,14 +578,16 @@ def search_specs(
     With no seed the search is exhaustive: field specs come in ascending
     candidate order, which is capped at m = EXHAUSTIVE_CAP, and group and
     semigroup specs walk every conjugator u, which is capped at
-    m = EXHAUSTIVE_CONJ_CAP.  A seed selects seeded uniform sampling, up to
-    MAX_M: B and u are drawn by `_draws`, which skips repeats and stops once
-    every index has been drawn, so at small m a seeded search with a large
-    count ends with every spec the exhaustive one finds.  Either way the
-    stream is fixed by the arguments.  When a seeded stream ends before
-    `count`, stats["stop"] (if stats is given) names the sampler's reason,
-    "space-exhausted" or "max-attempts"; a semigroup search that finds no
-    addend ends without one.
+    m = EXHAUSTIVE_CONJ_CAP.  Both caps are checked here, with the other
+    arguments, so a search above its cap raises before any scan.  A seed
+    selects seeded uniform sampling, up to MAX_M: B and u are drawn by
+    `_draws`, which skips repeats and stops once every index has been
+    drawn, so at small m a seeded search with a large count ends with every
+    spec the exhaustive one finds.  Either way the stream is fixed by the
+    arguments.  When a seeded stream ends before `count`, stats["stop"] (if
+    stats is given) names the sampler's reason, "space-exhausted" or
+    "max-attempts"; a semigroup search that finds no addend ends without
+    one.
 
     Group and semigroup specs are parametrized as B = u B0 u^-1, R = u u^t
     over invertible u, with B0 the first field-kind hit: every symmetrizer
@@ -608,6 +604,9 @@ def search_specs(
         raise ValueError(f"m = {m} outside 1..{MAX_M}")
     if count is not None and count < 0:
         raise ValueError(f"count = {count} is negative")
+    cap = EXHAUSTIVE_CAP if kind == "field" else EXHAUSTIVE_CONJ_CAP
+    if seed is None and m > cap:
+        raise ValueError(f"exhaustive {kind} search is capped at m = {cap}; pass a seed")
     if kind == "field":
         specs = (
             StabilizerSpec.field(BitMatrix(m, m, backend.decode_symmetric(m, k)))

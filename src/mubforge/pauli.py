@@ -63,6 +63,7 @@ from typing import NamedTuple
 from .construct import NUMERIC_QUBIT_CAP, StabilizerSpec, reverse_bits
 from .gf2 import BitMatrix, mat_inverse, mat_mul
 
+DEFAULT_TOL = 1e-10  # verify_mub and `build --tol`
 _POWERS_OF_I = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
@@ -119,7 +120,7 @@ class MubVerification(NamedTuple):
     worst_pair: tuple[int, int] | None  # bases (0, j): the power U^j at max_deviation
 
 
-def verify_mub(spec: StabilizerSpec, tol: float = 1e-10) -> MubVerification:
+def verify_mub(spec: StabilizerSpec, tol: float = DEFAULT_TOL) -> MubVerification:
     """Largest deviation of |U^j_x0|^2 from 1/d over j = 1..d, checked against tol.
 
     Column 0 of each power stands for the whole power (module docstring).

@@ -532,6 +532,21 @@ class TestOutput:
         assert res.stderr.startswith(f"mubforge {command}: cannot write output: ")
         assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("command", ["search", "build", "classify", "equiv"])
+    def test_closed_stdout_exits_2(self, spec_files, command):
+        # `>&-` starts the command without fd 1, so sys.stdout is None.
+        spec = str(spec_files["field3"])
+        args = {
+            "search": ["--m", "2", "--kind", "field", "--seed", "1"],
+            "build": [spec],
+            "classify": [spec],
+            "equiv": [spec, spec],
+        }[command]
+        res = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *CLI, command, *args],
+                             stderr=subprocess.PIPE, text=True, timeout=300)
+        assert res.returncode == 2
+        assert res.stderr == f"mubforge {command}: cannot write output: stdout is closed\n"
+
     def test_closed_pipe_ends_search_quietly(self, tmp_path):
         err = tmp_path / "err.txt"
         args = ["search", "--m", "4", "--kind", "group", "--exhaustive", "--count", "1048576"]

@@ -632,10 +632,6 @@ class TestConjugators:
         assert len(pairs) == 200
         self.assert_inverse_pairs(m, pairs)
 
-    def test_exhaustive_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            next(_iter_conjugators(5, None))
-
 
 class TestSearch:
     def test_single_qubit_unique(self):
@@ -657,8 +653,19 @@ class TestSearch:
         with pytest.raises(ValueError, match="capped at m = 6; pass a seed"):
             next(search_specs(7, "field"))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exhaustive_cap_raised_before_any_scan(self, monkeypatch, kind):
+        def no_scan(*_args):
+            raise AssertionError("_field_hits ran above the cap")
+
+        monkeypatch.setattr(construct, "_field_hits", no_scan)
+        cap = construct.EXHAUSTIVE_CAP if kind == "field" else construct.EXHAUSTIVE_CONJ_CAP
+        message = f"^exhaustive {kind} search is capped at m = {cap}; pass a seed$"
+        with pytest.raises(ValueError, match=message):
+            next(search_specs(cap + 1, kind))
+
     def test_exhaustive_conjugator_cap(self):
-        # The anchor scan at m = 5 is within its cap; the conjugator walk is not.
+        # m = 5 is within the field cap; search_specs checks the conjugator cap.
         with pytest.raises(ValueError, match="capped at m = 4; pass a seed"):
             list(search_specs(5, "semigroup", 1))
 

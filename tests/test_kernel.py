@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubforge import backend, cli
+from mubforge import backend, cli, construct
 from mubforge.gf2 import BitMatrix, char_poly
 from mubforge.poly2 import fibonacci_index, stabilizer_char_polys
 from oracles import encode_symmetric, exhaustive_total
@@ -81,25 +81,30 @@ class TestScan:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_full_space_matches_oracle(self, m):
+        # _field_hits walks the blocks (four of them at m = 5).
         total = 1 << (m * (m + 1) // 2)
         polys = stabilizer_char_polys(m)
-        assert backend.scan_symmetric(m, polys, 0, total) == horner_scan(m, polys, 0, total)
+        assert list(construct._field_hits(m, None)) == horner_scan(m, polys, 0, total)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), m=st.sampled_from([5, 6]))
     def test_unaligned_slices_match_oracle(self, data, m):
+        # A slice of one block: stop is at most the end of start's block.
         total = 1 << (m * (m + 1) // 2)
+        block = 1 << backend.BLOCK_BITS
         start = data.draw(st.integers(0, total))
-        stop = data.draw(st.integers(start, min(start + 400, total)))
+        stop = data.draw(st.integers(start, min(start + 400, start // block * block + block)))
         polys = stabilizer_char_polys(m)
         assert backend.scan_symmetric(m, polys, start, stop) == horner_scan(m, polys, start, stop)
 
     @pytest.mark.parametrize("m", [6, 12])
     def test_slice_across_a_block_boundary(self, m):
-        # At m = 12 the index has 78 bits, beyond one machine word; the
-        # oracle there is the characteristic polynomial itself.
+        # The slices on each side of a block boundary, concatenated.  At
+        # m = 12 the index has 78 bits, beyond one machine word; the oracle
+        # there is the characteristic polynomial itself.
         block = 1 << backend.BLOCK_BITS
-        start = random.Random(m).getrandbits(m * (m + 1) // 2) // block * block + block - 300
+        boundary = random.Random(m).getrandbits(m * (m + 1) // 2) // block * block + block
+        start = boundary - 300
         polys = stabilizer_char_polys(m)
         expected = [
             k
@@ -107,13 +112,15 @@ class TestScan:
             if char_poly(BitMatrix(m, m, backend.decode_symmetric(m, k))) in polys
         ]
         assert expected
-        assert backend.scan_symmetric(m, polys, start, start + 600) == expected
+        below = backend.scan_symmetric(m, polys, start, boundary)
+        above = backend.scan_symmetric(m, polys, boundary, start + 600)
+        assert below + above == expected
 
     def test_full_six_qubit_space_is_pinned(self):
         # The one full space no oracle test covers: its 2^21 candidates give
         # |stabilizer_char_polys(6)| |O(6)| = 92,160 hits, hashed as
         # comma-separated indices with the earlier numpy kernel.
-        hits = backend.scan_symmetric(6, stabilizer_char_polys(6), 0, 1 << 21)
+        hits = list(construct._field_hits(6, None))
         assert len(hits) == exhaustive_total(6, "field")
         digest = hashlib.sha256(",".join(map(str, hits)).encode()).hexdigest()
         assert digest == "58d9d48683e254a26986e5d0c0e4fa7b330c39ee22dc187fc1309da9d87b0d3c"
