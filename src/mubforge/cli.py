@@ -58,11 +58,11 @@ def _build_parser() -> _Parser:
     p_search.add_argument("--m", type=int, required=True, help=f"number of qubits (1..{MAX_M})")
     p_search.add_argument("--kind", required=True, choices=KINDS)
     p_search.add_argument("--count", type=int, default=1, help="maximum number of specs")
-    mode = p_search.add_mutually_exclusive_group()
+    mode = p_search.add_mutually_exclusive_group(required=True)
     mode.add_argument(
         "--exhaustive", action="store_true", help="scan the whole candidate space in order"
     )
-    mode.add_argument("--seed", type=int, help="RNG seed (required unless --exhaustive)")
+    mode.add_argument("--seed", type=int, help="RNG seed (exactly one of --seed and --exhaustive)")
     p_search.add_argument("--out", type=Path, help="write JSON lines here instead of stdout")
 
     p_build = sub.add_parser("build", help="run the full pipeline on one spec file")
@@ -121,9 +121,6 @@ def _cmd_search(args) -> int:
     if args.count < 1:
         print("mubforge search: error: --count must be >= 1", file=sys.stderr)
         return 1
-    if not args.exhaustive and args.seed is None:
-        print("mubforge search: error: --seed is required unless --exhaustive", file=sys.stderr)
-        return 1
     stats: dict = {}
     specs = search_specs(args.m, args.kind, args.count, args.seed, stats)
     try:
@@ -175,7 +172,7 @@ def _cmd_build(args) -> int:
         return 1
     try:
         spec = _load_spec(args.spec)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"mubforge build: cannot read spec: {exc}", file=sys.stderr)
         return 2
     timings: dict[str, float] = {}
@@ -247,7 +244,7 @@ def _cmd_classify(args) -> int:
             ent = entanglement_vector(generators(spec))  # generators validates spec
             counts = "(" + ",".join(str(c) for c in ent.counts) + ")"
             rows.append((str(path), spec.kind, str(spec.m), counts))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             failed = True
             print(f"mubforge classify: {path}: {exc}", file=sys.stderr)
             rows.append((str(path), "-", "-", "error"))
@@ -266,7 +263,7 @@ def _cmd_equiv(args) -> int:
         spec_b.validate()
         if spec_a.m != spec_b.m:
             raise SpecValidationError("m-mismatch", "specs have different qubit counts")
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"mubforge equiv: {exc}", file=sys.stderr)
         return 2
     try:

@@ -90,14 +90,10 @@ class StandardFormError(ValueError):
 
 
 class _ZBasis:
-    """Sentinel standard form of the computational-basis class (I; 0)."""
+    """Sentinel standard form of the computational-basis class (I; 0).
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    `Z_BASIS` below is its one instance, and callers compare with `is`.
+    """
 
     def __repr__(self) -> str:
         return "ZBasis"

@@ -16,6 +16,9 @@ from typing import Iterable, Sequence
 from . import poly2
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 class NotInvertibleError(ValueError):
     """Raised when a matrix inverse is requested but the rank is deficient."""
 
@@ -51,12 +54,11 @@ class BitMatrix:
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged rows")
-            mask = 0
-            for j, v in enumerate(row):
+            for v in row:
                 if v not in (0, 1):
                     raise ValueError(f"entry {v!r} not in GF(2)")
-                mask |= v << j
-            data.append(mask)
+            # One linear pass: the reversed 0/1 bytes as binary digits.
+            data.append(int(b"0" + bytes(reversed(row)).translate(_DIGITS), 2))
         return cls(rows, cols, data)
 
     @classmethod
@@ -250,7 +252,6 @@ def char_poly(a: BitMatrix) -> int:
     if not a.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     m = a.rows
-    rows = a.data
     span = _SpanReducer()
     poly = 1
     for i in range(m):
@@ -263,12 +264,7 @@ def char_poly(a: BitMatrix) -> int:
             if not r >> (m + 1):
                 break
             span.add(r)
-            w = 0
-            while v:
-                low = v & -v
-                w ^= rows[low.bit_length() - 1]
-                v ^= low
-            v = w
+            v = _mul_rows((v,), a.data)[0]
         poly = poly2._mul(poly, r >> start)
     return poly
 

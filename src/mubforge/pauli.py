@@ -6,8 +6,9 @@ from its d + 1 standard forms.  U has three kinds of layers:
 
 - H^(x)m, which maps labels by J = [[0, I], [I, 0]];
 - the quadratic phase D_S = diag(i^(y^t S y)) of a symmetric S, with y^t S y
-  taken over Z4 as sum_i S_ii y_i + 2 sum_{i<j} S_ij y_i y_j, which maps
-  labels by [[I, S], [0, I]];
+  taken over Z4 as sum_i S_ii y_i + 2 sum_{i<j} S_ij y_i y_j, which for
+  symmetric S is sum_i y_i |S_i & y|, one popcount per set bit of y; D_S
+  maps labels by [[I, S], [0, I]];
 - the permutation P_G: |y> -> |G y>, which maps labels by diag(G^-t, G).
 
 So U follows the factorization of C:
@@ -68,13 +69,15 @@ _POWERS_OF_I = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def _quadratic_phase(S: BitMatrix) -> list[complex]:
-    """The diagonal of D_S: i^(y^t S y) for the qubit bits y of each index."""
-    diag = sum(row & (1 << i) for i, row in enumerate(S.data))
-    upper = [row >> (i + 1) << (i + 1) for i, row in enumerate(S.data)]
+    """The diagonal of D_S: i^(y^t S y) for the qubit bits y of each index.
+
+    For symmetric S the integer sum_i y_i |S_i & y| counts S_ii y_i once and
+    each S_ij y_i y_j with i < j twice, so mod 4 it is y^t S y over Z4.
+    """
     phases = []
     for y in (reverse_bits(r, S.rows) for r in range(1 << S.rows)):
-        cross = sum((u & y).bit_count() for i, u in enumerate(upper) if y >> i & 1)
-        phases.append(_POWERS_OF_I[((diag & y).bit_count() + 2 * cross) % 4])
+        q = sum((row & y).bit_count() for i, row in enumerate(S.data) if y >> i & 1)
+        phases.append(_POWERS_OF_I[q % 4])
     return phases
 
 

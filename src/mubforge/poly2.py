@@ -85,22 +85,13 @@ def is_irreducible(p: int) -> bool:
     m = _degree(p)
     if m < 1:
         return False
-    if m == 1:
-        return True
-    # x^(2^m) == x mod p, and x^(2^(m/q)) - x coprime to p for prime q | m
-    x = _mod(2, p)
-    r = x
+    # x^(2^m) == x mod p, and x^(2^(m/q)) - x coprime to p for prime q | m:
+    # both read off the one squaring chain x, x^2, x^4, ..., x^(2^m) mod p.
+    chain = [_mod(2, p)]
     for _ in range(m):
-        r = _sqr_mod(r, p)
-    if r != x:
-        return False
-    for q in _prime_factors(m):
-        s = x
-        for _ in range(m // q):
-            s = _sqr_mod(s, p)
-        if _gcd(s ^ x, p) != 1:
-            return False
-    return True
+        chain.append(_sqr_mod(chain[-1], p))
+    x = chain[0]
+    return chain[m] == x and all(_gcd(chain[m // q] ^ x, p) == 1 for q in _prime_factors(m))
 
 
 def irreducibles(degree: int) -> Iterator[int]:
@@ -139,22 +130,28 @@ INDEX_DEGREE_CAP = 32
 
 
 def fibonacci_index(p: int) -> int:
-    """Least n >= 1 such that the irreducible p divides F_n.
+    """Least n >= 1 such that p divides F_n, for p whose index divides 2^m -+ 1.
 
-    For every irreducible p of degree m other than p(x) = x, the index is a
-    divisor of 2^m - 1 or of 2^m + 1.  Since gcd(F_a, F_b) = F_gcd(a,b), the
-    n with p | F_n are exactly the multiples of the index, so p divides F_N
-    for at most one N = 2^m -+ 1 (the two are coprime and F_1 = 1), and the
-    index is reached from that N by stripping prime factors q while p still
-    divides F_{N/q}.  Each test p | F_n is one run of the doubling ladder
-    `_fib_pair_mod`, about log2(n) <= m + 1 steps of two squarings mod p.
-    The cap keeps the trial-division factoring of N below ~65k steps.  The
-    single exception p(x) = x (index 2, dividing neither) is rejected; it
+    m is the degree of p.  The result is exact for any non-constant p whose
+    index divides 2^m - 1 or 2^m + 1, which every irreducible p other than
+    p(x) = x satisfies (its index is 2, dividing neither); any other p raises
+    ValueError, and so do constants.  The divisor search needs no
+    irreducibility:
+
+    - gcd(F_a, F_b) = F_gcd(a,b), so the n with p | F_n are exactly the
+      multiples of the index;
+    - so if p | F_N for N = 2^m -+ 1, the index divides N, and stripping
+      prime factors q while p still divides F_{N/q} stops exactly at it;
+    - p cannot divide both F_{2^m-1} and F_{2^m+1}, since their gcd is F_1 = 1.
+
+    Each test p | F_n is one run of the doubling ladder `_fib_pair_mod`,
+    about log2(n) <= m + 1 steps of two squarings mod p.  The cap keeps the
+    trial-division factoring of N below ~65k steps.  The exception p(x) = x
     never arises as the characteristic polynomial of an invertible matrix.
     """
-    if not is_irreducible(p):
-        raise ValueError(f"{poly_str(p)} is not irreducible")
     m = _degree(p)
+    if m < 1:
+        raise ValueError(f"{poly_str(p)} is not irreducible")
     if m > INDEX_DEGREE_CAP:
         raise ValueError(f"degree {m} exceeds the index-query cap {INDEX_DEGREE_CAP}")
     for n in ((1 << m) - 1, (1 << m) + 1):
@@ -165,7 +162,7 @@ def fibonacci_index(p: int) -> int:
             return n
     raise ValueError(
         f"{poly_str(p)} divides no F_n with n | 2^{m}-1 or n | 2^{m}+1 "
-        "(only p(x) = x falls outside the divisor rule)"
+        "(its index divides neither, as for p(x) = x)"
     )
 
 

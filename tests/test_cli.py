@@ -60,6 +60,17 @@ class TestSearch:
         assert res.returncode == 1
         assert "--seed" in res.stderr
 
+    def test_search_mode_is_required(self, tmp_path, capsys):
+        out = tmp_path / "specs.jsonl"
+        out.write_text("kept\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["search", "--m", "3", "--kind", "field", "--out", str(out)])
+        assert exit_info.value.code == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert "--exhaustive" in err and "--seed" in err
+        assert out.read_text() == "kept\n"
+
     def test_exhaustive_with_seed_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["search", "--m", "3", "--kind", "field", "--exhaustive", "--seed", "5"])

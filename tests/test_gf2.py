@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +331,31 @@ class TestFormatsAndTypes:
         assert repr(mat) == "BitMatrix.from_rows([[0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 0, 1]])"
         assert eval(repr(mat)) == mat
         assert mat[0, 1] == 1 and mat[0, 0] == 0
+
+    def test_from_rows_matches_bitwise_masks(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 70)
+            entries = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
+            masks = [sum(v << j for j, v in enumerate(row)) for row in entries]
+            assert BitMatrix.from_rows(entries).data == tuple(masks)
+
+    def test_from_rows_errors_in_order(self):
+        # Ragged rows are named before a bad entry, and the first bad entry is named.
+        with pytest.raises(ValueError, match="ragged rows"):
+            BitMatrix.from_rows([[0, 1], [2, 3, 1]])
+        with pytest.raises(ValueError, match=r"entry 2 not in GF\(2\)"):
+            BitMatrix.from_rows([[0, 1], [1, 2], [3, 0]])
+        with pytest.raises(ValueError, match=r"entry None not in GF\(2\)"):
+            BitMatrix.from_rows([[None, 1]])
+
+    def test_long_row_builds_in_linear_time(self):
+        # A mask grown one bit at a time costs O(n^2) bit work for n ones.
+        n = 10**6
+        t0 = time.perf_counter()
+        mat = BitMatrix.from_rows([[1] * n])
+        assert time.perf_counter() - t0 < 1.0
+        assert mat.data == ((1 << n) - 1,)
 
     def test_immutability(self):
         with pytest.raises(AttributeError):

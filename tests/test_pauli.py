@@ -5,7 +5,7 @@ of U and Schmidt ranks are oracles (`tests/oracles.py`), tested here too.
 """
 
 import itertools
-
+import random
 import tracemalloc
 
 import numpy as np
@@ -24,6 +24,7 @@ from mubforge.construct import (
 from mubforge import pauli
 from mubforge.gf2 import BitMatrix, vstack
 from mubforge.pauli import NUMERIC_QUBIT_CAP, verify_mub
+import oracles
 from oracles import (
     ORACLE_QUBIT_CAP,
     PauliLabel,
@@ -248,6 +249,20 @@ class TestVerifyMub:
         result = verify_mub(spec)
         assert result.passed
         assert result.max_deviation == 0.0
+
+
+class TestQuadraticPhase:
+    """One popcount sum per index gives the Z4 form of the numpy layer oracle."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_oracle_on_symmetric_matrices(self, m):
+        bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+        npairs = m * (m + 1) // 2
+        rng = random.Random(m)
+        keys = range(1 << npairs) if npairs <= 10 else rng.sample(range(1 << npairs), 300)
+        for k in keys:
+            S = BitMatrix(m, m, decode_symmetric(m, k))
+            assert pauli._quadratic_phase(S) == list(oracles._quadratic_phase(S, bits)), k
 
 
 def _same_verdict(spec):

@@ -200,9 +200,31 @@ class TestFibonacciIndex:
         assert brute_fibonacci_index(p, 20) == expected
         assert fibonacci_index(p) == expected
 
-    def test_rejects_reducible(self):
-        with pytest.raises(ValueError):
-            fibonacci_index(0b101)
+    @pytest.mark.parametrize("degree", range(1, 11))
+    def test_exact_or_raises_without_irreducibility(self, degree):
+        # The divisor search needs no irreducible p: it returns the least n
+        # with p | F_n whenever that n divides 2^m -+ 1, and raises otherwise.
+        lo, hi = (1 << degree) - 1, (1 << degree) + 1
+        for p in range(1 << degree, 1 << (degree + 1)):
+            if p == X:
+                continue
+            idx = brute_fibonacci_index(p, hi)
+            try:
+                got = fibonacci_index(p)
+            except ValueError:
+                assert idx is None or (lo % idx and hi % idx), (poly_str(p), idx)
+            else:
+                assert got == idx, poly_str(p)
+                assert _mod(fibonacci_poly(got), p) == 0
+
+    def test_reducible_and_constant_polynomials(self):
+        # (x + 1)^2 divides F_3 = x^2 + 1.  The constants have no degree to
+        # search from and still raise.
+        assert brute_fibonacci_index(0b101, 10) == 3
+        assert fibonacci_index(0b101) == 3
+        for p in (0, 1):
+            with pytest.raises(ValueError, match="not irreducible"):
+                fibonacci_index(p)
 
     def test_exceptional_polynomial_x(self):
         # p(x) = x divides F_n exactly for even n, so its index is 2 -- the one
