@@ -247,7 +247,8 @@ def _cmd_classify(args) -> int:
         except (OSError, ValueError) as exc:
             failed = True
             print(f"mubforge classify: {path}: {exc}", file=sys.stderr)
-            rows.append((str(path), "-", "-", "error"))
+            status = f"error:{exc.condition}" if isinstance(exc, SpecValidationError) else "error"
+            rows.append((str(path), "-", "-", status))
     table = [("file", "kind", "m", "counts"), *rows]
     widths = [max(len(row[i]) for row in table) for i in range(4)]
     lines = ("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in table)

@@ -27,9 +27,8 @@ change of basis u: B = u B0 u^-1 and R = u u^t, so the standard forms are
 p(B) R + A = u p(B0) u^t + A.  The conjugator walk hands out u^-1 with each
 u, so every product runs on row masks and no inverse is taken per u.  R is
 a polynomial in B exactly when B is symmetric, so the filter is a symmetry
-test on B: two products and a transpose per u, and one more of each, for R,
-only for the u kept.  R is symmetric and invertible, BR is symmetric and
-char(B) is irreducible, so:
+test on B.  R is symmetric and invertible, BR is symmetric and char(B) is
+irreducible, so:
 
 - If R = p(B), then R B = B R = (B R)^t = R B^t, and R is invertible, so
   B = B^t.
@@ -40,6 +39,21 @@ char(B) is irreducible, so:
 The addend is the first pair matrix E_ij + E_ji outside span{B^k R} +
 diagonals.  In the quotient by the diagonals that span has at most m
 dimensions, so the addend is found in at most m + 1 tests.
+
+Everything but R is decided once per coset u F2[B0]*:
+
+- B(u) = B(u') iff u^-1 u' commutes with B0.  B0 is cyclic, so that holds
+  iff u' = u q with q in F2[B0]*.
+- Then R' = u q q^t u^t = u q^2 u^t, since q is a polynomial in the
+  symmetric B0.  So R' = p(B) R with p(B) = u q^2 u^-1, invertible in F2[B].
+- Hence span{B^k R'} = span{B^k R}, so W and the addend are the same, and
+  the symmetry verdict depends on B alone.
+
+So B's row masks key its verdict, its BitMatrix and its addend.  Each u
+costs two products and a lookup, and a kept u a transpose, a product and a
+second lookup, for R: R = u u^t is the same for u and u o with o
+orthogonal, so R's row masks key a shared BitMatrix.  At m = 4 the 19,440
+specs of either kind hold 1,296 distinct B and 419 distinct R.
 """
 
 from __future__ import annotations
@@ -73,6 +87,7 @@ EXHAUSTIVE_CAP = 6        # symmetric-candidate space, <= 2^21 candidates
 EXHAUSTIVE_CONJ_CAP = 4   # conjugator space for group/semigroup, <= 2^16
 NUMERIC_QUBIT_CAP = 8     # numeric tier in `pauli`: d powers of one d x d unitary
 MAX_ATTEMPTS = 1 << 18    # random draws per search, of B and of u alike
+CONJ_CACHE_SIZE = 1 << 11  # per conjugator-walk table; the m = 4 walk has 1,344 cosets
 
 Rows = tuple[int, ...]  # a matrix as its row masks, bit j of row i = entry (i, j)
 
@@ -142,6 +157,12 @@ def reverse_bits(x: int, n: int) -> int:
     return int(f"{x:0{n}b}"[::-1], 2)
 
 
+@functools.lru_cache(maxsize=MAX_M)
+def _forced_blocks(m: int) -> tuple[BitMatrix, BitMatrix]:
+    """The m x m identity and zero, shared by every spec that has them forced."""
+    return BitMatrix.identity(m), BitMatrix.zero(m)
+
+
 class StabilizerSpec(NamedTuple):
     """Recipe for one complete cyclic set: kind plus the matrices B, R, A."""
 
@@ -153,12 +174,12 @@ class StabilizerSpec(NamedTuple):
 
     @classmethod
     def field(cls, B: BitMatrix) -> "StabilizerSpec":
-        m = B.rows
-        return cls("field", m, B, BitMatrix.identity(m), BitMatrix.zero(m))
+        eye, zero = _forced_blocks(B.rows)
+        return cls("field", B.rows, B, eye, zero)
 
     @classmethod
     def group(cls, B: BitMatrix, R: BitMatrix) -> "StabilizerSpec":
-        return cls("group", B.rows, B, R, BitMatrix.zero(B.rows))
+        return cls("group", B.rows, B, R, _forced_blocks(B.rows)[1])
 
     @classmethod
     def semigroup(cls, B: BitMatrix, R: BitMatrix, A: BitMatrix) -> "StabilizerSpec":
@@ -613,32 +634,53 @@ def search_specs(
     yield from itertools.islice(specs, count)
 
 
+def _remember(cache: dict, key, value):
+    """Store value under key, emptying the cache first once it is full; return value."""
+    if len(cache) >= CONJ_CACHE_SIZE:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
 def _conjugate_specs(
     m: int, kind: str, seed: int | None, stats: dict | None
 ) -> Iterator[StabilizerSpec]:
-    """Every group or semigroup spec the conjugator walk reaches, in its order."""
+    """Every group or semigroup spec the conjugator walk reaches, in its order.
+
+    Each B is decided once per coset (see the module docstring): `cosets`
+    maps its row masks to None when B is symmetric, else to the BitMatrix B
+    and its addend.  `grams` maps the row masks of R to its BitMatrix.
+    Each holds at most CONJ_CACHE_SIZE entries, however long the walk.
+    """
     anchor_seed = None if seed is None else _derived_seed(seed, 0xA5)
     k0 = next(_field_hits(m, anchor_seed, stats), None)
     if k0 is None:
         return
     b0 = backend.decode_symmetric(m, k0)
+    zero = _forced_blocks(m)[1]
+    cosets: dict[Rows, tuple[BitMatrix, BitMatrix] | None] = {}
+    grams: dict[Rows, BitMatrix] = {}
     for u, u_inv in _iter_conjugators(m, seed, stats):
-        # R = u u^t is a polynomial in B = u B0 u^-1 iff B is symmetric (see
-        # the module docstring): R is symmetric and invertible, B R = u B0 u^t
-        # is symmetric, and char(B) = char(B0) is irreducible.
-        b = _mul_rows(_mul_rows(u, b0), u_inv)
-        if b == _transpose_rows(b, m):
+        b = tuple(_mul_rows(_mul_rows(u, b0), u_inv))
+        coset = cosets.get(b, ())  # () for a B not seen yet
+        if coset is None:
             continue
-        B = BitMatrix(m, m, b)
-        R = BitMatrix(m, m, _mul_rows(u, _transpose_rows(u, m)))
-        if kind == "group":
-            yield StabilizerSpec.group(B, R)
+        if not coset and b == tuple(_transpose_rows(b, m)):
+            # R = u u^t is a polynomial in B = u B0 u^-1 (see the module
+            # docstring): R is symmetric and invertible, B R = u B0 u^t is
+            # symmetric, and char(B) = char(B0) is irreducible.
+            _remember(cosets, b, None)
             continue
-        A = find_addend(B, R)
-        if A is None:
-            # No nonzero p(B) R is diagonal: it would be an invertible
-            # diagonal matrix, so I, and R = p(B)^-1 would lie in F2[B].
-            # So W = span{B^k R} + diagonals has dim 2m for every u here,
-            # and None means m(m + 1)/2 <= 2m, i.e. m <= 3, for all u.
-            return
-        yield StabilizerSpec.semigroup(B, R, A)
+        r = tuple(_mul_rows(u, _transpose_rows(u, m)))
+        R = grams.get(r) or _remember(grams, r, BitMatrix(m, m, r))
+        if not coset:
+            B = BitMatrix(m, m, b)
+            A = zero if kind == "group" else find_addend(B, R)
+            if A is None:
+                # No nonzero p(B) R is diagonal: it would be an invertible
+                # diagonal matrix, so I, and R = p(B)^-1 would lie in F2[B].
+                # So W = span{B^k R} + diagonals has dim 2m for every u here,
+                # and None means m(m + 1)/2 <= 2m, i.e. m <= 3, for all u.
+                return
+            coset = _remember(cosets, b, (B, A))
+        yield StabilizerSpec(kind, m, coset[0], R, coset[1])

@@ -368,8 +368,17 @@ class TestClassify:
         assert cli.main(["classify", *(str(spec_files[n]) for n in names)]) == 2
         assert len(validated) == len(names)
         out, err = capsys.readouterr()
-        assert out.splitlines()[-1].split()[1:] == ["-", "-", "error"]
+        assert out.splitlines()[-1].split()[1:] == ["-", "-", "error:fibonacci-index"]
         assert "fibonacci-index" in err
+
+    def test_error_row_names_the_condition(self, tmp_path, capsys):
+        # A failed spec condition is named in its row; a file that cannot be
+        # read has no condition.
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}")
+        assert cli.main(["classify", str(bad), str(tmp_path / "missing.json")]) == 2
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[-1] for row in rows] == ["error:schema", "error"]
 
 
 class TestEquiv:

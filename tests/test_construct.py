@@ -577,10 +577,44 @@ class TestAnchorField:
             assert classes_equal(gens, generators(StabilizerSpec.field(B)))
             assert entanglement_vector(gens).factorizable() == 3
 
+    def test_verdict_and_addend_are_functions_of_b(self):
+        # The coset lemma behind the search's per-B cache: B(u) = B(u') iff
+        # u' = u q with q in F2[B0]*, and then R' = p(B) R, so the verdict on
+        # (B, R) and the addend depend on B alone.
+        m = 4
+        decided = {}
+        for B, R, poly in self.conjugates(m):
+            decided.setdefault(B, []).append((poly, find_addend(B, R)))
+        assert len(decided) == general_linear_order(m) // (2**m - 1)
+        for outcomes in decided.values():
+            assert len(outcomes) == 2**m - 1
+            assert len(set(outcomes)) == 1
+
     @pytest.mark.parametrize("kind", ["group", "semigroup"])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_exhaustive_search_matches_oracle(self, kind, m):
-        assert list(search_specs(m, kind, 150)) == search_specs_oracle(m, kind, 150)
+        # Whole streams: the first repeated B at m = 4 comes after spec 150.
+        assert list(search_specs(m, kind, None)) == search_specs_oracle(m, kind, 1 << 20)
+
+    def test_seeded_search_past_the_cache_bound(self, monkeypatch):
+        # 5,000 specs against the per-u oracle: at the real bound each
+        # distinct B costs one find_addend call, and with the caches emptied
+        # every 64 entries the evicted B are decided again.
+        expected = search_specs_oracle(4, "semigroup", 5000, 5)
+        distinct = len({spec.B for spec in expected})
+        calls = []
+
+        def counting(B, R):
+            calls.append(B)
+            return find_addend(B, R)
+
+        monkeypatch.setattr(construct, "find_addend", counting)
+        assert list(search_specs(4, "semigroup", 5000, seed=5)) == expected
+        assert len(calls) == distinct
+        calls.clear()
+        monkeypatch.setattr(construct, "CONJ_CACHE_SIZE", 64)
+        assert list(search_specs(4, "semigroup", 5000, seed=5)) == expected
+        assert len(calls) > distinct
 
     @settings(max_examples=30, deadline=None)
     @given(
