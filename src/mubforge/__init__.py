@@ -7,39 +7,7 @@ symmetrizer R and an additive matrix A that control how many bases of the
 resulting set are completely factorizable (three, two, or one).  A complex
 numeric tier builds the cyclic generator U as a circuit and independently
 verifies that its powers are unbiased.
+
+The package re-exports nothing, so a process loads only the modules it
+imports: `from mubforge.construct import search_specs`.
 """
-
-from .construct import (
-    GeneratorSet,
-    SpecValidationError,
-    StabilizerSpec,
-    StandardFormError,
-    Z_BASIS,
-    bandyopadhyay_check,
-    build_stabilizer,
-    cyclicity_check,
-    find_addend,
-    generators,
-    search_specs,
-)
-from .entangle import EntanglementVector, entanglement_vector
-from .equiv import (
-    SymplecticMap,
-    classes_equal,
-    equivalence_map,
-    is_symplectic,
-    symplectic_form,
-    transport,
-)
-from .gf2 import (
-    BitMatrix,
-    NotInvertibleError,
-    char_poly,
-    mat_inverse,
-    mat_mul,
-    rank,
-)
-from .pauli import verify_mub
-from .poly2 import fibonacci_index, is_irreducible, stabilizer_char_polys
-
-__version__ = "0.1.0"

@@ -6,22 +6,20 @@ equivalence verdicts), 2 = validation or internal failure, named on stderr,
 found, so long runs can be piped and truncated; identical commands with
 identical seeds produce byte-identical output.  Every command writes its
 output the same way: a failed write to stdout or --out exits 2 and says
-so, and a pipe closed by its reader ends the output quietly.
+so, and a pipe closed by its reader ends the output quietly.  Each
+subcommand imports only the modules it runs: `search` loads `construct`
+and what it imports, never `entangle`, `pauli` or `equiv`.
 """
 
 from __future__ import annotations
 
-import argparse
-import itertools
-import json
-import math
-import os
-import sys
-import time
-from contextlib import nullcontext
-from pathlib import Path
-
+# Every process compiles and runs each module it imports, so the top imports
+# only `construct`, which `search` runs; `build`, `classify` and `equiv`
+# import the modules they run inside their handlers.  `construct` comes
+# before the standard library: compiled after argparse was loaded, it raised
+# each process's peak RSS by about 0.25 MB.
 from .construct import (
+    DEFAULT_TOL,
     KINDS,
     MAX_ATTEMPTS,
     MAX_M,
@@ -35,9 +33,16 @@ from .construct import (
     generators,
     search_specs,
 )
-from .entangle import entanglement_vector
-from .equiv import equivalence_map
-from .pauli import DEFAULT_TOL, verify_mub
+
+import argparse
+import itertools
+import json
+import math
+import os
+import sys
+import time
+from contextlib import nullcontext
+from pathlib import Path
 
 DEFAULT_NUMERIC_CAP = 5
 
@@ -158,6 +163,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    from .entangle import entanglement_vector
+
     if not (math.isfinite(args.tol) and args.tol > 0):
         print("mubforge build: error: --tol must be a finite number > 0", file=sys.stderr)
         return 1
@@ -208,6 +215,8 @@ def _cmd_build(args) -> int:
     if not (cyclic_ok and bandy_ok):
         report["mub_verification"] = "skipped (symbolic checks failed)"
     elif spec.m <= args.numeric_cap:
+        from .pauli import verify_mub
+
         t0 = time.perf_counter()
         result = verify_mub(spec, args.tol)
         timings["verify"] = time.perf_counter() - t0
@@ -236,6 +245,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .entangle import entanglement_vector
+
     rows = []
     failed = False
     for path in args.specs:
@@ -257,6 +268,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .equiv import equivalence_map
+
     try:
         spec_a = _load_spec(args.spec_a)
         spec_b = _load_spec(args.spec_b)

@@ -62,6 +62,7 @@ import functools
 import itertools
 import json
 import random
+import sys
 from typing import Iterator, NamedTuple
 
 from . import backend, poly2
@@ -86,6 +87,7 @@ MAX_M = 16
 EXHAUSTIVE_CAP = 6        # symmetric-candidate space, <= 2^21 candidates
 EXHAUSTIVE_CONJ_CAP = 4   # conjugator space for group/semigroup, <= 2^16
 NUMERIC_QUBIT_CAP = 8     # numeric tier in `pauli`: d powers of one d x d unitary
+DEFAULT_TOL = 1e-10       # numeric tier in `pauli` and `build --tol`
 MAX_ATTEMPTS = 1 << 18    # random draws per search, of B and of u alike
 CONJ_CACHE_SIZE = 1 << 11  # per conjugator-walk table; the m = 4 walk has 1,344 cosets
 
@@ -631,7 +633,9 @@ def search_specs(
         )
     else:
         specs = _conjugate_specs(m, kind, seed, stats)
-    yield from itertools.islice(specs, count)
+    # islice takes no stop above sys.maxsize, and no stream gets that far: an
+    # exhaustive one is finite and a seeded one stops after MAX_ATTEMPTS draws.
+    yield from itertools.islice(specs, None if count is None else min(count, sys.maxsize))
 
 
 def _remember(cache: dict, key, value):

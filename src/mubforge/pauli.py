@@ -61,10 +61,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .construct import NUMERIC_QUBIT_CAP, StabilizerSpec, reverse_bits
+from .construct import DEFAULT_TOL, NUMERIC_QUBIT_CAP, StabilizerSpec, reverse_bits
 from .gf2 import BitMatrix, mat_inverse, mat_mul
 
-DEFAULT_TOL = 1e-10  # verify_mub and `build --tol`
 _POWERS_OF_I = (1 + 0j, 1j, -1 + 0j, -1j)
 
 

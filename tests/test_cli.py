@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: flags, exit codes, JSON output, determinism."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -8,9 +9,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubforge import cli, construct, equiv, pauli
 from mubforge.construct import MAX_M, StabilizerSpec, StandardFormError, search_specs
+from mubforge.gf2 import BitMatrix, char_poly
 from oracles import exhaustive_total
 
 CLI = [sys.executable, "-m", "mubforge.cli"]
@@ -133,6 +137,15 @@ class TestSearch:
         assert res.returncode == 1
         assert res.stdout == ""
         assert "--count must be >= 1" in res.stderr
+
+    def test_count_above_maxsize_reads_as_large_count(self):
+        # No stream holds sys.maxsize specs, so a larger count reads like any
+        # count above the space: every m = 3 field spec, and exit 0.
+        args = ("search", "--m", "3", "--kind", "field", "--seed", "1", "--count")
+        huge = run_cli(*args, str(10**20))
+        assert huge.returncode == 0, huge.stderr
+        assert huge.stdout == run_cli(*args, "1048576").stdout
+        assert huge.stdout.count("\n") == 6
 
     def test_seeded_search_names_space_exhausted(self):
         # The run CI makes: every conjugator pattern of m = 3 is drawn, which
@@ -596,6 +609,117 @@ class TestMalformedSpecs:
         assert "schema" in err and detail in err
 
 
+# Every condition SpecValidationError names, as "<condition>: " on stderr.
+SPEC_CONDITIONS = (
+    "schema", "kind", "m-range", "shape", "R-forced", "B-symmetric", "A-forced",
+    "B-invertible", "char-poly-irreducible", "fibonacci-index", "R-symmetric",
+    "R-invertible", "BR-symmetric", "A-symmetric", "m-mismatch",
+)
+BAD_ENTRIES = (2, -1, True, None, "1", 0.5)
+BAD_MS = (True, 2.0, "3", 2**70, 0, MAX_M + 1)
+
+
+@st.composite
+def mutated_specs(draw, seeded):
+    """A seeded spec as a JSON object, with one mutation, and the spec it came from."""
+    spec = draw(st.sampled_from(seeded))
+    obj = spec.to_json_dict()
+    matrices = [key for key in ("B", "R", "A") if key in obj]
+    how = draw(st.sampled_from([
+        "drop", "m", "kind", "replace", "bad-entry", "flip", "flip-pair", "cut", "widen",
+        "wrap", "scalar",
+    ]))
+    if how == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif how == "m":
+        obj["m"] = draw(st.sampled_from(BAD_MS))
+    elif how == "kind":
+        obj["kind"] = draw(st.sampled_from((*construct.KINDS, "ring", 3)))
+    elif how == "replace":  # by the B of a seeded spec, maybe of another size
+        obj[draw(st.sampled_from(matrices))] = draw(st.sampled_from(seeded)).B.to_lists()
+    elif how == "wrap":
+        obj = [obj]
+    elif how == "scalar":
+        obj = draw(st.sampled_from((3, "spec", None, True, 1.5)))
+    else:
+        rows = obj[draw(st.sampled_from(matrices))]
+        i, j = draw(st.integers(0, spec.m - 1)), draw(st.integers(0, spec.m - 1))
+        if how == "bad-entry":
+            rows[i][j] = draw(st.sampled_from(BAD_ENTRIES))
+        elif how == "cut":
+            rows[i].pop()
+        elif how == "widen":
+            rows[i].append(draw(st.sampled_from((0, 1))))
+        else:  # flip keeps the 0/1 schema; flip-pair keeps symmetry too
+            for r, c in {(i, j), (j, i)} if how == "flip-pair" else {(i, j)}:
+                rows[r][c] ^= 1
+    return spec, obj
+
+
+def _check_equiv_verdict(verdict, path_a, path_b):
+    a, b = (StabilizerSpec.from_json(p.read_text()) for p in (path_a, path_b))
+    if not verdict["equivalent"]:
+        assert char_poly(a.B) != char_poly(b.B), verdict["reason"]
+        return
+    m, rows = a.m, verdict["f"]
+    s, t, u, v = (
+        BitMatrix.from_rows([row[c:c + m] for row in rows[r:r + m]])
+        for r in (0, m) for c in (0, m)
+    )
+    f = equiv.SymplecticMap(s, t, u, v)
+    assert equiv.is_symplectic(f)
+    gens_a, gens_b = construct.generators(a), construct.generators(b)
+    assert equiv.classes_equal(equiv.transport(f, gens_a), gens_b)
+
+
+@pytest.fixture(scope="module")
+def fuzz_specs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    seeded = [
+        spec
+        for kind in construct.KINDS
+        for m in range(1, 6)
+        for spec in search_specs(m, kind, 1, seed=m)
+    ]
+    for spec in seeded:
+        (root / f"{spec.kind}{spec.m}.json").write_text(spec.to_json())
+    return root, seeded
+
+
+class TestSpecFuzz:
+    """Mutated specs end in a checked answer (exit 0) or a named condition (exit 2)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(["build", "classify", "equiv"]))
+    def test_mutated_spec_exits_0_or_names_condition(self, fuzz_specs, data, command):
+        root, seeded = fuzz_specs
+        spec, obj = data.draw(mutated_specs(seeded))
+        bad = root / "mutated.json"
+        bad.write_text(json.dumps(obj))
+        paths = [bad]
+        if command == "equiv":
+            other = data.draw(st.sampled_from(sorted(root.glob(f"*{spec.m}.json"))))
+            paths.insert(data.draw(st.integers(0, 1)), other)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, *map(str, paths)])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.count("\n") == 1, err
+            assert any(f"{condition}: " in err for condition in SPEC_CONDITIONS), err
+        elif command == "build":
+            report = json.loads(out)
+            assert report["cyclic_ok"] and report["bandyopadhyay_ok"]
+            assert report["mub_verification"] == "passed"
+            assert sum(report["entanglement"]["counts"]) == (1 << report["spec"]["m"]) + 1
+        elif command == "classify":
+            m, counts = out.splitlines()[1].split()[2:]
+            assert sum(map(int, counts.strip("()").split(","))) == (1 << int(m)) + 1
+        else:
+            _check_equiv_verdict(json.loads(out), *paths)
+
+
 def test_cli_never_imports_sympy(tmp_path):
     spec = tmp_path / "field4.json"
     spec.write_text(next(search_specs(4, "field")).to_json())
@@ -632,7 +756,10 @@ run("search", "--m", 5, "--kind", "field", "--exhaustive", "--count", 1 << 20,
 for kind in ("group", "semigroup"):
     run("search", "--m", 3, "--kind", kind, "--exhaustive", "--count", 1 << 20,
         "--out", f"{tmp}/all3-{kind}.jsonl")
+loaded = {"mubforge.entangle", "mubforge.equiv", "mubforge.pauli"} & set(sys.modules)
+assert not loaded, f"search loaded {sorted(loaded)}"
 run("build", f"{tmp}/field6.json", "--numeric-cap", 5, "--out", f"{tmp}/report.json")
+assert "mubforge.equiv" not in sys.modules, "build loaded mubforge.equiv"
 run("classify", f"{tmp}/field6.json", f"{tmp}/group6.json", f"{tmp}/semigroup6.json",
     "--out", f"{tmp}/classify.txt")
 run("equiv", f"{tmp}/field6.json", f"{tmp}/group6.json", "--out", f"{tmp}/equiv.json")
@@ -648,7 +775,9 @@ def test_cli_commands_never_import_numpy(tmp_path):
     # use: search of every kind and mode, build with and without its numeric
     # tier (at m = 6 and m = 8), classify and equiv run without it.  Importing
     # the CLI loads neither inspect nor dataclasses, which cost about a
-    # quarter of its import time.
+    # quarter of its import time.  Each command loads only the modules it
+    # runs: search loads none of entangle, equiv and pauli, and build does
+    # not load equiv.
     res = subprocess.run([sys.executable, "-c", NO_NUMPY_RUN, str(tmp_path)],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
