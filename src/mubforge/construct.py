@@ -24,8 +24,9 @@ the anchor.
 
 Search builds group and semigroup specs from one field-kind anchor B0 and a
 change of basis u: B = u B0 u^-1 and R = u u^t, so the standard forms are
-p(B) R + A = u p(B0) u^t + A.  The conjugator walk hands out u^-1 with each
-u, so every product runs on row masks and no inverse is taken per u.  R is
+p(B) R + A = u p(B0) u^t + A.  The conjugator walk hands out B and R with
+each u, as row masks.  The exhaustive walk reads them off the recursion
+that builds u, with no product per u; sampling takes the products.  R is
 a polynomial in B exactly when B is symmetric, so the filter is a symmetry
 test on B.  R is symmetric and invertible, BR is symmetric and char(B) is
 irreducible, so:
@@ -49,11 +50,12 @@ Everything but R is decided once per coset u F2[B0]*:
 - Hence span{B^k R'} = span{B^k R}, so W and the addend are the same, and
   the symmetry verdict depends on B alone.
 
-So B's row masks key its verdict, its BitMatrix and its addend.  Each u
-costs two products and a lookup, and a kept u a transpose, a product and a
-second lookup, for R: R = u u^t is the same for u and u o with o
-orthogonal, so R's row masks key a shared BitMatrix.  At m = 4 the 19,440
-specs of either kind hold 1,296 distinct B and 419 distinct R.
+So B's row masks key its verdict, its BitMatrix and its addend.  In the
+exhaustive walk each u costs m coordinate lookups for B, m parities for
+the new Gram column of R and a lookup, and a kept u a second lookup: R =
+u u^t is the same for u and u o with o orthogonal, so R's row masks key a
+shared BitMatrix.  At m = 4 the 19,440 specs of either kind hold 1,296
+distinct B and 419 distinct R.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
 import sys
 from typing import Iterator, NamedTuple
@@ -82,6 +85,7 @@ from .gf2 import (
 )
 
 KINDS = ("field", "group", "semigroup")
+_KIND_JSON = {kind: json.dumps(kind) for kind in KINDS}  # each kind as `to_json` writes it
 
 MAX_M = 16
 EXHAUSTIVE_CAP = 6        # symmetric-candidate space, <= 2^21 candidates
@@ -89,7 +93,7 @@ EXHAUSTIVE_CONJ_CAP = 4   # conjugator space for group/semigroup, <= 2^16
 NUMERIC_QUBIT_CAP = 8     # numeric tier in `pauli`: d powers of one d x d unitary
 DEFAULT_TOL = 1e-10       # numeric tier in `pauli` and `build --tol`
 MAX_ATTEMPTS = 1 << 18    # random draws per search, of B and of u alike
-CONJ_CACHE_SIZE = 1 << 11  # per conjugator-walk table; the m = 4 walk has 1,344 cosets
+CONJ_CACHE_SIZE = 1 << 11  # coset tables are kept when the walk's cosets fit: 1,344 at m = 4
 
 Rows = tuple[int, ...]  # a matrix as its row masks, bit j of row i = entry (i, j)
 
@@ -139,7 +143,8 @@ def _row_json(mask: int, width: int) -> str:
 
 
 def _matrix_json(mat: BitMatrix) -> str:
-    return "[" + ",".join(_row_json(r, mat.cols) for r in mat.data) + "]"
+    width = mat.cols
+    return "[" + ",".join([_row_json(r, width) for r in mat.data]) + "]"
 
 
 def _pack(rows, width: int) -> int:
@@ -247,13 +252,14 @@ class StabilizerSpec(NamedTuple):
         The keys are m, kind and B, then R for the group and semigroup kinds
         and A for the semigroup kind: the forced blocks are left out.
         """
-        parts = [f'{{"m":{self.m},"kind":{json.dumps(self.kind)},"B":{_matrix_json(self.B)}']
-        if self.kind in ("group", "semigroup"):
-            parts.append(f',"R":{_matrix_json(self.R)}')
+        kind = _KIND_JSON.get(self.kind) or json.dumps(self.kind)
+        B = _matrix_json(self.B)
         if self.kind == "semigroup":
-            parts.append(f',"A":{_matrix_json(self.A)}')
-        parts.append("}")
-        return "".join(parts)
+            R, A = _matrix_json(self.R), _matrix_json(self.A)
+            return f'{{"m":{self.m},"kind":{kind},"B":{B},"R":{R},"A":{A}}}'
+        if self.kind == "group":
+            return f'{{"m":{self.m},"kind":{kind},"B":{B},"R":{_matrix_json(self.R)}}}'
+        return f'{{"m":{self.m},"kind":{kind},"B":{B}}}'
 
     @classmethod
     def from_json_dict(cls, obj) -> "StabilizerSpec":
@@ -537,9 +543,9 @@ def _derived_seed(seed: int, salt: int) -> int:
 
 
 def _iter_conjugators(
-    m: int, seed: int | None, stats: dict | None = None
-) -> Iterator[tuple[Rows, Rows]]:
-    """Invertible matrices u with their inverses, as row masks (u, u^-1).
+    m: int, b0: Rows, seed: int | None, stats: dict | None = None
+) -> Iterator[tuple[Rows, Rows, Rows]]:
+    """Invertible u with B = u B0 u^-1 and R = u u^t, as row masks (u, B, R).
 
     Each u comes once: with no seed every u in row-major lexicographic order
     (`search_specs` has checked the cap), with a seed in the order `_draws`
@@ -550,34 +556,54 @@ def _iter_conjugators(
 
     The exhaustive walk builds u one row at a time in that order and skips
     any row in the span of the rows above it, so every u it yields is
-    invertible and no rank test is needed.  The span is kept as a dict
-    from each vector v to its coordinates c in the rows so far (v = c u),
-    so row j of u^-1 is the coordinate mask of e_j.  Sampling reduces the
-    rows of each new draw, tagged with their indices, which decides
-    invertibility and gives u^-1 in one elimination (`gf2._inverse_rows`).
+    invertible and no rank test is needed.  It reads B and R off that
+    recursion, with no product per u:
+
+    - The span is kept as a dict from each vector v to its coordinates c
+      in the rows so far (v = c u).  With the last row r added, w u^-1 is
+      the coordinate mask of w, or of w + r plus the last bit, since one
+      of the two lies in the old span.  Row i of B is (u_i B0) u^-1, and
+      u_i B0 comes from one table of x B0 over all 2^m rows x.
+    - R_ij = <u_i, u_j> is a parity, and the Gram rows of the rows so far
+      ride down the recursion: each level adds one row and one column.
+
+    Sampling reduces the rows of each draw, tagged with their indices,
+    which decides invertibility and gives u^-1 in one elimination
+    (`gf2._inverse_rows`), and then takes the three products.
     """
     if seed is None:
         rev = [reverse_bits(p, m) for p in range(1 << m)]
-        units = [1 << j for j in range(m)]
+        times_b0 = _mul_rows(range(1 << m), b0)  # row x is x B0
         last = 1 << (m - 1)
 
-        def extend(rows: list[int], coords: dict[int, int]) -> Iterator[tuple[Rows, Rows]]:
-            bit = 1 << len(rows)
+        def extend(
+            rows: list[int], coords: dict[int, int], gram: list[int]
+        ) -> Iterator[tuple[Rows, Rows, Rows]]:
+            k = len(rows)
+            bit = 1 << k
+            images = [times_b0[v] for v in rows]
             for r in rev:
                 if r in coords:
                     continue
+                # Column k of the Gram matrix, with <r, r> as its last bit.
+                col = (r.bit_count() & 1) << k
+                for i, v in enumerate(rows):
+                    col |= ((v & r).bit_count() & 1) << i
+                grown = [g | (col >> i & 1) << k for i, g in enumerate(gram)]
+                grown.append(col)
                 if bit == last:
-                    # e_j is in the old span, or e_j + r is.
-                    inv = tuple(
-                        coords[e] if e in coords else coords[e ^ r] | bit for e in units
-                    )
-                    yield (*rows, r), inv
+                    # w is in the old span, or w + r is.
+                    b = [
+                        coords[w] if w in coords else coords[w ^ r] | bit
+                        for w in (*images, times_b0[r])
+                    ]
+                    yield (*rows, r), tuple(b), tuple(grown)
                 else:
                     wider = dict(coords)
                     wider.update((v ^ r, c | bit) for v, c in coords.items())
-                    yield from extend(rows + [r], wider)
+                    yield from extend(rows + [r], wider, grown)
 
-        yield from extend([], {0: 0})
+        yield from extend([], {0: 0}, [])
         return
     mask = (1 << m) - 1
     for k in _draws(_derived_seed(seed, 0xC0), m * m, stats):
@@ -586,7 +612,8 @@ def _iter_conjugators(
         u = tuple(rows >> (i * m) & mask for i in range(m))
         inv = _inverse_rows(u)
         if inv is not None:
-            yield u, tuple(inv)
+            b = _mul_rows(_mul_rows(u, b0), inv)
+            yield u, tuple(b), tuple(_mul_rows(u, _transpose_rows(u, m)))
 
 
 def search_specs(
@@ -638,12 +665,9 @@ def search_specs(
     yield from itertools.islice(specs, None if count is None else min(count, sys.maxsize))
 
 
-def _remember(cache: dict, key, value):
-    """Store value under key, emptying the cache first once it is full; return value."""
-    if len(cache) >= CONJ_CACHE_SIZE:
-        cache.clear()
-    cache[key] = value
-    return value
+def _coset_count(m: int) -> int:
+    """|GL(m, 2)| / (2^m - 1), the number of cosets u F2[B0]* the walk meets."""
+    return math.prod((1 << m) - (1 << i) for i in range(1, m))
 
 
 def _conjugate_specs(
@@ -653,8 +677,11 @@ def _conjugate_specs(
 
     Each B is decided once per coset (see the module docstring): `cosets`
     maps its row masks to None when B is symmetric, else to the BitMatrix B
-    and its addend.  `grams` maps the row masks of R to its BitMatrix.
-    Each holds at most CONJ_CACHE_SIZE entries, however long the walk.
+    and its addend.  `grams` maps the row masks of R to its BitMatrix.  The
+    tables are kept only when every coset fits in CONJ_CACHE_SIZE, which
+    holds for m <= 4; above that a B almost never comes back, so each u is
+    decided afresh and nothing is stored.  At m <= 4 the tables hold at most
+    1,344 B and 2^10 symmetric R, however long the walk.
     """
     anchor_seed = None if seed is None else _derived_seed(seed, 0xA5)
     k0 = next(_field_hits(m, anchor_seed, stats), None)
@@ -662,10 +689,10 @@ def _conjugate_specs(
         return
     b0 = backend.decode_symmetric(m, k0)
     zero = _forced_blocks(m)[1]
+    keep = _coset_count(m) <= CONJ_CACHE_SIZE
     cosets: dict[Rows, tuple[BitMatrix, BitMatrix] | None] = {}
     grams: dict[Rows, BitMatrix] = {}
-    for u, u_inv in _iter_conjugators(m, seed, stats):
-        b = tuple(_mul_rows(_mul_rows(u, b0), u_inv))
+    for _, b, r in _iter_conjugators(m, b0, seed, stats):
         coset = cosets.get(b, ())  # () for a B not seen yet
         if coset is None:
             continue
@@ -673,10 +700,14 @@ def _conjugate_specs(
             # R = u u^t is a polynomial in B = u B0 u^-1 (see the module
             # docstring): R is symmetric and invertible, B R = u B0 u^t is
             # symmetric, and char(B) = char(B0) is irreducible.
-            _remember(cosets, b, None)
+            if keep:
+                cosets[b] = None
             continue
-        r = tuple(_mul_rows(u, _transpose_rows(u, m)))
-        R = grams.get(r) or _remember(grams, r, BitMatrix(m, m, r))
+        R = grams.get(r)
+        if R is None:
+            R = BitMatrix(m, m, r)
+            if keep:
+                grams[r] = R
         if not coset:
             B = BitMatrix(m, m, b)
             A = zero if kind == "group" else find_addend(B, R)
@@ -686,5 +717,7 @@ def _conjugate_specs(
                 # So W = span{B^k R} + diagonals has dim 2m for every u here,
                 # and None means m(m + 1)/2 <= 2m, i.e. m <= 3, for all u.
                 return
-            coset = _remember(cosets, b, (B, A))
+            coset = (B, A)
+            if keep:
+                cosets[b] = coset
         yield StabilizerSpec(kind, m, coset[0], R, coset[1])

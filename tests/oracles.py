@@ -15,7 +15,7 @@
 - `iter_conjugators_scan` decodes every one of the 2^(m^2) bit patterns
   (with no seed) or the same `construct.MAX_ATTEMPTS` draws (with one) and
   tests each rank, where `construct._iter_conjugators` builds invertible
-  matrices row by row and hands out each inverse with it.
+  matrices row by row and reads u B0 u^-1 and u u^t off that recursion.
 - `is_polynomial_in` rebuilds span{I, B, ..., B^(m-1)} for one B, where
   `construct.search_specs` tests whether B = u B0 u^-1 is symmetric.
 - `addend_excluded_span` spans {p(B) R} + diagonals in all m^2 entries,
@@ -346,7 +346,7 @@ def search_specs_oracle(
     if anchor is None:
         return out
     b0 = anchor.B
-    for rows, _ in construct._iter_conjugators(m, seed):
+    for rows, _, _ in construct._iter_conjugators(m, b0.data, seed):
         if len(out) >= count:
             break
         u = BitMatrix(m, m, rows)

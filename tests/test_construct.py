@@ -508,7 +508,7 @@ class TestAddend:
         # leaves no admissible addend, so stopping at the first one drops nothing.
         b0 = next(search_specs(3, "field")).B
         pairs = []
-        for rows, _ in _iter_conjugators(3, None):
+        for rows, _, _ in _iter_conjugators(3, b0.data, None):
             u = BitMatrix(3, 3, rows)
             B = mat_mul(mat_mul(u, b0), mat_inverse(u))
             R = mat_mul(u, u.transpose())
@@ -527,7 +527,7 @@ class TestAnchorField:
         """(B, R, R in F2[B]) for every u of the exhaustive walk, in walk order."""
         b0 = next(search_specs(m, "field")).B
         out = []
-        for rows, _ in _iter_conjugators(m, None):
+        for rows, _, _ in _iter_conjugators(m, b0.data, None):
             u = BitMatrix(m, m, rows)
             B = mat_mul(mat_mul(u, b0), mat_inverse(u))
             R = mat_mul(u, u.transpose())
@@ -598,8 +598,8 @@ class TestAnchorField:
 
     def test_seeded_search_past_the_cache_bound(self, monkeypatch):
         # 5,000 specs against the per-u oracle: at the real bound each
-        # distinct B costs one find_addend call, and with the caches emptied
-        # every 64 entries the evicted B are decided again.
+        # distinct B costs one find_addend call, and with a bound below the
+        # 1,344 cosets of m = 4 no table is kept, so B are decided again.
         expected = search_specs_oracle(4, "semigroup", 5000, 5)
         distinct = len({spec.B for spec in expected})
         calls = []
@@ -634,7 +634,8 @@ class TestConjugators:
 
     @staticmethod
     def matrices(m, seed):
-        return [BitMatrix(m, m, u) for u, _ in _iter_conjugators(m, seed)]
+        eye = BitMatrix.identity(m).data
+        return [BitMatrix(m, m, u) for u, _, _ in _iter_conjugators(m, eye, seed)]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_exhaustive_matches_scan(self, m):
@@ -650,21 +651,51 @@ class TestConjugators:
             assert self.matrices(m, seed) == list(iter_conjugators_scan(m, seed))
 
     @staticmethod
-    def assert_inverse_pairs(m, pairs):
-        eye = BitMatrix.identity(m)
-        for u, u_inv in pairs:
-            u, u_inv = BitMatrix(m, m, u), BitMatrix(m, m, u_inv)
-            assert mat_mul(u, u_inv) == eye and mat_mul(u_inv, u) == eye
+    def assert_dense_products(m, b0, triples):
+        # B = u B0 u^-1 and R = u u^t against dense products, for a B0 that
+        # need not be symmetric.
+        B0 = BitMatrix(m, m, b0)
+        for u, b, r in triples:
+            u = BitMatrix(m, m, u)
+            assert BitMatrix(m, m, b) == mat_mul(mat_mul(u, B0), mat_inverse(u))
+            assert BitMatrix(m, m, r) == mat_mul(u, u.transpose())
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_exhaustive_inverses(self, m):
-        self.assert_inverse_pairs(m, _iter_conjugators(m, None))
+    def test_exhaustive_conjugates(self, m):
+        b0 = [random.Random(m).getrandbits(m) for _ in range(m)]
+        triples = list(_iter_conjugators(m, b0, None))
+        assert len(triples) == general_linear_order(m)
+        self.assert_dense_products(m, b0, triples)
 
     @pytest.mark.parametrize("m", [8, 16])
-    def test_random_inverses(self, m):
-        pairs = list(itertools.islice(_iter_conjugators(m, m), 200))
-        assert len(pairs) == 200
-        self.assert_inverse_pairs(m, pairs)
+    def test_random_conjugates(self, m):
+        b0 = [random.Random(m).getrandbits(m) for _ in range(m)]
+        triples = list(itertools.islice(_iter_conjugators(m, b0, m), 200))
+        assert len(triples) == 200
+        self.assert_dense_products(m, b0, triples)
+
+    @pytest.mark.parametrize("kind, most", [("group", 1), ("semigroup", 1 + 3 * 1296)])
+    def test_exhaustive_walk_takes_no_product_per_u(self, monkeypatch, kind, most):
+        # One product builds the table of x B0; the rest are find_addend's
+        # m - 1 products for each of the 1,296 distinct B of the m = 4 walk.
+        calls = []
+        mul_rows = construct._mul_rows
+
+        def counting(lhs, rhs):
+            calls.append(1)
+            return mul_rows(lhs, rhs)
+
+        monkeypatch.setattr(construct, "_mul_rows", counting)
+        assert sum(1 for _ in search_specs(4, kind, None)) == exhaustive_total(4, kind)
+        assert 0 < len(calls) <= most
+
+    @pytest.mark.parametrize("m, stored", [(4, True), (6, False)])
+    def test_coset_tables_only_where_cosets_repeat(self, m, stored):
+        # 1,344 cosets at m = 4 fit CONJ_CACHE_SIZE; 319,979,520 at m = 6 do not.
+        walk = construct._conjugate_specs(m, "semigroup", 5, None)
+        assert len(list(itertools.islice(walk, 300))) == 300
+        tables = walk.gi_frame.f_locals
+        assert bool(tables["cosets"]) == bool(tables["grams"]) == stored
 
 
 class TestSearch:
@@ -787,16 +818,21 @@ class TestJson:
         assert set(d_semi) == {"m", "kind", "B", "R", "A"}
 
     @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(KINDS), m=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    @given(
+        kind=st.sampled_from((*KINDS, 'se"mi', "é", "")),
+        m=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
     def test_to_json_matches_json_dumps(self, kind, m, seed):
         # The row-mask writer against the generic encoder of the wire dict,
         # built here from `to_lists`, on arbitrary (not necessarily valid)
-        # matrices up to MAX_M.
+        # matrices up to MAX_M, and kinds outside KINDS, which `to_json`
+        # passes to json.dumps and writes with B alone.
         rng = random.Random(seed)
         B, R, A = (BitMatrix(m, m, [rng.getrandbits(m) for _ in range(m)]) for _ in range(3))
         spec = StabilizerSpec(kind, m, B, R, A)
         wire = {"m": m, "kind": kind, "B": B.to_lists()}
-        if kind != "field":
+        if kind in ("group", "semigroup"):
             wire["R"] = R.to_lists()
         if kind == "semigroup":
             wire["A"] = A.to_lists()

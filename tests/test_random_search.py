@@ -108,8 +108,9 @@ def test_conjugator_draws_stop_once_every_pattern_is_drawn(monkeypatch):
             return super().getrandbits(k)
 
     monkeypatch.setattr(random, "Random", CountingRandom)
-    drawn = [u for u, _ in construct._iter_conjugators(2, 5)]
-    assert sorted(drawn) == sorted(u for u, _ in construct._iter_conjugators(2, None))
+    b0 = (0b11, 0b10)
+    drawn = [u for u, _, _ in construct._iter_conjugators(2, b0, 5)]
+    assert sorted(drawn) == sorted(u for u, _, _ in construct._iter_conjugators(2, b0, None))
     assert draws == [4] * first_complete
 
 
