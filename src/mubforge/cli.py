@@ -127,14 +127,13 @@ def _cmd_search(args) -> int:
         print("mubforge search: error: --count must be >= 1", file=sys.stderr)
         return 1
     stats: dict = {}
-    specs = search_specs(args.m, args.kind, args.count, args.seed, stats)
     try:
-        head = list(itertools.islice(specs, 1))  # usage errors raise here, before any write
+        specs = search_specs(args.m, args.kind, args.count, args.seed, stats)
     except ValueError as exc:
         print(f"mubforge search: error: {exc}", file=sys.stderr)
         return 1
     drawn = itertools.count()  # zip ticks it once per spec taken, so next(drawn) counts them
-    lines = (spec.to_json() + "\n" for spec, _ in zip(itertools.chain(head, specs), drawn))
+    lines = (spec.to_json() + "\n" for spec, _ in zip(specs, drawn))
     if not _write(args, lines):
         return 2
     found = next(drawn)

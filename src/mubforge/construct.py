@@ -63,7 +63,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import random
 import sys
 from typing import Iterator, NamedTuple
@@ -93,7 +92,6 @@ EXHAUSTIVE_CONJ_CAP = 4   # conjugator space for group/semigroup, <= 2^16
 NUMERIC_QUBIT_CAP = 8     # numeric tier in `pauli`: d powers of one d x d unitary
 DEFAULT_TOL = 1e-10       # numeric tier in `pauli` and `build --tol`
 MAX_ATTEMPTS = 1 << 18    # random draws per search, of B and of u alike
-CONJ_CACHE_SIZE = 1 << 11  # coset tables are kept when the walk's cosets fit: 1,344 at m = 4
 
 Rows = tuple[int, ...]  # a matrix as its row masks, bit j of row i = entry (i, j)
 
@@ -288,12 +286,15 @@ class StabilizerSpec(NamedTuple):
     @classmethod
     def from_json(cls, text: str) -> "StabilizerSpec":
         try:
-            return cls.from_json_dict(json.loads(text))
+            obj = json.loads(text)
         except RecursionError as exc:
             raise SpecValidationError("schema", "spec JSON is nested too deeply") from exc
         except json.JSONDecodeError as exc:
             detail = "the spec is empty" if not text.strip() else f"not valid JSON: {exc}"
             raise SpecValidationError("schema", detail) from exc
+        except ValueError as exc:  # an integer literal longer than int_max_str_digits
+            raise SpecValidationError("schema", f"cannot read JSON: {exc}") from exc
+        return cls.from_json_dict(obj)
 
 
 class GeneratorSet(NamedTuple):
@@ -619,13 +620,14 @@ def _iter_conjugators(
 def search_specs(
     m: int, kind: str, count: int | None = 1, seed: int | None = None, stats: dict | None = None
 ) -> Iterator[StabilizerSpec]:
-    """Stream up to `count` specs of the requested kind (None: all of them).
+    """Return a stream of up to `count` specs of the requested kind (None: all).
 
     With no seed the search is exhaustive: field specs come in ascending
     candidate order, which is capped at m = EXHAUSTIVE_CAP, and group and
     semigroup specs walk every conjugator u, which is capped at
-    m = EXHAUSTIVE_CONJ_CAP.  Both caps are checked here, with the other
-    arguments, so a search above its cap raises before any scan.  A seed
+    m = EXHAUSTIVE_CONJ_CAP.  Both caps and the other arguments are checked
+    when search_specs is called, before it returns the stream, so a bad
+    argument raises ValueError at the call and before any scan.  A seed
     selects seeded uniform sampling, up to MAX_M: B and u are drawn by
     `_draws`, which skips repeats and stops once every index has been
     drawn, so at small m a seeded search with a large count ends with every
@@ -662,12 +664,7 @@ def search_specs(
         specs = _conjugate_specs(m, kind, seed, stats)
     # islice takes no stop above sys.maxsize, and no stream gets that far: an
     # exhaustive one is finite and a seeded one stops after MAX_ATTEMPTS draws.
-    yield from itertools.islice(specs, None if count is None else min(count, sys.maxsize))
-
-
-def _coset_count(m: int) -> int:
-    """|GL(m, 2)| / (2^m - 1), the number of cosets u F2[B0]* the walk meets."""
-    return math.prod((1 << m) - (1 << i) for i in range(1, m))
+    return itertools.islice(specs, None if count is None else min(count, sys.maxsize))
 
 
 def _conjugate_specs(
@@ -678,10 +675,10 @@ def _conjugate_specs(
     Each B is decided once per coset (see the module docstring): `cosets`
     maps its row masks to None when B is symmetric, else to the BitMatrix B
     and its addend.  `grams` maps the row masks of R to its BitMatrix.  The
-    tables are kept only when every coset fits in CONJ_CACHE_SIZE, which
-    holds for m <= 4; above that a B almost never comes back, so each u is
-    decided afresh and nothing is stored.  At m <= 4 the tables hold at most
-    1,344 B and 2^10 symmetric R, however long the walk.
+    tables are kept only at m <= EXHAUSTIVE_CONJ_CAP, where they hold at
+    most |GL(4, 2)| / 15 = 1,344 B and 2^10 symmetric R, however long the
+    walk; above that a B almost never comes back, so each u is decided
+    afresh and nothing is stored.
     """
     anchor_seed = None if seed is None else _derived_seed(seed, 0xA5)
     k0 = next(_field_hits(m, anchor_seed, stats), None)
@@ -689,7 +686,7 @@ def _conjugate_specs(
         return
     b0 = backend.decode_symmetric(m, k0)
     zero = _forced_blocks(m)[1]
-    keep = _coset_count(m) <= CONJ_CACHE_SIZE
+    keep = m <= EXHAUSTIVE_CONJ_CAP
     cosets: dict[Rows, tuple[BitMatrix, BitMatrix] | None] = {}
     grams: dict[Rows, BitMatrix] = {}
     for _, b, r in _iter_conjugators(m, b0, seed, stats):

@@ -202,10 +202,13 @@ class TestSearch:
     def test_usage_error_leaves_out_untouched(self, tmp_path, capsys):
         out = tmp_path / "specs.jsonl"
         out.write_text("kept\n")
-        argv = ["search", "--m", "7", "--kind", "field", "--exhaustive", "--out", str(out)]
-        assert cli.main(argv) == 1
-        assert "capped at m = 6" in capsys.readouterr().err
-        assert out.read_text() == "kept\n"
+        for args, message in [
+            (["--m", "7", "--kind", "field", "--exhaustive"], "capped at m = 6"),
+            (["--m", "17", "--kind", "field", "--seed", "1"], "m = 17 outside 1..16"),
+        ]:
+            assert cli.main(["search", *args, "--out", str(out)]) == 1
+            assert message in capsys.readouterr().err
+            assert out.read_text() == "kept\n"
 
 
 class TestBuild:
@@ -389,9 +392,12 @@ class TestClassify:
         # read has no condition.
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
-        assert cli.main(["classify", str(bad), str(tmp_path / "missing.json")]) == 2
+        long = tmp_path / "long.json"
+        long.write_text(MALFORMED_SPECS["long-integer"][0])
+        argv = ["classify", str(bad), str(long), str(tmp_path / "missing.json")]
+        assert cli.main(argv) == 2
         rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
-        assert [row[-1] for row in rows] == ["error:schema", "error"]
+        assert [row[-1] for row in rows] == ["error:schema", "error:schema", "error"]
 
 
 class TestEquiv:
@@ -541,6 +547,8 @@ MALFORMED_SPECS = {
     "empty-B": ('{"m": 2, "kind": "field", "B": []}', '"B" must be a non-empty list'),
     "string-m": ('{"m": "2", "kind": "field", "B": [[1, 1], [1, 0]]}', '"m" must be an integer'),
     "deeply-nested": ("[" * 100000 + "]" * 100000, "nested too deeply"),
+    # json.loads raises a plain ValueError past sys.get_int_max_str_digits().
+    "long-integer": ('{"m": 1, "kind": "field", "B": [[1' + "0" * 4300 + ']]}', "cannot read JSON"),
 }
 
 

@@ -597,9 +597,9 @@ class TestAnchorField:
         assert list(search_specs(m, kind, None)) == search_specs_oracle(m, kind, 1 << 20)
 
     def test_seeded_search_past_the_cache_bound(self, monkeypatch):
-        # 5,000 specs against the per-u oracle: at the real bound each
-        # distinct B costs one find_addend call, and with a bound below the
-        # 1,344 cosets of m = 4 no table is kept, so B are decided again.
+        # 5,000 specs against the per-u oracle: at the real cap each
+        # distinct B costs one find_addend call, and with the exhaustive
+        # cap below m = 4 no table is kept, so B are decided again.
         expected = search_specs_oracle(4, "semigroup", 5000, 5)
         distinct = len({spec.B for spec in expected})
         calls = []
@@ -612,7 +612,7 @@ class TestAnchorField:
         assert list(search_specs(4, "semigroup", 5000, seed=5)) == expected
         assert len(calls) == distinct
         calls.clear()
-        monkeypatch.setattr(construct, "CONJ_CACHE_SIZE", 64)
+        monkeypatch.setattr(construct, "EXHAUSTIVE_CONJ_CAP", 3)
         assert list(search_specs(4, "semigroup", 5000, seed=5)) == expected
         assert len(calls) > distinct
 
@@ -689,9 +689,10 @@ class TestConjugators:
         assert sum(1 for _ in search_specs(4, kind, None)) == exhaustive_total(4, kind)
         assert 0 < len(calls) <= most
 
-    @pytest.mark.parametrize("m, stored", [(4, True), (6, False)])
+    @pytest.mark.parametrize("m, stored", [(4, True), (5, False), (6, False)])
     def test_coset_tables_only_where_cosets_repeat(self, m, stored):
-        # 1,344 cosets at m = 4 fit CONJ_CACHE_SIZE; 319,979,520 at m = 6 do not.
+        # Tables are kept up to EXHAUSTIVE_CONJ_CAP = 4, where the walk meets
+        # 1,344 cosets; m = 5 has 322,560 and m = 6 has 319,979,520.
         walk = construct._conjugate_specs(m, "semigroup", 5, None)
         assert len(list(itertools.islice(walk, 300))) == 300
         tables = walk.gi_frame.f_locals
@@ -716,7 +717,7 @@ class TestSearch:
 
     def test_exhaustive_cap(self):
         with pytest.raises(ValueError, match="capped at m = 6; pass a seed"):
-            next(search_specs(7, "field"))
+            search_specs(7, "field")
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_exhaustive_cap_raised_before_any_scan(self, monkeypatch, kind):
@@ -727,12 +728,12 @@ class TestSearch:
         cap = construct.EXHAUSTIVE_CAP if kind == "field" else construct.EXHAUSTIVE_CONJ_CAP
         message = f"^exhaustive {kind} search is capped at m = {cap}; pass a seed$"
         with pytest.raises(ValueError, match=message):
-            next(search_specs(cap + 1, kind))
+            search_specs(cap + 1, kind)
 
     def test_exhaustive_conjugator_cap(self):
         # m = 5 is within the field cap; search_specs checks the conjugator cap.
         with pytest.raises(ValueError, match="capped at m = 4; pass a seed"):
-            list(search_specs(5, "semigroup", 1))
+            search_specs(5, "semigroup", 1)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", [None, 3])
@@ -743,12 +744,17 @@ class TestSearch:
     @pytest.mark.parametrize("count", [-1, -5])
     def test_negative_count_rejected(self, kind, count):
         with pytest.raises(ValueError, match=f"^count = {count} is negative$"):
-            next(search_specs(4, kind, count))
+            search_specs(4, kind, count)
 
     def test_m_outside_range_rejected(self):
         for m in (0, 17):
             with pytest.raises(ValueError, match=f"m = {m} outside 1..16"):
-                next(search_specs(m, "field", seed=1))
+                search_specs(m, "field", seed=1)
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_unknown_kind_rejected(self, seed):
+        with pytest.raises(ValueError, match="^unknown kind 'nope'$"):
+            search_specs(4, "nope", seed=seed)
 
     def test_random_deterministic(self):
         a = list(search_specs(5, "field", 3, seed=42))
