@@ -2,7 +2,10 @@
 
 Exit codes: 0 = success (including empty search results and negative
 equivalence verdicts), 2 = validation or internal failure, named on stderr,
-1 = usage error.  Search output is JSON lines, written as each spec is
+1 = usage error.  A failed step leaves through `main`, which names it in
+one stderr line and exits 2.  Every stderr line goes through one writer,
+which drops a line that stderr cannot take, so a closed stderr changes no
+exit code.  Search output is JSON lines, written as each spec is
 found, so long runs can be piped and truncated; identical commands with
 identical seeds produce byte-identical output.  Every command writes its
 output the same way: a failed write to stdout or --out exits 2 and says
@@ -26,7 +29,6 @@ from .construct import (
     NUMERIC_QUBIT_CAP,
     SpecValidationError,
     StabilizerSpec,
-    StandardFormError,
     bandyopadhyay_check,
     build_stabilizer,
     cyclicity_check,
@@ -94,6 +96,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _say(args, text: str) -> None:
+    """Write one line to stderr, prefixed with the command; drop it if stderr cannot take it.
+
+    A process started with fd 2 closed has sys.stderr None, or a stderr whose
+    writes fail.  Either way the line is dropped, never sent to stdout.
+    """
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(f"mubforge {args.command}: {text}\n")
+        except OSError:
+            pass
+
+
 def _write(args, chunks) -> bool:
     """Write each text chunk to `args.out`, or stdout, as it comes, and flush once at the end.
 
@@ -103,7 +118,7 @@ def _write(args, chunks) -> bool:
     stdout closed from the start (sys.stdout is None) is a failed write.
     """
     if args.out is None and sys.stdout is None:
-        print(f"mubforge {args.command}: cannot write output: stdout is closed", file=sys.stderr)
+        _say(args, "cannot write output: stdout is closed")
         return False
     try:
         with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
@@ -114,7 +129,7 @@ def _write(args, chunks) -> bool:
         if args.out is None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
-            print(f"mubforge {args.command}: cannot write output: {exc}", file=sys.stderr)
+            _say(args, f"cannot write output: {exc}")
         return isinstance(exc, BrokenPipeError)
 
 
@@ -124,13 +139,13 @@ def _load_spec(path: Path) -> StabilizerSpec:
 
 def _cmd_search(args) -> int:
     if args.count < 1:
-        print("mubforge search: error: --count must be >= 1", file=sys.stderr)
+        _say(args, "error: --count must be >= 1")
         return 1
     stats: dict = {}
     try:
         specs = search_specs(args.m, args.kind, args.count, args.seed, stats)
     except ValueError as exc:
-        print(f"mubforge search: error: {exc}", file=sys.stderr)
+        _say(args, f"error: {exc}")
         return 1
     drawn = itertools.count()  # zip ticks it once per spec taken, so next(drawn) counts them
     lines = (spec.to_json() + "\n" for spec, _ in zip(specs, drawn))
@@ -144,20 +159,14 @@ def _cmd_search(args) -> int:
             "max-attempts": f"MAX_ATTEMPTS = {MAX_ATTEMPTS} draws ran out before every index "
             "was drawn",
         }
-        print(
-            f"mubforge search: stopped at {found} of {args.count} specs ({stop}): {why[stop]}",
-            file=sys.stderr,
-        )
+        _say(args, f"stopped at {found} of {args.count} specs ({stop}): {why[stop]}")
     if not found:
-        hints = {
+        hint = {
             "field": "no symmetric matrix with an admissible characteristic polynomial",
             "group": "no non-polynomial symmetrizer exists or was found",
             "semigroup": "no non-polynomial symmetrizer or no admissible addend exists",
-        }
-        print(
-            f"warning: search produced no {args.kind} spec at m={args.m}: {hints[args.kind]}",
-            file=sys.stderr,
-        )
+        }[args.kind]
+        _say(args, f"warning: search produced no {args.kind} spec at m={args.m}: {hint}")
     return 0
 
 
@@ -165,44 +174,33 @@ def _cmd_build(args) -> int:
     from .entangle import entanglement_vector
 
     if not (math.isfinite(args.tol) and args.tol > 0):
-        print("mubforge build: error: --tol must be a finite number > 0", file=sys.stderr)
+        _say(args, "error: --tol must be a finite number > 0")
         return 1
     if args.numeric_cap < 0:
-        print("mubforge build: error: --numeric-cap must be >= 0", file=sys.stderr)
+        _say(args, "error: --numeric-cap must be >= 0")
         return 1
     if args.numeric_cap > NUMERIC_QUBIT_CAP:
-        print(
-            f"mubforge build: error: --numeric-cap must be at most {NUMERIC_QUBIT_CAP}",
-            file=sys.stderr,
-        )
+        _say(args, f"error: --numeric-cap must be at most {NUMERIC_QUBIT_CAP}")
         return 1
-    try:
-        spec = _load_spec(args.spec)
-    except (OSError, ValueError) as exc:
-        print(f"mubforge build: cannot read spec: {exc}", file=sys.stderr)
-        return 2
+    spec = _load_spec(args.spec)
     timings: dict[str, float] = {}
-    try:
-        t0 = time.perf_counter()
-        spec.validate()
-        timings["validate"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    spec.validate()
+    timings["validate"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        C = build_stabilizer(spec)
-        cyclic_ok = cyclicity_check(C, spec.d)
-        timings["cyclicity"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    C = build_stabilizer(spec)
+    cyclic_ok = cyclicity_check(C, spec.d)
+    timings["cyclicity"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        gens = generators(spec, C)
-        bandy_ok = bandyopadhyay_check(gens)
-        timings["classes"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    gens = generators(spec, C)
+    bandy_ok = bandyopadhyay_check(gens)
+    timings["classes"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        ent = entanglement_vector(gens)
-        timings["entanglement"] = time.perf_counter() - t0
-    except (SpecValidationError, StandardFormError) as exc:
-        print(f"mubforge build: invalid spec: {exc}", file=sys.stderr)
-        return 2
+    t0 = time.perf_counter()
+    ent = entanglement_vector(gens)
+    timings["entanglement"] = time.perf_counter() - t0
 
     report = {
         "spec": spec.to_json_dict(),
@@ -225,12 +223,11 @@ def _cmd_build(args) -> int:
         if not numeric_ok:
             report["mub_worst_pair"] = result.worst_pair
             i, j = result.worst_pair
-            print(
-                f"mubforge build: numeric check failed: bases {i} and {j} (the power U^{j} of "
-                f"the generator) have the largest overlap deviation from 1/d, "
-                f"{result.max_deviation:.3g} (unitarity deviation of U "
-                f"{result.unitarity_deviation:.3g}, tol {args.tol:g})",
-                file=sys.stderr,
+            _say(
+                args,
+                f"numeric check failed: bases {i} and {j} (the power U^{j} of the generator) "
+                f"have the largest overlap deviation from 1/d, {result.max_deviation:.3g} "
+                f"(unitarity deviation of U {result.unitarity_deviation:.3g}, tol {args.tol:g})",
             )
     else:
         report["mub_verification"] = f"skipped (m > {args.numeric_cap})"
@@ -239,7 +236,7 @@ def _cmd_build(args) -> int:
         return 2
     if cyclic_ok and bandy_ok and numeric_ok:
         return 0
-    print("mubforge build: one or more checks failed", file=sys.stderr)
+    _say(args, "one or more checks failed")
     return 2
 
 
@@ -256,7 +253,7 @@ def _cmd_classify(args) -> int:
             rows.append((str(path), spec.kind, str(spec.m), counts))
         except (OSError, ValueError) as exc:
             failed = True
-            print(f"mubforge classify: {path}: {exc}", file=sys.stderr)
+            _say(args, f"{path}: {exc}")
             status = f"error:{exc.condition}" if isinstance(exc, SpecValidationError) else "error"
             rows.append((str(path), "-", "-", status))
     table = [("file", "kind", "m", "counts"), *rows]
@@ -269,21 +266,13 @@ def _cmd_classify(args) -> int:
 def _cmd_equiv(args) -> int:
     from .equiv import equivalence_map
 
-    try:
-        spec_a = _load_spec(args.spec_a)
-        spec_b = _load_spec(args.spec_b)
-        spec_a.validate()
-        spec_b.validate()
-        if spec_a.m != spec_b.m:
-            raise SpecValidationError("m-mismatch", "specs have different qubit counts")
-    except (OSError, ValueError) as exc:
-        print(f"mubforge equiv: {exc}", file=sys.stderr)
-        return 2
-    try:
-        f, reason = equivalence_map(spec_a, spec_b)
-    except ValueError as exc:  # StandardFormError and any other failed step
-        print(f"mubforge equiv: cannot build the map: {exc}", file=sys.stderr)
-        return 2
+    spec_a = _load_spec(args.spec_a)
+    spec_b = _load_spec(args.spec_b)
+    spec_a.validate()
+    spec_b.validate()
+    if spec_a.m != spec_b.m:
+        raise SpecValidationError("m-mismatch", "specs have different qubit counts")
+    f, reason = equivalence_map(spec_a, spec_b)
     verdict = {"equivalent": f is not None, "reason": reason}
     if f is not None:
         verdict["f"] = f.matrix.to_lists()
@@ -293,7 +282,11 @@ def _cmd_equiv(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = dict(search=_cmd_search, build=_cmd_build, classify=_cmd_classify, equiv=_cmd_equiv)
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (OSError, ValueError) as exc:  # a spec that cannot be read or fails a step
+        _say(args, str(exc))
+        return 2
 
 
 if __name__ == "__main__":

@@ -93,8 +93,6 @@ class BitMatrix:
             raise ValueError("shape mismatch in addition")
         return BitMatrix(self.rows, self.cols, (a ^ b for a, b in zip(self.data, other.data)))
 
-    __sub__ = __add__
-
     def __mul__(self, other: "BitMatrix") -> "BitMatrix":
         return mat_mul(self, other)
 

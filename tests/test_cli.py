@@ -353,6 +353,16 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "cannot write output" in err and str(out) in err
 
+    def test_internal_failure_exits_2(self, spec_files, monkeypatch, capsys):
+        def broken(spec, C):
+            raise ValueError("class step failed")
+
+        monkeypatch.setattr(cli, "generators", broken)
+        assert cli.main(["build", str(spec_files["field3"])]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "mubforge build: class step failed\n"
+
 
 class TestClassify:
     def test_table(self, spec_files):
@@ -553,7 +563,11 @@ MALFORMED_SPECS = {
 
 
 class TestOutput:
-    """Every command writes through one path: a failed write exits 2, a closed pipe is quiet."""
+    """Every command writes through one path: a failed write exits 2, a closed pipe is quiet.
+
+    Diagnostics go through one writer too: a stderr that cannot be written
+    changes no exit code.
+    """
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("command", ["search", "build", "classify", "equiv"])
@@ -587,6 +601,34 @@ class TestOutput:
                              stderr=subprocess.PIPE, text=True, timeout=300)
         assert res.returncode == 2
         assert res.stderr == f"mubforge {command}: cannot write output: stdout is closed\n"
+
+    @pytest.mark.parametrize("command", ["search", "build", "classify", "equiv"])
+    def test_closed_stderr_keeps_the_exit_code(self, spec_files, command):
+        # `2>&-` starts the command without fd 2, so sys.stderr is None or
+        # refuses every write, and no diagnostic may reach stdout instead.
+        # The seeded search exhausts its space after 6 specs and says so.
+        bad = str(spec_files["bad_index"])
+        args = {
+            "search": ["--m", "3", "--kind", "field", "--seed", "1", "--count", "100"],
+            "build": [bad],
+            "classify": [bad],
+            "equiv": [bad, bad],
+        }[command]
+        res = subprocess.run(["sh", "-c", '"$@" 2>&-', "sh", *CLI, command, *args],
+                             stdout=subprocess.PIPE, text=True, timeout=300)
+        lines = res.stdout.splitlines()
+        if command == "search":
+            assert res.returncode == 0
+            assert len(lines) == 6
+            for line in lines:
+                StabilizerSpec.from_json(line).validate()
+        elif command == "classify":
+            assert res.returncode == 2
+            row = [bad, "-", "-", "error:fibonacci-index"]
+            assert [line.split() for line in lines[1:]] == [row]
+        else:
+            assert res.returncode == 2
+            assert lines == []
 
     def test_closed_pipe_ends_search_quietly(self, tmp_path):
         err = tmp_path / "err.txt"
