@@ -127,7 +127,8 @@ def _write(args, chunks) -> bool:
         return True
     except OSError as exc:
         if args.out is None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
             _say(args, f"cannot write output: {exc}")
         return isinstance(exc, BrokenPipeError)

@@ -182,14 +182,6 @@ class StabilizerSpec(NamedTuple):
         eye, zero = _forced_blocks(B.rows)
         return cls("field", B.rows, B, eye, zero)
 
-    @classmethod
-    def group(cls, B: BitMatrix, R: BitMatrix) -> "StabilizerSpec":
-        return cls("group", B.rows, B, R, _forced_blocks(B.rows)[1])
-
-    @classmethod
-    def semigroup(cls, B: BitMatrix, R: BitMatrix, A: BitMatrix) -> "StabilizerSpec":
-        return cls("semigroup", B.rows, B, R, A)
-
     @property
     def d(self) -> int:
         return 1 << self.m

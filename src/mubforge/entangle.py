@@ -70,9 +70,6 @@ class EntanglementVector(NamedTuple):
             "counts": list(self.counts),
         }
 
-    def factorizable(self) -> int:
-        return self.counts[0]
-
 
 def entanglement_vector(gens: GeneratorSet) -> EntanglementVector:
     """Histogram of the tensor-factor partitions over all d + 1 classes.

@@ -3,10 +3,12 @@
 A vector is an integer bitmask (bit j = entry j) and a matrix stores each
 row as one, so row operations are single XORs and everything stays exact.
 Matrices are immutable after construction; every operation returns a fresh
-object.  One elimination serves everything: `_SpanReducer` keeps a basis
-with distinct leading bits.  Its size is the rank, membership is a zero
-remainder, and vectors tagged in their low bits with their index give the
-inverse (`_inverse_rows`) and the Krylov chains of `char_poly`.
+object.  Each operation has one spelling: `mat_mul` multiplies, `mat_inverse`
+inverts, `+` adds and `**` takes powers n >= 0; entries are read through
+`.data` or `.to_lists()`.  One elimination serves everything: `_SpanReducer`
+keeps a basis with distinct leading bits.  Its size is the rank, membership
+is a zero remainder, and vectors tagged in their low bits with their index
+give the inverse (`_inverse_rows`) and the Krylov chains of `char_poly`.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class BitMatrix:
     @classmethod
     def from_rows(cls, entries: Sequence[Sequence[int]]) -> "BitMatrix":
         rows = len(entries)
-        cols = len(entries[0])
+        cols = len(entries[0]) if entries else 0
         data = []
         for row in entries:
             if len(row) != cols:
@@ -66,16 +68,10 @@ class BitMatrix:
         return cls(m, m, (1 << i for i in range(m)))
 
     @classmethod
-    def zero(cls, rows: int, cols: int | None = None) -> "BitMatrix":
-        return cls(rows, cols if cols is not None else rows, (0,) * rows)
+    def zero(cls, m: int) -> "BitMatrix":
+        return cls(m, m, (0,) * m)
 
     # -- accessors ---------------------------------------------------------
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(key)
-        return (self.data[i] >> j) & 1
 
     def to_lists(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
@@ -93,20 +89,15 @@ class BitMatrix:
             raise ValueError("shape mismatch in addition")
         return BitMatrix(self.rows, self.cols, (a ^ b for a, b in zip(self.data, other.data)))
 
-    def __mul__(self, other: "BitMatrix") -> "BitMatrix":
-        return mat_mul(self, other)
-
     def __pow__(self, n: int) -> "BitMatrix":
-        if not self.is_square():
-            raise ValueError("power of a non-square matrix")
-        if n < 0:
-            return mat_inverse(self) ** (-n)
+        if not self.is_square() or n < 0:
+            raise ValueError("power n >= 0 of a square matrix only")
         acc = BitMatrix.identity(self.rows)
         base = self
         while n:
             if n & 1:
-                acc = acc * base
-            base = base * base
+                acc = mat_mul(acc, base)
+            base = mat_mul(base, base)
             n >>= 1
         return acc
 

@@ -224,7 +224,7 @@ def cyclicity_walk(C: BitMatrix, d: int) -> bool:
     for _ in range(d):
         if acc == eye:
             return False
-        acc = acc * C
+        acc = mat_mul(acc, C)
     return acc == eye
 
 
@@ -355,12 +355,12 @@ def search_specs_oracle(
         if is_polynomial_in(B, R):
             continue
         if kind == "group":
-            out.append(StabilizerSpec.group(B, R))
+            out.append(StabilizerSpec("group", m, B, R, BitMatrix.zero(m)))
             continue
         A = find_addend_scan(B, R)
         if A is None:
             break
-        out.append(StabilizerSpec.semigroup(B, R, A))
+        out.append(StabilizerSpec("semigroup", m, B, R, A))
     return out
 
 
@@ -475,14 +475,15 @@ def intertwiner_scan(a: StabilizerSpec, b: StabilizerSpec) -> list[BitMatrix]:
     """
     m = a.m
     n = m * m
+    ba, bb = a.B.to_lists(), b.B.to_lists()
     rows = []
     for i in range(m):
         for j in range(m):
             mask = 0
             for k in range(m):
-                if a.B[k, j]:
+                if ba[k][j]:
                     mask ^= 1 << (i * m + k)  # s_ik (B_a)_kj
-                if b.B[i, k]:
+                if bb[i][k]:
                     mask ^= 1 << (k * m + j)  # (B_b)_ik s_kj
             rows.append(mask)
     basis = nullspace(BitMatrix(len(rows), n, rows))
@@ -750,7 +751,7 @@ def poly_of_matrix(p: int, a: BitMatrix) -> BitMatrix:
     m = a.rows
     acc = BitMatrix.zero(m)
     for i in range(p.bit_length() - 1, -1, -1):
-        acc = acc * a
+        acc = mat_mul(acc, a)
         if (p >> i) & 1:
             acc = acc + BitMatrix.identity(m)
     return acc

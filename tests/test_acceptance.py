@@ -153,10 +153,10 @@ def test_criterion_04_addition_identity():
 
 def test_criterion_05_entanglement_counts(field_specs, group3):
     for m in range(1, 6):
-        assert entanglement_vector(generators(field_specs[m])).factorizable() == 3
+        assert entanglement_vector(generators(field_specs[m])).counts[0] == 3
     # m = 3, group kind: existence settled by the exhaustive search (it found
     # a non-polynomial symmetrizer), and the count drops to exactly two.
-    assert entanglement_vector(generators(group3)).factorizable() == 2
+    assert entanglement_vector(generators(group3)).counts[0] == 2
     # m = 3, semigroup kind: no admissible addend exists -- every symmetric A
     # is of the excluded form p(B) R + D, verified here, so the
     # one-factorizable case is reported as unattainable at m = 3.
@@ -165,7 +165,7 @@ def test_criterion_05_entanglement_counts(field_specs, group3):
     print("[acceptance] criterion  5: note: no semigroup addend exists at m = 3 "
           "(every symmetric A is excluded); first semigroup sets appear at m = 4")
     sg = list(search_specs(4, "semigroup", 1))
-    assert sg and entanglement_vector(generators(sg[0])).factorizable() == 1
+    assert sg and entanglement_vector(generators(sg[0])).counts[0] == 1
     _report(5, "factorizable counts: field 3 (m<=5); group 2 (m=3); semigroup 1 (m=4)")
 
 
@@ -227,7 +227,7 @@ def test_criterion_07_two_qubit_negative_result():
 def test_criterion_08_triangular_equivalence(group3):
     B, R = group3.B, group3.R
     A = R  # any symmetric addend gives a valid semigroup spec at m = 3
-    semigroup = StabilizerSpec.semigroup(B, R, A)
+    semigroup = StabilizerSpec("semigroup", 3, B, R, A)
     semigroup.validate()
     g = gram_factor(R)
     assert g is not None and mat_mul(g.transpose(), g) == R

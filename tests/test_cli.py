@@ -426,10 +426,11 @@ class TestEquiv:
         verdict = json.loads(res.stdout)
         assert verdict["equivalent"] is True
 
-    def test_dimension_mismatch(self, spec_files):
-        res = run_cli("equiv", str(spec_files["field1"]), str(spec_files["field3"]))
-        assert res.returncode == 2
-        assert "different qubit counts" in res.stderr
+    def test_dimension_mismatch(self, spec_files, capsys):
+        assert cli.main(["equiv", str(spec_files["field1"]), str(spec_files["field3"])]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "m-mismatch" in err and "different qubit counts" in err
 
     def test_identical_invalid_specs_fail(self, spec_files, capsys):
         bad = str(spec_files["bad_index"])
@@ -586,6 +587,20 @@ class TestOutput:
         # One line, and no traceback from the write or from the flush at exit.
         assert res.stderr.startswith(f"mubforge {command}: cannot write output: ")
         assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+    @pytest.mark.skipif(not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+                        reason="needs /dev/full and /proc/self/fd")
+    def test_failed_writes_leave_no_open_descriptor(self, spec_files, monkeypatch, capsys):
+        def build_into_full():
+            with open("/dev/full", "w") as full:
+                monkeypatch.setattr(sys, "stdout", full)
+                assert cli.main(["build", str(spec_files["field3"])]) == 2
+
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            build_into_full()
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert capsys.readouterr().err.count("cannot write output") == 5
 
     @pytest.mark.parametrize("command", ["search", "build", "classify", "equiv"])
     def test_closed_stdout_exits_2(self, spec_files, command):

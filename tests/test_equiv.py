@@ -147,7 +147,7 @@ class TestGramFactor:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_exhaustive_sweep(self, m):
         for R in sym_invertible_matrices(m):
-            if all(R[i, i] == 0 for i in range(m)):  # alternating
+            if not any((R.data[i] >> i) & 1 for i in range(m)):  # alternating
                 with pytest.raises(ValueError, match="alternating"):
                     gram_factor(R)
             else:
@@ -184,7 +184,7 @@ class TestTransport:
             B = mat_mul(mat_mul(u, B0), mat_inverse(u))
             R = mat_mul(u, u.transpose())
             A = mat_mul(t, u.transpose())
-            target = StabilizerSpec.semigroup(B, R, A)
+            target = StabilizerSpec("semigroup", 3, B, R, A)
             target.validate()
             assert classes_equal(moved, generators(target))
 
@@ -195,7 +195,7 @@ class TestTransport:
         f = triangular_map(u, BitMatrix.zero(3))
         moved = transport(f, generators(StabilizerSpec.field(B0)))
         B = mat_mul(mat_mul(u, B0), mat_inverse(u))
-        target = StabilizerSpec.group(B, mat_mul(u, u.transpose()))
+        target = StabilizerSpec("group", 3, B, mat_mul(u, u.transpose()), BitMatrix.zero(3))
         target.validate()
         assert classes_equal(moved, generators(target))
 
@@ -338,7 +338,7 @@ class TestAlternatingSymmetrizer:
         from mubforge.backend import decode_symmetric
 
         alternating = [
-            R for R in sym_invertible_matrices(m) if all(R[i, i] == 0 for i in range(m))
+            R for R in sym_invertible_matrices(m) if not any((R.data[i] >> i) & 1 for i in range(m))
         ]
         assert len(alternating) == count
         odd_terms = 0xAAAA  # x, x^3, x^5, ...
@@ -370,9 +370,12 @@ class TestFieldAnchor:
     def test_alternating_symmetrizer_flagged(self):
         # Well-formed but inadmissible spec: the alternating R cannot be a
         # Gram product, and the anchor construction must say so.
-        bogus = StabilizerSpec.group(
+        bogus = StabilizerSpec(
+            "group",
+            2,
             BitMatrix.from_rows([[1, 1], [1, 0]]),
             BitMatrix.from_rows([[0, 1], [1, 0]]),
+            BitMatrix.zero(2),
         )
         with pytest.raises(ValueError, match="alternating"):
             field_anchor(bogus)
@@ -432,6 +435,12 @@ class TestIntertwiner:
 
 
 class TestEquivalenceMap:
+    def test_different_m_raises(self):
+        a = next(search_specs(2, "field"))
+        b = next(iter(search_specs(3, "group", 1)))
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            equivalence_map(a, b)
+
     def test_identical_specs(self):
         spec = next(iter(search_specs(3, "group", 1)))
         f, reason = equivalence_map(spec, spec)
@@ -449,7 +458,7 @@ class TestEquivalenceMap:
 
     def test_group_vs_semigroup_same_pair(self):
         sg = next(iter(search_specs(4, "semigroup", 1)))
-        g = StabilizerSpec.group(sg.B, sg.R)
+        g = StabilizerSpec("group", 4, sg.B, sg.R, BitMatrix.zero(4))
         f, _ = equivalence_map(g, sg)
         assert f is not None
         assert classes_equal(transport(f, generators(g)), generators(sg))

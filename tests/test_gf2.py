@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mubforge.gf2 import (
     BitMatrix,
     NotInvertibleError,
+    block2x2,
     char_poly,
     is_invertible,
     mat_inverse,
@@ -35,10 +36,11 @@ def random_matrix(rng, rows, cols):
 
 
 def naive_mul(a, b):
+    ra, rb = a.to_lists(), b.to_lists()
     out = [[0] * b.cols for _ in range(a.rows)]
     for i in range(a.rows):
         for j in range(b.cols):
-            out[i][j] = sum(a[i, k] * b[k, j] for k in range(a.cols)) % 2
+            out[i][j] = sum(ra[i][k] * rb[k][j] for k in range(a.cols)) % 2
     return BitMatrix.from_rows(out)
 
 
@@ -217,11 +219,12 @@ class TestCharPoly:
         for _ in range(20):
             m = rng.randint(1, 5)
             a = random_matrix(rng, m, m)
+            e = a.to_lists()
             acc = 0
             for perm in itertools.permutations(range(m)):
                 term = 1
                 for i in range(m):
-                    entry = (2 if i == perm[i] else 0) ^ a[i, perm[i]]
+                    entry = (2 if i == perm[i] else 0) ^ e[i][perm[i]]
                     term = _mul(term, entry)
                     if term == 0:
                         break
@@ -250,7 +253,7 @@ class TestCharPoly:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            char_poly(BitMatrix.zero(2, 3))
+            char_poly(BitMatrix(2, 3, (0, 0)))
 
     @pytest.mark.parametrize("m", range(1, 17))
     @settings(max_examples=25, deadline=None)
@@ -268,7 +271,7 @@ class TestShapeOps:
         assert BitMatrix.identity(3).is_symmetric()
         assert not BitMatrix.from_rows([[0, 1], [0, 0]]).is_symmetric()
         with pytest.raises(ValueError):
-            BitMatrix.zero(2, 3).is_symmetric()
+            BitMatrix(2, 3, (0, 0)).is_symmetric()
 
     def test_symmetry_against_transpose(self):
         rng = random.Random(47)
@@ -291,6 +294,29 @@ class TestShapeOps:
             assert a.transpose().transpose() == a
             assert rank(a) == rank(a.transpose())
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: BitMatrix(0, 2, ()), "dimensions must be positive"),
+            (lambda: BitMatrix(2, 0, (0, 0)), "dimensions must be positive"),
+            (lambda: BitMatrix(2, 2, (0,)), "row count does not match data"),
+            (lambda: BitMatrix(1, 2, (0b100,)), "row mask outside declared width"),
+            (lambda: BitMatrix(1, 2, (-1,)), "row mask outside declared width"),
+            (lambda: B22 + BitMatrix(2, 3, (0, 0)), "shape mismatch in addition"),
+            (lambda: BitMatrix(2, 3, (0, 0)) ** 2, "power n >= 0 of a square matrix"),
+            (lambda: B22**-1, "power n >= 0 of a square matrix"),
+            (lambda: mat_inverse(BitMatrix(2, 3, (0, 0))), "inverse of a non-square matrix"),
+            (lambda: block2x2(B22, B22, B22, BitMatrix.identity(3)), "blocks must be square"),
+        ],
+        ids=[
+            "no-rows", "no-cols", "row-count", "wide-mask", "negative-mask",
+            "add-shapes", "pow-non-square", "pow-negative", "inverse-non-square", "block-sizes",
+        ],
+    )
+    def test_guards(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 class TestOffdiagComponents:
     def test_zero_matrix_singletons(self):
@@ -308,7 +334,8 @@ class TestOffdiagComponents:
             m = rng.randint(1, 7)
             a = random_matrix(rng, m, m)
             # Oracle: reachability via boolean powers of the symmetrized adjacency.
-            adj = [[1 if (i != j and (a[i, j] or a[j, i])) or i == j else 0 for j in range(m)] for i in range(m)]
+            e = a.to_lists()
+            adj = [[1 if (i != j and (e[i][j] or e[j][i])) or i == j else 0 for j in range(m)] for i in range(m)]
             for _ in range(m):
                 adj = [
                     [1 if any(adj[i][k] and adj[k][j] for k in range(m)) else 0 for j in range(m)]
@@ -330,7 +357,7 @@ class TestFormatsAndTypes:
         mat = BitMatrix.from_rows([[0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
         assert repr(mat) == "BitMatrix.from_rows([[0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 0, 1]])"
         assert eval(repr(mat)) == mat
-        assert mat[0, 1] == 1 and mat[0, 0] == 0
+        assert mat.data == (0b0110, 0b0101, 0b1000)  # bit j of row i is entry (i, j)
 
     def test_from_rows_matches_bitwise_masks(self):
         rng = random.Random(7)
@@ -342,6 +369,8 @@ class TestFormatsAndTypes:
 
     def test_from_rows_errors_in_order(self):
         # Ragged rows are named before a bad entry, and the first bad entry is named.
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            BitMatrix.from_rows([])
         with pytest.raises(ValueError, match="ragged rows"):
             BitMatrix.from_rows([[0, 1], [2, 3, 1]])
         with pytest.raises(ValueError, match=r"entry 2 not in GF\(2\)"):
@@ -364,4 +393,3 @@ class TestFormatsAndTypes:
     def test_matrix_power(self):
         assert B22**0 == BitMatrix.identity(2)
         assert B22**3 == BitMatrix.identity(2)  # order of C at m = 1 is 3
-        assert B22**-1 == mat_inverse(B22)
