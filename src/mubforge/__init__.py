@@ -9,5 +9,5 @@ numeric tier builds the cyclic generator U as a circuit and independently
 verifies that its powers are unbiased.
 
 The package re-exports nothing, so a process loads only the modules it
-imports: `from mubforge.construct import search_specs`.
+imports: `from mubforge.search import search_specs`.
 """

@@ -63,7 +63,7 @@ def scan_symmetric(m: int, good_polys: tuple[int, ...], start: int, stop: int) -
     is one int whose bit o belongs to candidate base + o.  Row i of B v is
     the XOR over j of B_ij & v_j, and a candidate hits where some p leaves
     every coordinate of sum_t p_t v_t zero.  [start, stop) must lie inside
-    one block; `construct._field_hits` walks the blocks.
+    one block; `search._field_hits` walks the blocks.
     """
     pairs = _pair_positions(m)
     n = len(pairs)

@@ -10,21 +10,24 @@ found, so long runs can be piped and truncated; identical commands with
 identical seeds produce byte-identical output.  Every command writes its
 output the same way: a failed write to stdout or --out exits 2 and says
 so, and a pipe closed by its reader ends the output quietly.  Each
-subcommand imports only the modules it runs: `search` loads `construct`
-and what it imports, never `entangle`, `pauli` or `equiv`.
+subcommand imports only the modules it runs: `search` loads `search`,
+`construct` and what they import, never `entangle`, `pauli` or `equiv`,
+and `build`, `classify` and `equiv` never load `search`.
 """
 
 from __future__ import annotations
 
 # Every process compiles and runs each module it imports, so the top imports
-# only `construct`, which `search` runs; `build`, `classify` and `equiv`
-# import the modules they run inside their handlers.  `construct` comes
-# before the standard library: compiled after argparse was loaded, it raised
-# each process's peak RSS by about 0.25 MB.
+# only `construct`, which every subcommand runs, and each handler imports
+# the other modules it runs.  `construct` comes before the standard library:
+# compiled after argparse was loaded, it raised each process's peak RSS by
+# about 0.25 MB.  `search` is imported in `_cmd_search`, so build, classify
+# and equiv jobs never compile it: imported here, it raised their peak RSS
+# by 0.1-0.2 MB, while a search job pays 0.1-0.3 MB for compiling it after
+# argparse.
 from .construct import (
     DEFAULT_TOL,
     KINDS,
-    MAX_ATTEMPTS,
     MAX_M,
     NUMERIC_QUBIT_CAP,
     SpecValidationError,
@@ -33,7 +36,6 @@ from .construct import (
     build_stabilizer,
     cyclicity_check,
     generators,
-    search_specs,
 )
 
 import argparse
@@ -139,6 +141,8 @@ def _load_spec(path: Path) -> StabilizerSpec:
 
 
 def _cmd_search(args) -> int:
+    from .search import MAX_ATTEMPTS, search_specs
+
     if args.count < 1:
         _say(args, "error: --count must be >= 1")
         return 1

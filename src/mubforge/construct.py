@@ -1,4 +1,4 @@
-"""Stabilizer specifications and search for complete cyclic MUB sets.
+"""Stabilizer specifications: the spec, its wire format, its checks and its classes.
 
 A spec is (kind, m, B, R, A): `field` uses a symmetric B with the identity
 symmetrizer, `group` adds a symmetric invertible R with BR symmetric, and
@@ -14,67 +14,20 @@ p(B) R + diagonal (semigroup).
 A set's classes are (I; 0) and the d standard forms p(B) R + A with
 deg p < m.  They are held as the affine family A + span{R, B R, ...,
 B^(m-1) R}, so the checks, the entanglement count and the equivalence map
-all work on m + 1 matrices.
-
-`search_specs(m, kind, count, seed)` is the one search.  No seed means the
-exhaustive scan, a seed seeded sampling, and one generator of candidate
-indices serves both: the field kind streams its hits, and the group and
-semigroup kinds take its first hit, under a seed derived from theirs, as
-the anchor.
-
-Search builds group and semigroup specs from one field-kind anchor B0 and a
-change of basis u: B = u B0 u^-1 and R = u u^t, so the standard forms are
-p(B) R + A = u p(B0) u^t + A.  The conjugator walk hands out B and R with
-each u, as row masks.  The exhaustive walk reads them off the recursion
-that builds u, with no product per u; sampling takes the products.  R is
-a polynomial in B exactly when B is symmetric, so the filter is a symmetry
-test on B.  R is symmetric and invertible, BR is symmetric and char(B) is
-irreducible, so:
-
-- If R = p(B), then R B = B R = (B R)^t = R B^t, and R is invertible, so
-  B = B^t.
-- If B = B^t, then B R = (B R)^t = R B, so R lies in the centraliser of B.
-  B is cyclic (its characteristic polynomial is irreducible, hence also its
-  minimal one), and the centraliser of a cyclic matrix is F2[B].
-
-The addend is the first pair matrix E_ij + E_ji outside span{B^k R} +
-diagonals.  In the quotient by the diagonals that span has at most m
-dimensions, so the addend is found in at most m + 1 tests.
-
-Everything but R is decided once per coset u F2[B0]*:
-
-- B(u) = B(u') iff u^-1 u' commutes with B0.  B0 is cyclic, so that holds
-  iff u' = u q with q in F2[B0]*.
-- Then R' = u q q^t u^t = u q^2 u^t, since q is a polynomial in the
-  symmetric B0.  So R' = p(B) R with p(B) = u q^2 u^-1, invertible in F2[B].
-- Hence span{B^k R'} = span{B^k R}, so W and the addend are the same, and
-  the symmetry verdict depends on B alone.
-
-So B's row masks key its verdict, its BitMatrix and its addend.  In the
-exhaustive walk each u costs m coordinate lookups for B, m parities for
-the new Gram column of R and a lookup, and a kept u a second lookup: R =
-u u^t is the same for u and u o with o orthogonal, so R's row masks key a
-shared BitMatrix.  At m = 4 the 19,440 specs of either kind hold 1,296
-distinct B and 419 distinct R.
+all work on m + 1 matrices.  The search for specs is in `search`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
-import random
-import sys
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from . import backend, poly2
+from . import poly2
 from .gf2 import (
     BitMatrix,
     NotInvertibleError,
-    _inverse_rows,
-    _mul_rows,
     _SpanReducer,
-    _transpose_rows,
     block2x2,
     char_poly,
     is_invertible,
@@ -87,13 +40,8 @@ KINDS = ("field", "group", "semigroup")
 _KIND_JSON = {kind: json.dumps(kind) for kind in KINDS}  # each kind as `to_json` writes it
 
 MAX_M = 16
-EXHAUSTIVE_CAP = 6        # symmetric-candidate space, <= 2^21 candidates
-EXHAUSTIVE_CONJ_CAP = 4   # conjugator space for group/semigroup, <= 2^16
 NUMERIC_QUBIT_CAP = 8     # numeric tier in `pauli`: d powers of one d x d unitary
 DEFAULT_TOL = 1e-10       # numeric tier in `pauli` and `build --tol`
-MAX_ATTEMPTS = 1 << 18    # random draws per search, of B and of u alike
-
-Rows = tuple[int, ...]  # a matrix as its row masks, bit j of row i = entry (i, j)
 
 
 class SpecValidationError(ValueError):
@@ -141,8 +89,18 @@ def _row_json(mask: int, width: int) -> str:
 
 
 def _matrix_json(mat: BitMatrix) -> str:
-    width = mat.cols
-    return "[" + ",".join([_row_json(r, width) for r in mat.data]) + "]"
+    """The matrix in the wire format, written once and kept on the matrix.
+
+    Search shares one B, R or A among many specs, so each is written once;
+    a matrix that is dropped takes its text with it.
+    """
+    try:
+        return mat._json
+    except AttributeError:
+        width = mat.cols
+        text = "[" + ",".join([_row_json(r, width) for r in mat.data]) + "]"
+        object.__setattr__(mat, "_json", text)
+        return text
 
 
 def _pack(rows, width: int) -> int:
@@ -423,290 +381,3 @@ def bandyopadhyay_check(gens: GeneratorSet) -> bool:
     if not len(gens.basis) == gens.m == len(_SpanReducer(map(_vec, gens.basis)).basis):
         return False
     return all(f.is_symmetric() for f in (gens.A, *gens.basis))
-
-
-# -- the semigroup addend ---------------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_candidates(m: int) -> tuple[int, tuple[tuple[int, BitMatrix], ...]]:
-    """The off-diagonal mask of a packed m x m matrix, and the pair matrices.
-
-    The pair matrices E_ij + E_ji (i < j) come packed and as BitMatrix, in
-    candidate order: candidate 2^b is upper-triangle position n - 1 - b.
-    """
-    offdiag = (1 << (m * m)) - 1
-    for i in range(m):
-        offdiag ^= 1 << (i * m + i)
-    pairs = []
-    for b in range(m * (m + 1) // 2):
-        A = BitMatrix(m, m, backend.decode_symmetric(m, 1 << b))
-        v = _vec(A)
-        if v & offdiag:
-            pairs.append((v, A))
-    return offdiag, tuple(pairs)
-
-
-def find_addend(B: BitMatrix, R: BitMatrix) -> BitMatrix | None:
-    """First symmetric A in candidate order with A != p(B) R + D for all p, D.
-
-    The excluded matrices form the subspace W = span{B^k R} + diagonals, and
-    the first candidate outside W is a pair matrix E_ij + E_ji:
-
-    - Candidate indices (`backend.decode_symmetric`) add as XOR, like the
-      matrices they encode, so the indices inside W form a subspace.  If b
-      is the lowest bit whose unit matrix lies outside W, every smaller
-      index is a sum of lower unit matrices, all inside W; so the least
-      index outside W is 2^b.
-    - The diagonal unit matrices lie in W.  The rest are tested in the
-      quotient by the diagonals: clearing the diagonal is linear with the
-      diagonals as kernel, so a pair matrix (zero diagonal) lies in W iff
-      it lies in span{B^k R with the diagonal cleared}.  That span has
-      dim <= m, and the pair matrices are independent, so at most m + 1
-      of them are tested.
-    - None means W contains every symmetric matrix, which needs
-      m(m - 1)/2 <= m, i.e. m <= 3.
-    """
-    m = B.rows
-    offdiag, pairs = _pair_candidates(m)
-    power_r = R.data
-    vecs = [_pack(power_r, m) & offdiag]
-    for _ in range(m - 1):
-        power_r = _mul_rows(B.data, power_r)
-        vecs.append(_pack(power_r, m) & offdiag)
-    span = _SpanReducer(vecs)
-    for v, A in pairs:
-        if not span.contains(v):
-            return A
-    return None
-
-
-# -- search ------------------------------------------------------------------
-
-
-def _draws(seed: int, nbits: int, stats: dict | None = None) -> Iterator[int]:
-    """Distinct uniform nbits-bit indices from random.Random(seed), in draw order.
-
-    Each of at most MAX_ATTEMPTS attempts makes one getrandbits call.  A
-    repeat is skipped, and the stream stops once all 2^nbits indices have
-    been drawn.  Both seeded searches, of B and of u, draw through here.
-    When the stream ends, stats["stop"] says why: "space-exhausted" if every
-    index was drawn, else "max-attempts".
-    """
-    rng = random.Random(seed)
-    drawn: set[int] = set()
-    for _ in range(MAX_ATTEMPTS):
-        if len(drawn) == 1 << nbits:
-            break
-        k = rng.getrandbits(nbits)
-        if k not in drawn:
-            drawn.add(k)
-            yield k
-    if stats is not None:
-        stats["stop"] = "space-exhausted" if len(drawn) == 1 << nbits else "max-attempts"
-
-
-def _field_hits(m: int, seed: int | None, stats: dict | None = None) -> Iterator[int]:
-    """Candidate indices of the symmetric B whose char poly is admissible, each once.
-
-    Admissible means irreducible with Fibonacci index d + 1.  With no seed
-    the kernel scans all 2^(m(m+1)/2) candidates in ascending order, one
-    call per block of 2^BLOCK_BITS; this is the only loop over blocks.  The
-    caller, `search_specs`, has checked the cap.  With a seed the
-    candidates come from `_draws`, and each is tested directly, so no table
-    of admissible polynomials is built.
-    """
-    npairs = m * (m + 1) // 2
-    if seed is None:
-        polys = poly2.stabilizer_char_polys(m)
-        total = 1 << npairs
-        chunk = 1 << backend.BLOCK_BITS
-        for s in range(0, total, chunk):
-            yield from backend.scan_symmetric(m, polys, s, min(s + chunk, total))
-        return
-    target = (1 << m) + 1
-    for k in _draws(seed, npairs, stats):
-        p = char_poly(BitMatrix(m, m, backend.decode_symmetric(m, k)))
-        if p & 1 and poly2.is_irreducible(p) and poly2.fibonacci_index(p) == target:
-            yield k
-
-
-def _derived_seed(seed: int, salt: int) -> int:
-    return (seed * 2654435761 + salt) % (1 << 32)
-
-
-def _iter_conjugators(
-    m: int, b0: Rows, seed: int | None, stats: dict | None = None
-) -> Iterator[tuple[Rows, Rows, Rows]]:
-    """Invertible u with B = u B0 u^-1 and R = u u^t, as row masks (u, B, R).
-
-    Each u comes once: with no seed every u in row-major lexicographic order
-    (`search_specs` has checked the cap), with a seed in the order `_draws`
-    gives the m^2-bit indices, of which the singular ones are dropped; the
-    draws stop once all 2^(m^2) bit patterns have been drawn.  An index k
-    holds row i of u in its i-th group of m bits from the top, with column
-    0 as the group's top bit, so a row mask is its group's bits reversed.
-
-    The exhaustive walk builds u one row at a time in that order and skips
-    any row in the span of the rows above it, so every u it yields is
-    invertible and no rank test is needed.  It reads B and R off that
-    recursion, with no product per u:
-
-    - The span is kept as a dict from each vector v to its coordinates c
-      in the rows so far (v = c u).  With the last row r added, w u^-1 is
-      the coordinate mask of w, or of w + r plus the last bit, since one
-      of the two lies in the old span.  Row i of B is (u_i B0) u^-1, and
-      u_i B0 comes from one table of x B0 over all 2^m rows x.
-    - R_ij = <u_i, u_j> is a parity, and the Gram rows of the rows so far
-      ride down the recursion: each level adds one row and one column.
-
-    Sampling reduces the rows of each draw, tagged with their indices,
-    which decides invertibility and gives u^-1 in one elimination
-    (`gf2._inverse_rows`), and then takes the three products.
-    """
-    if seed is None:
-        rev = [reverse_bits(p, m) for p in range(1 << m)]
-        times_b0 = _mul_rows(range(1 << m), b0)  # row x is x B0
-        last = 1 << (m - 1)
-
-        def extend(
-            rows: list[int], coords: dict[int, int], gram: list[int]
-        ) -> Iterator[tuple[Rows, Rows, Rows]]:
-            k = len(rows)
-            bit = 1 << k
-            images = [times_b0[v] for v in rows]
-            for r in rev:
-                if r in coords:
-                    continue
-                # Column k of the Gram matrix, with <r, r> as its last bit.
-                col = (r.bit_count() & 1) << k
-                for i, v in enumerate(rows):
-                    col |= ((v & r).bit_count() & 1) << i
-                grown = [g | (col >> i & 1) << k for i, g in enumerate(gram)]
-                grown.append(col)
-                if bit == last:
-                    # w is in the old span, or w + r is.
-                    b = [
-                        coords[w] if w in coords else coords[w ^ r] | bit
-                        for w in (*images, times_b0[r])
-                    ]
-                    yield (*rows, r), tuple(b), tuple(grown)
-                else:
-                    wider = dict(coords)
-                    wider.update((v ^ r, c | bit) for v, c in coords.items())
-                    yield from extend(rows + [r], wider, grown)
-
-        yield from extend([], {0: 0}, [])
-        return
-    mask = (1 << m) - 1
-    for k in _draws(_derived_seed(seed, 0xC0), m * m, stats):
-        # Reversing all m^2 bits puts row i, reversed, at bits i*m .. (i+1)*m - 1.
-        rows = reverse_bits(k, m * m)
-        u = tuple(rows >> (i * m) & mask for i in range(m))
-        inv = _inverse_rows(u)
-        if inv is not None:
-            b = _mul_rows(_mul_rows(u, b0), inv)
-            yield u, tuple(b), tuple(_mul_rows(u, _transpose_rows(u, m)))
-
-
-def search_specs(
-    m: int, kind: str, count: int | None = 1, seed: int | None = None, stats: dict | None = None
-) -> Iterator[StabilizerSpec]:
-    """Return a stream of up to `count` specs of the requested kind (None: all).
-
-    With no seed the search is exhaustive: field specs come in ascending
-    candidate order, which is capped at m = EXHAUSTIVE_CAP, and group and
-    semigroup specs walk every conjugator u, which is capped at
-    m = EXHAUSTIVE_CONJ_CAP.  Both caps and the other arguments are checked
-    when search_specs is called, before it returns the stream, so a bad
-    argument raises ValueError at the call and before any scan.  A seed
-    selects seeded uniform sampling, up to MAX_M: B and u are drawn by
-    `_draws`, which skips repeats and stops once every index has been
-    drawn, so at small m a seeded search with a large count ends with every
-    spec the exhaustive one finds.  Either way the stream is fixed by the
-    arguments.  When a seeded stream ends before `count`, stats["stop"] (if
-    stats is given) names the sampler's reason, "space-exhausted" or
-    "max-attempts"; a semigroup search that finds no addend ends without
-    one.
-
-    Group and semigroup specs are parametrized as B = u B0 u^-1, R = u u^t
-    over invertible u, with B0 the first field-kind hit: every symmetrizer
-    expressible as a Gram product arises this way, and the non-polynomial
-    filter (two factorizable bases), which is B != B^t here, plus the addend
-    filter (one factorizable basis) are applied before anything is emitted.
-    Distinct u give distinct (B, R): w = u^-1 u' commutes with B0, so w lies
-    in the field F2[B0], and w w^t = w^2 = I forces w = I.  So no spec
-    repeats once no u does.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if not 1 <= m <= MAX_M:
-        raise ValueError(f"m = {m} outside 1..{MAX_M}")
-    if count is not None and count < 0:
-        raise ValueError(f"count = {count} is negative")
-    cap = EXHAUSTIVE_CAP if kind == "field" else EXHAUSTIVE_CONJ_CAP
-    if seed is None and m > cap:
-        raise ValueError(f"exhaustive {kind} search is capped at m = {cap}; pass a seed")
-    if kind == "field":
-        specs = (
-            StabilizerSpec.field(BitMatrix(m, m, backend.decode_symmetric(m, k)))
-            for k in _field_hits(m, seed, stats)
-        )
-    else:
-        specs = _conjugate_specs(m, kind, seed, stats)
-    # islice takes no stop above sys.maxsize, and no stream gets that far: an
-    # exhaustive one is finite and a seeded one stops after MAX_ATTEMPTS draws.
-    return itertools.islice(specs, None if count is None else min(count, sys.maxsize))
-
-
-def _conjugate_specs(
-    m: int, kind: str, seed: int | None, stats: dict | None
-) -> Iterator[StabilizerSpec]:
-    """Every group or semigroup spec the conjugator walk reaches, in its order.
-
-    Each B is decided once per coset (see the module docstring): `cosets`
-    maps its row masks to None when B is symmetric, else to the BitMatrix B
-    and its addend.  `grams` maps the row masks of R to its BitMatrix.  The
-    tables are kept only at m <= EXHAUSTIVE_CONJ_CAP, where they hold at
-    most |GL(4, 2)| / 15 = 1,344 B and 2^10 symmetric R, however long the
-    walk; above that a B almost never comes back, so each u is decided
-    afresh and nothing is stored.
-    """
-    anchor_seed = None if seed is None else _derived_seed(seed, 0xA5)
-    k0 = next(_field_hits(m, anchor_seed, stats), None)
-    if k0 is None:
-        return
-    b0 = backend.decode_symmetric(m, k0)
-    zero = _forced_blocks(m)[1]
-    keep = m <= EXHAUSTIVE_CONJ_CAP
-    cosets: dict[Rows, tuple[BitMatrix, BitMatrix] | None] = {}
-    grams: dict[Rows, BitMatrix] = {}
-    for _, b, r in _iter_conjugators(m, b0, seed, stats):
-        coset = cosets.get(b, ())  # () for a B not seen yet
-        if coset is None:
-            continue
-        if not coset and b == tuple(_transpose_rows(b, m)):
-            # R = u u^t is a polynomial in B = u B0 u^-1 (see the module
-            # docstring): R is symmetric and invertible, B R = u B0 u^t is
-            # symmetric, and char(B) = char(B0) is irreducible.
-            if keep:
-                cosets[b] = None
-            continue
-        R = grams.get(r)
-        if R is None:
-            R = BitMatrix(m, m, r)
-            if keep:
-                grams[r] = R
-        if not coset:
-            B = BitMatrix(m, m, b)
-            A = zero if kind == "group" else find_addend(B, R)
-            if A is None:
-                # No nonzero p(B) R is diagonal: it would be an invertible
-                # diagonal matrix, so I, and R = p(B)^-1 would lie in F2[B].
-                # So W = span{B^k R} + diagonals has dim 2m for every u here,
-                # and None means m(m + 1)/2 <= 2m, i.e. m <= 3, for all u.
-                return
-            coset = (B, A)
-            if keep:
-                cosets[b] = coset
-        yield StabilizerSpec(kind, m, coset[0], R, coset[1])

@@ -26,9 +26,13 @@ class NotInvertibleError(ValueError):
 
 
 class BitMatrix:
-    """Immutable rectangular matrix over F2; rows held as integer bitmasks."""
+    """Immutable rectangular matrix over F2; rows held as integer bitmasks.
 
-    __slots__ = ("rows", "cols", "data")
+    The slot `_json` stays unset until `construct` writes the matrix in the
+    spec wire format, and then holds that text.
+    """
+
+    __slots__ = ("rows", "cols", "data", "_json")
 
     def __init__(self, rows: int, cols: int, data: Iterable[int]):
         if rows < 1 or cols < 1:

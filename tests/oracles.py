@@ -1,4 +1,4 @@
-"""Slow, independent oracles for the fast paths of `gf2`, `construct` and `equiv`.
+"""Slow, independent oracles for the fast paths of `gf2`, `construct`, `search` and `equiv`.
 
 - `class_labels`, `class_partition_check` and `bandyopadhyay_oracle`
   enumerate every nonzero Pauli label of every class, which
@@ -13,19 +13,22 @@
 - `field_closure_check` tests the field axioms on the forms of a field-kind
   set, which `construct.generators` builds inside F2[B].
 - `iter_conjugators_scan` decodes every one of the 2^(m^2) bit patterns
-  (with no seed) or the same `construct.MAX_ATTEMPTS` draws (with one) and
-  tests each rank, where `construct._iter_conjugators` builds invertible
-  matrices row by row and reads u B0 u^-1 and u u^t off that recursion.
+  in ascending order (with no seed) or the same `search.MAX_ATTEMPTS`
+  draws (with one) and tests each rank, where `search._iter_conjugators`
+  builds invertible matrices row by row and keys each by its coset's
+  normal form.
 - `is_polynomial_in` rebuilds span{I, B, ..., B^(m-1)} for one B, where
-  `construct.search_specs` tests whether B = u B0 u^-1 is symmetric.
+  `search.search_specs` tests whether B = u B0 u^-1 is symmetric.
 - `addend_excluded_span` spans {p(B) R} + diagonals in all m^2 entries,
   and `find_addend_scan` decodes the symmetric candidates one by one
-  against it, up to 4^m + 1 of them, where `construct.find_addend` tries
+  against it, up to 4^m + 1 of them, where `search.find_addend` tries
   at most m + 1 pair matrices in the quotient by the diagonals.
-- `search_specs_oracle` is the group/semigroup search loop with both of
-  those in place of the fast paths.  Like `construct.search_specs` it takes
-  no seed for the exhaustive search and a seed for sampling, and it reads
-  the anchor off the public field search under the derived seed.
+- `search_specs_oracle` is the group/semigroup search loop with all three
+  in place of the fast paths: u from `iter_conjugators_scan`, B and R from
+  dense products, the addend from `find_addend_scan`, and no table.  Like
+  `search.search_specs` it takes no seed for the exhaustive search and a
+  seed for sampling, and it reads the anchor off the public field search
+  under the derived seed.
 - `class_canonical` is the reduced echelon basis of a class's column space,
   where `equiv.classes_equal` compares the spans of two affine families.
 - `transport_forms` maps every class generator by any symplectic f and
@@ -56,7 +59,7 @@
   into one span.  `nullspace` reads its basis off `echelon` too.
 - `orthogonal_order`, `general_linear_order` and `exhaustive_total` count
   the specs of each exhaustive search in closed form, where
-  `construct.search_specs` enumerates them.
+  `search.search_specs` enumerates them.
 - `char_poly_bareiss` is det(xI + a) by fraction-free elimination over
   F2[x], where `gf2.char_poly` multiplies the minimal polynomials of
   Krylov chains.
@@ -91,7 +94,7 @@ from typing import Iterator
 
 import numpy as np
 
-from mubforge import backend, construct, poly2
+from mubforge import backend, construct, poly2, search
 from mubforge.construct import (
     Z_BASIS,
     GeneratorSet,
@@ -263,14 +266,16 @@ def field_closure_check(gens: GeneratorSet) -> bool:
 def iter_conjugators_scan(m: int, seed: int | None):
     """Invertible u, each once, by decoding every candidate bit pattern and testing its rank.
 
-    With no seed every pattern in order, with a seed `construct.MAX_ATTEMPTS` draws.
+    With no seed every pattern in order, with a seed `search.MAX_ATTEMPTS` draws.
+    Pattern k holds row i of u in its i-th group of m bits from the top, with
+    column 0 as the group's top bit.
     """
     nbits = m * m
     if seed is None:
         candidates = iter(range(1 << nbits))
     else:
-        rng = random.Random(construct._derived_seed(seed, 0xC0))
-        candidates = (rng.getrandbits(nbits) for _ in range(construct.MAX_ATTEMPTS))
+        rng = random.Random(search._derived_seed(seed, 0xC0))
+        candidates = (rng.getrandbits(nbits) for _ in range(search.MAX_ATTEMPTS))
     order = math.prod((1 << m) - (1 << i) for i in range(m))  # |GL(m, 2)|
     seen: set[int] = set()
     for k in candidates:
@@ -336,22 +341,22 @@ def search_specs_oracle(
 ) -> list[StabilizerSpec]:
     """Group/semigroup specs over the same anchor and conjugators as `search_specs`.
 
-    The anchor is the first field spec of the derived seed.  Each u gets a
-    fresh `is_polynomial_in` on (u B0 u^-1, u u^t) and the addend comes
+    The anchor is the first field spec of the derived seed, and u comes
+    from `iter_conjugators_scan`.  Each u gets dense products for
+    (u B0 u^-1, u u^t), a fresh `is_polynomial_in` on them, and the addend
     from `find_addend_scan`.
     """
-    anchor_seed = None if seed is None else construct._derived_seed(seed, 0xA5)
-    anchor = next(construct.search_specs(m, "field", seed=anchor_seed), None)
+    anchor_seed = None if seed is None else search._derived_seed(seed, 0xA5)
+    anchor = next(search.search_specs(m, "field", seed=anchor_seed), None)
     out: list[StabilizerSpec] = []
     if anchor is None:
         return out
     b0 = anchor.B
-    for rows, _, _ in construct._iter_conjugators(m, b0.data, seed):
+    for u in iter_conjugators_scan(m, seed):
         if len(out) >= count:
             break
-        u = BitMatrix(m, m, rows)
         R = mat_mul(u, u.transpose())
-        B = mat_mul(mat_mul(u, b0), mat_inverse(u))
+        B = mat_mul(mat_mul(u, b0), echelon_inverse(u))
         if is_polynomial_in(B, R):
             continue
         if kind == "group":

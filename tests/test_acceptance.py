@@ -19,11 +19,10 @@ from mubforge.construct import (
     bandyopadhyay_check,
     build_stabilizer,
     cyclicity_check,
-    find_addend,
     generators,
-    search_specs,
 )
 from mubforge.entangle import entanglement_vector
+from mubforge.search import find_addend, search_specs
 from mubforge.equiv import (
     classes_equal,
     is_symplectic,

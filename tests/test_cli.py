@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubforge import cli, construct, equiv, pauli
-from mubforge.construct import MAX_M, StabilizerSpec, StandardFormError, search_specs
+from mubforge import cli, construct, equiv, pauli, search
+from mubforge.construct import MAX_M, StabilizerSpec, StandardFormError
+from mubforge.search import search_specs
 from mubforge.gf2 import BitMatrix, char_poly
 from oracles import exhaustive_total
 
@@ -174,7 +175,7 @@ class TestSearch:
         )
         assert res.stderr == (
             "mubforge search: stopped at 19099 of 100000 specs (max-attempts): "
-            f"MAX_ATTEMPTS = {construct.MAX_ATTEMPTS} draws ran out before every index was drawn\n"
+            f"MAX_ATTEMPTS = {search.MAX_ATTEMPTS} draws ran out before every index was drawn\n"
         )
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
@@ -194,7 +195,7 @@ class TestSearch:
             assert out.getvalue() == first.to_json() + "\n"
             yield second
 
-        monkeypatch.setattr(cli, "search_specs", two_specs)
+        monkeypatch.setattr(search, "search_specs", two_specs)
         monkeypatch.setattr(sys, "stdout", out)
         assert cli.main(["search", "--m", "3", "--kind", "field", "--exhaustive"]) == 0
         assert out.getvalue() == first.to_json() + "\n" + second.to_json() + "\n"
@@ -813,25 +814,34 @@ tmp = sys.argv[1]
 def run(*argv):
     assert cli.main([str(a) for a in argv]) == 0, argv
 
-for kind in ("field", "group", "semigroup"):
-    run("search", "--m", 16, "--kind", kind, "--seed", 3, "--out", f"{tmp}/{kind}16.jsonl")
-    run("search", "--m", 6, "--kind", kind, "--seed", 3, "--out", f"{tmp}/{kind}6.json")
-run("search", "--m", 5, "--kind", "field", "--exhaustive", "--count", 1 << 20,
-    "--out", f"{tmp}/all5-field.jsonl")
-for kind in ("group", "semigroup"):
-    run("search", "--m", 3, "--kind", kind, "--exhaustive", "--count", 1 << 20,
-        "--out", f"{tmp}/all3-{kind}.jsonl")
-loaded = {"mubforge.entangle", "mubforge.equiv", "mubforge.pauli"} & set(sys.modules)
-assert not loaded, f"search loaded {sorted(loaded)}"
+# The test wrote the m = 6 spec files, so build, classify and equiv run first.
 run("build", f"{tmp}/field6.json", "--numeric-cap", 5, "--out", f"{tmp}/report.json")
 assert "mubforge.equiv" not in sys.modules, "build loaded mubforge.equiv"
 run("classify", f"{tmp}/field6.json", f"{tmp}/group6.json", f"{tmp}/semigroup6.json",
     "--out", f"{tmp}/classify.txt")
 run("equiv", f"{tmp}/field6.json", f"{tmp}/group6.json", "--out", f"{tmp}/equiv.json")
 run("build", f"{tmp}/semigroup6.json", "--numeric-cap", 6, "--out", f"{tmp}/report6.json")
+assert "mubforge.search" not in sys.modules, "build, classify or equiv loaded mubforge.search"
+for kind in ("field", "group", "semigroup"):
+    run("search", "--m", 16, "--kind", kind, "--seed", 3, "--out", f"{tmp}/{kind}16.jsonl")
+run("search", "--m", 5, "--kind", "field", "--exhaustive", "--count", 1 << 20,
+    "--out", f"{tmp}/all5-field.jsonl")
+for kind in ("group", "semigroup"):
+    run("search", "--m", 3, "--kind", kind, "--exhaustive", "--count", 1 << 20,
+        "--out", f"{tmp}/all3-{kind}.jsonl")
 run("search", "--m", 8, "--kind", "group", "--seed", 3, "--out", f"{tmp}/group8.json")
 run("build", f"{tmp}/group8.json", "--numeric-cap", 8, "--out", f"{tmp}/report8.json")
 print("numpy" in sys.modules)
+"""
+
+SEARCH_ONLY_RUN = """
+import sys
+from mubforge import cli
+
+for kind in ("field", "group", "semigroup"):
+    for mode in (["--seed", "3"], ["--exhaustive"]):
+        assert cli.main(["search", "--m", "4", "--kind", kind, *mode, "--out", sys.argv[1]]) == 0
+print(sorted({"mubforge.entangle", "mubforge.equiv", "mubforge.pauli"} & set(sys.modules)))
 """
 
 
@@ -841,8 +851,11 @@ def test_cli_commands_never_import_numpy(tmp_path):
     # tier (at m = 6 and m = 8), classify and equiv run without it.  Importing
     # the CLI loads neither inspect nor dataclasses, which cost about a
     # quarter of its import time.  Each command loads only the modules it
-    # runs: search loads none of entangle, equiv and pauli, and build does
-    # not load equiv.
+    # runs: build does not load equiv, and build, classify and equiv do not
+    # load search.
+    for kind in ("field", "group", "semigroup"):
+        spec = next(search_specs(6, kind, seed=3))
+        (tmp_path / f"{kind}6.json").write_text(spec.to_json())
     res = subprocess.run([sys.executable, "-c", NO_NUMPY_RUN, str(tmp_path)],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
@@ -857,3 +870,42 @@ def test_cli_commands_never_import_numpy(tmp_path):
         report = json.loads((tmp_path / name).read_text())
         assert report["mub_verification"] == "passed"
         assert report["mub_max_deviation"] == 0.0
+
+
+def test_search_loads_no_entangle_equiv_or_pauli(tmp_path):
+    # Search of every kind, seeded and exhaustive, in one process.
+    res = subprocess.run([sys.executable, "-c", SEARCH_ONLY_RUN, str(tmp_path / "specs.jsonl")],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+class TestStreamPins:
+    """sha256 of whole exhaustive search streams, as the CLI writes them.
+
+    The digests were taken before the conjugator walk keyed u by its coset's
+    normal form, so they pin its order and every byte of its output.
+    """
+
+    @pytest.mark.parametrize(
+        "m, kind, count, lines, digest",
+        [
+            (4, "group", 1 << 20, 19440,
+             "9d2120acb3d86ca4189dfdb747f066a9274d6d991ba781524cc36707e1188041"),
+            (4, "semigroup", 1 << 20, 19440,
+             "cb4754d2f667822e4cfa20fbf7cacaff17e3904846b98746a6ab079c08ff2400"),
+            (3, "group", 1 << 20, 126,
+             "a3dcc41f5315e6c4074cdaa66ee3b35a98fe491fd0d73c89d00df40a799cb400"),
+            (5, "field", 1 << 20, 1440,
+             "abfdf88f5e7597afaa9f0e21f42c417da434140604e45ae4a14468619602be0e"),
+            (6, "field", 3000, 3000,
+             "c3657bbb6f8c298bb50ddabb107ed35a1403c41d6672c6aba8f1b108c3613b12"),
+        ],
+        ids=["group-4", "semigroup-4", "group-3", "field-5", "field-6-count-3000"],
+    )
+    def test_exhaustive_stream(self, capsys, m, kind, count, lines, digest):
+        argv = ["search", "--m", str(m), "--kind", kind, "--exhaustive", "--count", str(count)]
+        assert cli.main(argv) == 0
+        data = capsys.readouterr().out.encode()
+        assert data.count(b"\n") == lines
+        assert hashlib.sha256(data).hexdigest() == digest

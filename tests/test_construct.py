@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubforge import cli, construct
+from mubforge import cli, construct, search
 from mubforge.backend import decode_symmetric
 from mubforge.construct import (
     KINDS,
@@ -19,14 +19,11 @@ from mubforge.construct import (
     StabilizerSpec,
     StandardFormError,
     Z_BASIS,
-    _iter_conjugators,
     _vec,
     bandyopadhyay_check,
     build_stabilizer,
     cyclicity_check,
-    find_addend,
     generators,
-    search_specs,
     standard_form,
 )
 from mubforge.entangle import entanglement_vector
@@ -41,6 +38,7 @@ from mubforge.gf2 import (
     vstack,
 )
 from mubforge.poly2 import is_irreducible
+from mubforge.search import _derived_seed, _iter_conjugators, find_addend, search_specs
 from oracles import (
     addend_excluded_span,
     bandyopadhyay_oracle,
@@ -48,6 +46,7 @@ from oracles import (
     class_generators,
     class_labels,
     cyclicity_walk,
+    echelon_inverse,
     encode_symmetric,
     exhaustive_total,
     fibonacci_poly,
@@ -609,11 +608,11 @@ class TestAnchorField:
             calls.append(B)
             return find_addend(B, R)
 
-        monkeypatch.setattr(construct, "find_addend", counting)
+        monkeypatch.setattr(search, "find_addend", counting)
         assert list(search_specs(4, "semigroup", 5000, seed=5)) == expected
         assert len(calls) == distinct
         calls.clear()
-        monkeypatch.setattr(construct, "EXHAUSTIVE_CONJ_CAP", 3)
+        monkeypatch.setattr(search, "EXHAUSTIVE_CONJ_CAP", 3)
         assert list(search_specs(4, "semigroup", 5000, seed=5)) == expected
         assert len(calls) > distinct
 
@@ -631,12 +630,23 @@ class TestAnchorField:
 
 
 class TestConjugators:
-    """Row-by-row GL(m, 2) against decoding every bit pattern with a rank test."""
+    """Row-by-row GL(m, 2) and its coset keys against decoding, rank tests and dense products."""
 
     @staticmethod
-    def matrices(m, seed):
-        eye = BitMatrix.identity(m).data
-        return [BitMatrix(m, m, u) for u, _, _ in _iter_conjugators(m, eye, seed)]
+    @functools.lru_cache(maxsize=None)
+    def anchor(m):
+        """The field-kind B0 of the exhaustive search, or a seeded one above its cap."""
+        seed = None if m <= search.EXHAUSTIVE_CAP else 1
+        return next(search_specs(m, "field", seed=seed)).B
+
+    @classmethod
+    def matrices(cls, m, seed):
+        return [BitMatrix(m, m, u) for u, _, _ in _iter_conjugators(m, cls.anchor(m).data, seed)]
+
+    @staticmethod
+    def conjugate(u, b0):
+        """B = u B0 u^-1 by dense products and Gauss-Jordan."""
+        return mat_mul(mat_mul(u, b0), echelon_inverse(u))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_exhaustive_matches_scan(self, m):
@@ -648,56 +658,79 @@ class TestConjugators:
     @given(m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     def test_random_matches_scan(self, m, seed):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(construct, "MAX_ATTEMPTS", 200)
+            patch.setattr(search, "MAX_ATTEMPTS", 200)
             assert self.matrices(m, seed) == list(iter_conjugators_scan(m, seed))
-
-    @staticmethod
-    def assert_dense_products(m, b0, triples):
-        # B = u B0 u^-1 and R = u u^t against dense products, for a B0 that
-        # need not be symmetric.
-        B0 = BitMatrix(m, m, b0)
-        for u, b, r in triples:
-            u = BitMatrix(m, m, u)
-            assert BitMatrix(m, m, b) == mat_mul(mat_mul(u, B0), mat_inverse(u))
-            assert BitMatrix(m, m, r) == mat_mul(u, u.transpose())
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_exhaustive_conjugates(self, m):
-        b0 = [random.Random(m).getrandbits(m) for _ in range(m)]
-        triples = list(_iter_conjugators(m, b0, None))
-        assert len(triples) == general_linear_order(m)
-        self.assert_dense_products(m, b0, triples)
+        # Over every u, two share a key iff their B = u B0 u^-1 are equal,
+        # and a gram iff their R = u u^t are, by dense products.  The keys
+        # name the |GL(m, 2)| / (2^m - 1) cosets u F2[B0]*: 1,344 at m = 4.
+        b0 = self.anchor(m)
+        by_key, by_gram = {}, {}
+        for u, key, gram in _iter_conjugators(m, b0.data, None):
+            u = BitMatrix(m, m, u)
+            by_key.setdefault(key, set()).add(self.conjugate(u, b0))
+            by_gram.setdefault(gram, set()).add(mat_mul(u, u.transpose()))
+        for table in (by_key, by_gram):
+            assert all(len(values) == 1 for values in table.values())
+            assert len(set().union(*table.values())) == len(table)
+        assert len(by_key) == general_linear_order(m) // (2**m - 1)
+        assert len(by_key) == {1: 1, 2: 2, 3: 24, 4: 1344}[m]
 
     @pytest.mark.parametrize("m", [8, 16])
     def test_random_conjugates(self, m):
-        b0 = [random.Random(m).getrandbits(m) for _ in range(m)]
-        triples = list(itertools.islice(_iter_conjugators(m, b0, m), 200))
+        # Above the cap the seeded walk keys nothing, and each group spec
+        # takes B = u B0 u^-1 and R = u u^t of the next u whose B is not
+        # symmetric, as dense products give them.
+        b0 = next(search_specs(m, "field", seed=_derived_seed(m, 0xA5))).B
+        triples = list(itertools.islice(_iter_conjugators(m, b0.data, m), 200))
         assert len(triples) == 200
-        self.assert_dense_products(m, b0, triples)
+        assert all(key is None and gram is None for _, key, gram in triples)
+        expected = []
+        for u, _, _ in triples:
+            u = BitMatrix(m, m, u)
+            B = self.conjugate(u, b0)
+            if not B.is_symmetric():
+                R = mat_mul(u, u.transpose())
+                expected.append(StabilizerSpec("group", m, B, R, BitMatrix.zero(m)))
+        assert len(expected) >= 3
+        assert list(search_specs(m, "group", 3, seed=m)) == expected[:3]
 
-    @pytest.mark.parametrize("kind, most", [("group", 1), ("semigroup", 1 + 3 * 1296)])
-    def test_exhaustive_walk_takes_no_product_per_u(self, monkeypatch, kind, most):
-        # One product builds the table of x B0; the rest are find_addend's
-        # m - 1 products for each of the 1,296 distinct B of the m = 4 walk.
+    @pytest.mark.parametrize("kind", ["group", "semigroup"])
+    def test_exhaustive_walk_takes_products_per_coset(self, monkeypatch, kind):
+        # The m = 4 walk takes products for the table N (18), for B on the
+        # first visit of each of the 1,344 keys (2 each), for R on the first
+        # visit of each gram (1 each), and in find_addend for each of the
+        # 1,296 distinct B (3 each): a bound per coset, not per u.
         calls = []
-        mul_rows = construct._mul_rows
+        mul_rows = search._mul_rows
 
         def counting(lhs, rhs):
             calls.append(1)
             return mul_rows(lhs, rhs)
 
-        monkeypatch.setattr(construct, "_mul_rows", counting)
+        monkeypatch.setattr(search, "_mul_rows", counting)
         assert sum(1 for _ in search_specs(4, kind, None)) == exhaustive_total(4, kind)
-        assert 0 < len(calls) <= most
+        cosets = general_linear_order(4) // 15
+        assert 0 < len(calls) <= 6 * cosets < exhaustive_total(4, kind)
 
     @pytest.mark.parametrize("m, stored", [(4, True), (5, False), (6, False)])
     def test_coset_tables_only_where_cosets_repeat(self, m, stored):
-        # Tables are kept up to EXHAUSTIVE_CONJ_CAP = 4, where the walk meets
-        # 1,344 cosets; m = 5 has 322,560 and m = 6 has 319,979,520.
-        walk = construct._conjugate_specs(m, "semigroup", 5, None)
-        assert len(list(itertools.islice(walk, 300))) == 300
-        tables = walk.gi_frame.f_locals
-        assert bool(tables["cosets"]) == bool(tables["grams"]) == stored
+        # The seeded walk keys u up to EXHAUSTIVE_CONJ_CAP = 4, where it meets
+        # 1,344 cosets; m = 5 has 322,560 and m = 6 has 319,979,520, and there
+        # every key is None, so no table keeps anything.  Where there are
+        # keys, two of the first 300 u share one iff their B are equal.
+        b0 = self.anchor(m)
+        triples = list(itertools.islice(_iter_conjugators(m, b0.data, 5), 300))
+        assert len(triples) == 300
+        assert all(gram is None for _, _, gram in triples)
+        keys = [key for _, key, _ in triples]
+        assert {key is None for key in keys} == {not stored}
+        if stored:
+            conjugates = [self.conjugate(BitMatrix(m, m, u), b0) for u, _, _ in triples]
+            assert len(set(zip(keys, conjugates))) == len(set(keys)) == len(set(conjugates))
+            assert len(set(keys)) < len(keys)
 
 
 class TestSearch:
@@ -725,8 +758,8 @@ class TestSearch:
         def no_scan(*_args):
             raise AssertionError("_field_hits ran above the cap")
 
-        monkeypatch.setattr(construct, "_field_hits", no_scan)
-        cap = construct.EXHAUSTIVE_CAP if kind == "field" else construct.EXHAUSTIVE_CONJ_CAP
+        monkeypatch.setattr(search, "_field_hits", no_scan)
+        cap = search.EXHAUSTIVE_CAP if kind == "field" else search.EXHAUSTIVE_CONJ_CAP
         message = f"^exhaustive {kind} search is capped at m = {cap}; pass a seed$"
         with pytest.raises(ValueError, match=message):
             search_specs(cap + 1, kind)

@@ -13,10 +13,10 @@ from mubforge.construct import (
     StabilizerSpec,
     Z_BASIS,
     generators,
-    search_specs,
 )
 from mubforge.entangle import EntanglementVector, entanglement_vector, partitions_of
 from mubforge.gf2 import BitMatrix, mat_mul
+from mubforge.search import search_specs
 from oracles import (
     class_eigenbasis,
     class_generators,

@@ -11,10 +11,8 @@ from mubforge.construct import (
     GeneratorSet,
     StabilizerSpec,
     StandardFormError,
-    _derived_seed,
     bandyopadhyay_check,
     generators,
-    search_specs,
 )
 from mubforge.equiv import (
     SymplecticMap,
@@ -33,6 +31,7 @@ from mubforge.gf2 import (
     mat_mul,
 )
 from mubforge.poly2 import is_irreducible
+from mubforge.search import _derived_seed, search_specs
 from oracles import (
     anchored_equivalence_map,
     class_canonical,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubforge import backend, cli, construct
+from mubforge import backend, cli, search
 from mubforge.gf2 import BitMatrix, char_poly
 from mubforge.poly2 import fibonacci_index, stabilizer_char_polys
 from oracles import encode_symmetric, exhaustive_total
@@ -84,7 +84,7 @@ class TestScan:
         # _field_hits walks the blocks (four of them at m = 5).
         total = 1 << (m * (m + 1) // 2)
         polys = stabilizer_char_polys(m)
-        assert list(construct._field_hits(m, None)) == horner_scan(m, polys, 0, total)
+        assert list(search._field_hits(m, None)) == horner_scan(m, polys, 0, total)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), m=st.sampled_from([5, 6]))
@@ -120,7 +120,7 @@ class TestScan:
         # The one full space no oracle test covers: its 2^21 candidates give
         # |stabilizer_char_polys(6)| |O(6)| = 92,160 hits, hashed as
         # comma-separated indices with the earlier numpy kernel.
-        hits = list(construct._field_hits(6, None))
+        hits = list(search._field_hits(6, None))
         assert len(hits) == exhaustive_total(6, "field")
         digest = hashlib.sha256(",".join(map(str, hits)).encode()).hexdigest()
         assert digest == "58d9d48683e254a26986e5d0c0e4fa7b330c39ee22dc187fc1309da9d87b0d3c"

@@ -19,10 +19,10 @@ from mubforge.construct import (
     StabilizerSpec,
     build_stabilizer,
     generators,
-    search_specs,
 )
 from mubforge import pauli
 from mubforge.gf2 import BitMatrix, vstack
+from mubforge.search import search_specs
 from mubforge.pauli import NUMERIC_QUBIT_CAP, verify_mub
 import oracles
 from oracles import (

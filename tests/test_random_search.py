@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubforge import backend, cli, construct, poly2
+from mubforge import backend, cli, poly2, search
 from mubforge.gf2 import BitMatrix, char_poly
 
 # sha256 of `mubforge search --m M --kind KIND --seed S --count 2`, recorded
@@ -84,8 +84,8 @@ def test_random_search_stops_once_every_candidate_is_drawn(monkeypatch):
             return super().getrandbits(k)
 
     monkeypatch.setattr(random, "Random", CountingRandom)
-    hits = [s.B.data for s in construct.search_specs(2, "field", None, seed=0)]
-    assert sorted(hits) == sorted(s.B.data for s in construct.search_specs(2, "field", None))
+    hits = [s.B.data for s in search.search_specs(2, "field", None, seed=0)]
+    assert sorted(hits) == sorted(s.B.data for s in search.search_specs(2, "field", None))
     assert len(draws) == first_complete
 
 
@@ -96,7 +96,7 @@ def test_conjugator_draws_stop_once_every_pattern_is_drawn(monkeypatch):
     # pattern at draw 70, so stopping at |GL(2, 2)| would fail here.
     first_complete = 0
     seen = set()
-    replay = random.Random(construct._derived_seed(5, 0xC0))
+    replay = random.Random(search._derived_seed(5, 0xC0))
     while len(seen) < 16:
         seen.add(replay.getrandbits(4))
         first_complete += 1
@@ -108,9 +108,9 @@ def test_conjugator_draws_stop_once_every_pattern_is_drawn(monkeypatch):
             return super().getrandbits(k)
 
     monkeypatch.setattr(random, "Random", CountingRandom)
-    b0 = (0b11, 0b10)
-    drawn = [u for u, _, _ in construct._iter_conjugators(2, b0, 5)]
-    assert sorted(drawn) == sorted(u for u, _, _ in construct._iter_conjugators(2, b0, None))
+    b0 = (0b11, 0b01)  # x^2 + x + 1, irreducible, as the coset keys need
+    drawn = [u for u, _, _ in search._iter_conjugators(2, b0, 5)]
+    assert sorted(drawn) == sorted(u for u, _, _ in search._iter_conjugators(2, b0, None))
     assert draws == [4] * first_complete
 
 
@@ -119,7 +119,7 @@ def table_scan_random(m, seed):
     table = set(poly2.stabilizer_char_polys(m))
     rng = random.Random(seed)
     seen = set()
-    for _ in range(construct.MAX_ATTEMPTS):
+    for _ in range(search.MAX_ATTEMPTS):
         k = rng.getrandbits(m * (m + 1) // 2)
         if k not in seen and char_poly(BitMatrix(m, m, backend.decode_symmetric(m, k))) in table:
             seen.add(k)
@@ -130,8 +130,8 @@ def table_scan_random(m, seed):
 @given(m=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
 def test_scan_random_matches_table_oracle(m, seed):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(construct, "MAX_ATTEMPTS", 300)
-        assert list(construct._field_hits(m, seed)) == list(table_scan_random(m, seed))
+        patch.setattr(search, "MAX_ATTEMPTS", 300)
+        assert list(search._field_hits(m, seed)) == list(table_scan_random(m, seed))
 
 
 @settings(max_examples=200, deadline=None)
