@@ -5,11 +5,12 @@ equivalence verdicts), 2 = validation or internal failure, named on stderr,
 1 = usage error.  A failed step leaves through `main`, which names it in
 one stderr line and exits 2.  Every stderr line goes through one writer,
 which drops a line that stderr cannot take, so a closed stderr changes no
-exit code.  Search output is JSON lines, written as each spec is
-found, so long runs can be piped and truncated; identical commands with
-identical seeds produce byte-identical output.  Every command writes its
-output the same way: a failed write to stdout or --out exits 2 and says
-so, and a pipe closed by its reader ends the output quietly.  Each
+exit code.  Search output is JSON lines, handed to the writer as each
+spec is found, so long runs can be piped and truncated; identical commands
+with identical seeds produce byte-identical output.  Every command writes
+through one buffered text stream, stdout or --out alike and also under
+`python -u`, and flushes it once at the end: a failed write exits 2 and
+says so, and a pipe closed by its reader ends the output quietly.  Each
 subcommand imports only the modules it runs: `search` loads `search`,
 `construct` and what they import, never `entangle`, `pauli` or `equiv`,
 and `build`, `classify` and `equiv` never load `search`.
@@ -18,13 +19,11 @@ and `build`, `classify` and `equiv` never load `search`.
 from __future__ import annotations
 
 # Every process compiles and runs each module it imports, so the top imports
-# only `construct`, which every subcommand runs, and each handler imports
-# the other modules it runs.  `construct` comes before the standard library:
-# compiled after argparse was loaded, it raised each process's peak RSS by
-# about 0.25 MB.  `search` is imported in `_cmd_search`, so build, classify
-# and equiv jobs never compile it: imported here, it raised their peak RSS
-# by 0.1-0.2 MB, while a search job pays 0.1-0.3 MB for compiling it after
-# argparse.
+# only `construct`, which every subcommand runs, and each handler imports the
+# rest it runs.  `construct` comes before the standard library: compiled after
+# argparse, it raised peak RSS by about 0.25 MB.  Imported here, `search`
+# raised the peak RSS of build, classify and equiv jobs by 0.1-0.2 MB, and
+# importing `json`, which no search uses, took each search job about 2.5 ms.
 from .construct import (
     DEFAULT_TOL,
     KINDS,
@@ -40,12 +39,10 @@ from .construct import (
 
 import argparse
 import itertools
-import json
 import math
-import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from pathlib import Path
 
 DEFAULT_NUMERIC_CAP = 5
@@ -101,39 +98,41 @@ def _build_parser() -> _Parser:
 def _say(args, text: str) -> None:
     """Write one line to stderr, prefixed with the command; drop it if stderr cannot take it.
 
-    A process started with fd 2 closed has sys.stderr None, or a stderr whose
-    writes fail.  Either way the line is dropped, never sent to stdout.
+    With fd 2 closed, sys.stderr is None or refuses writes: the line is never sent to stdout.
     """
-    if sys.stderr is not None:
-        try:
-            sys.stderr.write(f"mubforge {args.command}: {text}\n")
-        except OSError:
-            pass
+    with suppress(AttributeError, OSError):
+        sys.stderr.write(f"mubforge {args.command}: {text}\n")
 
 
 def _write(args, chunks) -> bool:
-    """Write each text chunk to `args.out`, or stdout, as it comes, and flush once at the end.
+    """Write each text chunk as it comes to one buffered text stream; flush it once at the end.
 
-    A failed write is named on stderr and gives False.  A closed pipe ends
-    the write quietly and gives True.  After either, stdout points at the
-    null device, so the flush at interpreter exit cannot fail again.  A
-    stdout closed from the start (sys.stdout is None) is a failed write.
+    The stream is `--out`, or stdout's descriptor with stdout's encoding,
+    block-buffered either way, also under `python -u`.  A failed write is
+    named on stderr and gives False; a closed pipe ends the write quietly
+    and gives True.  sys.stdout itself holds nothing to flush at exit.
     """
-    if args.out is None and sys.stdout is None:
-        _say(args, "cannot write output: stdout is closed")
-        return False
     try:
-        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        with _open_output(args) as out:
             out.writelines(chunks)
             out.flush()
         return True
     except OSError as exc:
-        if args.out is None:
-            with open(os.devnull, "w") as null:
-                os.dup2(null.fileno(), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
             _say(args, f"cannot write output: {exc}")
         return isinstance(exc, BrokenPipeError)
+
+
+def _open_output(args):
+    if args.out:
+        return open(args.out, "w", encoding="utf-8")
+    if sys.stdout is None:  # started with fd 1 closed
+        raise OSError("stdout is closed")
+    try:
+        fd = sys.stdout.fileno()
+    except ValueError:  # io.UnsupportedOperation: no descriptor, as in a StringIO
+        return nullcontext(sys.stdout)
+    return open(fd, "w", encoding=sys.stdout.encoding, errors=sys.stdout.errors, closefd=False)
 
 
 def _load_spec(path: Path) -> StabilizerSpec:
@@ -159,12 +158,9 @@ def _cmd_search(args) -> int:
     found = next(drawn)
     stop = stats.get("stop")  # set only when a seeded stream ends short of --count
     if stop:
-        why = {
-            "space-exhausted": "every index was drawn, so no other spec exists",
-            "max-attempts": f"MAX_ATTEMPTS = {MAX_ATTEMPTS} draws ran out before every index "
-            "was drawn",
-        }
-        _say(args, f"stopped at {found} of {args.count} specs ({stop}): {why[stop]}")
+        why = (f"MAX_ATTEMPTS = {MAX_ATTEMPTS} draws ran out before every index was drawn"
+               if stop == "max-attempts" else "every index was drawn, so no other spec exists")
+        _say(args, f"stopped at {found} of {args.count} specs ({stop}): {why}")
     if not found:
         hint = {
             "field": "no symmetric matrix with an admissible characteristic polynomial",
@@ -176,6 +172,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    import json
+
     from .entangle import entanglement_vector
 
     if not (math.isfinite(args.tol) and args.tol > 0):
@@ -269,6 +267,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    import json
+
     from .equiv import equivalence_map
 
     spec_a = _load_spec(args.spec_a)

@@ -20,7 +20,6 @@ all work on m + 1 matrices.  The search for specs is in `search`.
 from __future__ import annotations
 
 import functools
-import json
 from typing import NamedTuple
 
 from . import poly2
@@ -37,7 +36,7 @@ from .gf2 import (
 )
 
 KINDS = ("field", "group", "semigroup")
-_KIND_JSON = {kind: json.dumps(kind) for kind in KINDS}  # each kind as `to_json` writes it
+_KIND_JSON = {kind: f'"{kind}"' for kind in KINDS}  # each kind as `to_json` writes it
 
 MAX_M = 16
 NUMERIC_QUBIT_CAP = 8     # numeric tier in `pauli`: d powers of one d x d unitary
@@ -91,16 +90,13 @@ def _row_json(mask: int, width: int) -> str:
 def _matrix_json(mat: BitMatrix) -> str:
     """The matrix in the wire format, written once and kept on the matrix.
 
-    Search shares one B, R or A among many specs, so each is written once;
-    a matrix that is dropped takes its text with it.
+    Search shares one B, R or A among many specs; a dropped matrix takes its text along.
     """
-    try:
-        return mat._json
-    except AttributeError:
-        width = mat.cols
-        text = "[" + ",".join([_row_json(r, width) for r in mat.data]) + "]"
+    text = getattr(mat, "_json", None)
+    if text is None:
+        text = "[" + ",".join([_row_json(r, mat.cols) for r in mat.data]) + "]"
         object.__setattr__(mat, "_json", text)
-        return text
+    return text
 
 
 def _pack(rows, width: int) -> int:
@@ -137,8 +133,7 @@ class StabilizerSpec(NamedTuple):
 
     @classmethod
     def field(cls, B: BitMatrix) -> "StabilizerSpec":
-        eye, zero = _forced_blocks(B.rows)
-        return cls("field", B.rows, B, eye, zero)
+        return cls._make(("field", B.rows, B, *_forced_blocks(B.rows)))
 
     @property
     def d(self) -> int:
@@ -192,6 +187,7 @@ class StabilizerSpec(NamedTuple):
 
     def to_json_dict(self) -> dict:
         """The wire format as a dict: `to_json` parsed back, so one encoder decides the keys."""
+        import json
         return json.loads(self.to_json())
 
     def to_json(self) -> str:
@@ -200,14 +196,17 @@ class StabilizerSpec(NamedTuple):
         The keys are m, kind and B, then R for the group and semigroup kinds
         and A for the semigroup kind: the forced blocks are left out.
         """
-        kind = _KIND_JSON.get(self.kind) or json.dumps(self.kind)
-        B = _matrix_json(self.B)
-        if self.kind == "semigroup":
-            R, A = _matrix_json(self.R), _matrix_json(self.A)
-            return f'{{"m":{self.m},"kind":{kind},"B":{B},"R":{R},"A":{A}}}'
-        if self.kind == "group":
-            return f'{{"m":{self.m},"kind":{kind},"B":{B},"R":{_matrix_json(self.R)}}}'
-        return f'{{"m":{self.m},"kind":{kind},"B":{B}}}'
+        kind, m, B, R, A = self
+        text = _KIND_JSON.get(kind)
+        if text is None:  # a kind outside KINDS, which `validate` rejects
+            import json
+            text = json.dumps(kind)
+        head = f'{{"m":{m},"kind":{text},"B":{_matrix_json(B)}'
+        if kind == "semigroup":
+            return f'{head},"R":{_matrix_json(R)},"A":{_matrix_json(A)}}}'
+        if kind == "group":
+            return f'{head},"R":{_matrix_json(R)}}}'
+        return head + "}"
 
     @classmethod
     def from_json_dict(cls, obj) -> "StabilizerSpec":
@@ -235,6 +234,7 @@ class StabilizerSpec(NamedTuple):
 
     @classmethod
     def from_json(cls, text: str) -> "StabilizerSpec":
+        import json
         try:
             obj = json.loads(text)
         except RecursionError as exc:

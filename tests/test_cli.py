@@ -658,6 +658,69 @@ class TestOutput:
         assert err.read_text() == ""
 
 
+UNBUFFERED = dict(os.environ, PYTHONUNBUFFERED="1")  # as `python -u`: a raw sys.stdout
+
+
+class TestUnbufferedOutput:
+    """Under PYTHONUNBUFFERED=1 stdout is written through the same buffered stream as --out.
+
+    Each case runs the CLI as a subprocess and keeps the bytes, exit codes
+    and messages of the earlier write-through stdout.
+    """
+
+    def test_exhaustive_stream_on_stdout_matches_out_file(self, tmp_path):
+        args = ["search", "--m", "4", "--kind", "group", "--exhaustive", "--count", "1048576"]
+        digest = "9d2120acb3d86ca4189dfdb747f066a9274d6d991ba781524cc36707e1188041"
+        with open(tmp_path / "stdout.jsonl", "wb") as stdout:
+            res = subprocess.run(CLI + args, stdout=stdout, stderr=subprocess.PIPE,
+                                 env=UNBUFFERED, timeout=300)
+        assert res.returncode == 0 and res.stderr == b""
+        res = subprocess.run(CLI + args + ["--out", str(tmp_path / "out.jsonl")],
+                             capture_output=True, env=UNBUFFERED, timeout=300)
+        assert res.returncode == 0 and res.stdout == res.stderr == b""
+        for name in ("stdout.jsonl", "out.jsonl"):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_exits_2(self, spec_files):
+        with open("/dev/full", "w") as full:
+            res = subprocess.run(CLI + ["build", str(spec_files["field3"])], stdout=full,
+                                 stderr=subprocess.PIPE, text=True, env=UNBUFFERED, timeout=300)
+        assert res.returncode == 2
+        assert res.stderr == (
+            "mubforge build: cannot write output: [Errno 28] No space left on device\n")
+
+    def test_closed_stdout_exits_2(self, spec_files):
+        build = [*CLI, "build", str(spec_files["field3"])]
+        res = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *build],
+                             stderr=subprocess.PIPE, text=True, env=UNBUFFERED, timeout=300)
+        assert res.returncode == 2
+        assert res.stderr == "mubforge build: cannot write output: stdout is closed\n"
+
+    def test_closed_pipe_ends_search_quietly(self, tmp_path):
+        args = ["search", "--m", "4", "--kind", "group", "--exhaustive", "--count", "1048576"]
+        with open(tmp_path / "err.txt", "w") as err:
+            proc = subprocess.Popen(CLI + args, stdout=subprocess.PIPE, stderr=err, env=UNBUFFERED)
+            line = proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.wait(timeout=300) == 0
+        StabilizerSpec.from_json(line).validate()
+        assert (tmp_path / "err.txt").read_text() == ""
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1", "ascii:backslashreplace"])
+    def test_classify_row_keeps_stdout_encoding(self, spec_files, tmp_path, encoding):
+        # --out is always UTF-8; stdout keeps sys.stdout's encoding and errors.
+        spec = tmp_path / "spéc-ü.json"
+        spec.write_bytes(spec_files["field3"].read_bytes())
+        res = subprocess.run(CLI + ["classify", str(spec)], capture_output=True,
+                             env=dict(UNBUFFERED, PYTHONIOENCODING=encoding), timeout=300)
+        assert res.returncode == 0 and res.stderr == b""
+        assert cli.main(["classify", str(spec), "--out", str(tmp_path / "table.txt")]) == 0
+        table = (tmp_path / "table.txt").read_text(encoding="utf-8")
+        assert f"{spec}  field  3  (" in table
+        assert res.stdout == table.encode(*encoding.split(":"))
+
+
 class TestMalformedSpecs:
     """Schema errors exit 2 and name the condition instead of raising."""
 
@@ -836,12 +899,15 @@ print("numpy" in sys.modules)
 
 SEARCH_ONLY_RUN = """
 import sys
+before = set(sys.modules)
 from mubforge import cli
 
 for kind in ("field", "group", "semigroup"):
     for mode in (["--seed", "3"], ["--exhaustive"]):
         assert cli.main(["search", "--m", "4", "--kind", kind, *mode, "--out", sys.argv[1]]) == 0
-print(sorted({"mubforge.entangle", "mubforge.equiv", "mubforge.pauli"} & set(sys.modules)))
+    assert cli.main(["search", "--m", "4", "--kind", kind, "--seed", "3"]) == 0  # to stdout
+unwanted = {"json", "mubforge.entangle", "mubforge.equiv", "mubforge.pauli"}
+print(sorted(unwanted & (set(sys.modules) - before)), file=sys.stderr)
 """
 
 
@@ -873,11 +939,14 @@ def test_cli_commands_never_import_numpy(tmp_path):
 
 
 def test_search_loads_no_entangle_equiv_or_pauli(tmp_path):
-    # Search of every kind, seeded and exhaustive, in one process.
+    # Search of every kind, seeded and exhaustive, to --out and to stdout, in
+    # one process: it loads none of these, and no json either, which it would
+    # pay for at every start and never use.
     res = subprocess.run([sys.executable, "-c", SEARCH_ONLY_RUN, str(tmp_path / "specs.jsonl")],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert res.stderr.strip() == "[]"
+    assert res.stdout.count("\n") == 3
 
 
 class TestStreamPins:

@@ -1,6 +1,7 @@
 """The bit-sliced scan kernel against a scalar Horner oracle, and golden search output."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -124,6 +125,32 @@ class TestScan:
         assert len(hits) == exhaustive_total(6, "field")
         digest = hashlib.sha256(",".join(map(str, hits)).encode()).hexdigest()
         assert digest == "58d9d48683e254a26986e5d0c0e4fa7b330c39ee22dc187fc1309da9d87b0d3c"
+
+
+class TestDecodeHits:
+    """The block decoder of field hits against the scalar `decode_symmetric`."""
+
+    @pytest.mark.parametrize("m, limit", [(1, None), (2, None), (3, None), (4, None),
+                                          (5, None), (6, 3000)])
+    def test_scan_hits_match_scalar_decoder(self, m, limit):
+        # Every hit of the full scans at m <= 5, and the first 3,000 at m = 6.
+        hits = list(itertools.islice(search._field_hits(m, None), limit))
+        assert len(hits) == (exhaustive_total(m, "field") if limit is None else limit)
+        expected = [backend.decode_symmetric(m, k) for k in hits]
+        assert list(backend.decode_hits(m, hits)) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 16))
+    def test_any_index_sequence_matches_scalar_decoder(self, data, m):
+        # Seeded search hands over one index at a time, from any block and in
+        # any order, up to MAX_M: each change of block decodes a new base.
+        n = m * (m + 1) // 2
+        near = data.draw(st.integers(0, (1 << n) - 1))
+        index = st.one_of(st.integers(0, (1 << n) - 1),
+                          st.integers(max(0, near - 300), min((1 << n) - 1, near + 300)))
+        hits = data.draw(st.lists(index, max_size=30))
+        expected = [backend.decode_symmetric(m, k) for k in hits]
+        assert list(backend.decode_hits(m, hits)) == expected
 
 
 # sha256 of `mubforge search --m M --kind KIND --exhaustive --count COUNT`,
