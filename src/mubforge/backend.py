@@ -3,7 +3,9 @@
 Candidate index k encodes a symmetric m x m matrix through its upper triangle
 (diagonal included) read row-major, most significant bit first, so ascending
 k is lexicographic order on the matrix entries.  Rows are bitmasks: bit j of
-row i is entry (i, j).
+row i is entry (i, j).  `decode_symmetric` is the one decoder from index to
+rows, by a table per 7 index bits: the kernel decodes each block's base with
+it, and the search each hit.
 
 Everything here is plain Python: the kernel holds a block of candidates
 bit-sliced in Python ints, so no search loads numpy.
@@ -15,7 +17,6 @@ import re
 import struct
 from functools import lru_cache, reduce
 from operator import and_, or_, xor
-from typing import Iterable, Iterator
 
 BLOCK_BITS = 13  # the kernel tests 2^13 candidates at a time
 
@@ -33,60 +34,34 @@ def _pair_positions(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(m) for j in range(i, m))
 
 
-def decode_symmetric(m: int, k: int) -> tuple[int, ...]:
-    """Row bitmasks of the k-th symmetric matrix."""
-    pairs = _pair_positions(m)
-    n = len(pairs)
-    rows = [0] * m
-    for b, (i, j) in enumerate(pairs):
-        if (k >> (n - 1 - b)) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return tuple(rows)
-
-
 @lru_cache(maxsize=None)
-def _offset_rows(m: int) -> tuple[struct.Struct, list[int], list[int]]:
-    """The packed-row codec, and the entries that offset bits 0-6 and 7-12 of an index set.
+def _codec(m: int) -> tuple[struct.Struct, tuple[list[int], ...]]:
+    """The packed-row codec of m x m matrices, and the tables that decode an index.
 
     A packed matrix holds row i at bits 16i .. 16i + 15, and the codec turns
-    row masks into its little-endian bytes and back.  Offset o sets the
-    packed entries low[o & 127] | high[o >> 7]: two tables of 2^7 and 2^6
-    entries, where one of all 2^BLOCK_BITS offsets would cost peak RSS.
+    its little-endian bytes into row masks.  Index bit b sets entry (i, j)
+    and (j, i), for (i, j) at upper-triangle position n - 1 - b; table c
+    maps bits 7c .. 7c + 6 of an index to the packed entries they set.
     """
     pairs = _pair_positions(m)
-    n = len(pairs)
-    units = [0] * BLOCK_BITS  # offset bit s sets entry (i, j) and (j, i), or nothing
-    for s in range(min(n, BLOCK_BITS)):
-        i, j = pairs[n - 1 - s]
-        units[s] = 1 << (16 * i + j) | 1 << (16 * j + i)
+    units = [1 << (16 * i + j) | 1 << (16 * j + i) for i, j in reversed(pairs)]
     tables = []
-    for part in (units[:7], units[7:]):
+    for c in range(0, len(units), 7):
         table = [0]
-        for unit in part:
+        for unit in units[c : c + 7]:
             table += [t | unit for t in table]
         tables.append(table)
-    return struct.Struct(f"<{m}H"), *tables
+    return struct.Struct(f"<{m}H"), tuple(tables)
 
 
-def decode_hits(m: int, hits: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """Row masks of each candidate index in `hits`, as `decode_symmetric` gives them.
-
-    An index is its block's base plus an offset below 2^BLOCK_BITS, and the
-    two set disjoint entries.  So the base is decoded once per run of hits
-    in one block, as `scan_symmetric` returns them, and each hit ORs in the
-    entries of its offset from the two tables of `_offset_rows`.
-    """
-    codec, low, high = _offset_rows(m)
-    offset_mask = (1 << BLOCK_BITS) - 1
-    block = None
-    for k in hits:
-        if k >> BLOCK_BITS != block:
-            block = k >> BLOCK_BITS
-            base = int.from_bytes(codec.pack(*decode_symmetric(m, block << BLOCK_BITS)), "little")
-        offset = k & offset_mask
-        packed = base | low[offset & 127] | high[offset >> 7]
-        yield codec.unpack(packed.to_bytes(codec.size, "little"))
+def decode_symmetric(m: int, k: int) -> tuple[int, ...]:
+    """Row bitmasks of the k-th symmetric matrix, 0 <= k < 2^(m(m+1)/2): a lookup per 7 bits."""
+    codec, tables = _codec(m)
+    packed = 0
+    for table in tables:
+        packed |= table[k & 127]
+        k >>= 7
+    return codec.unpack(packed.to_bytes(codec.size, "little"))
 
 
 def scan_symmetric(m: int, good_polys: tuple[int, ...], start: int, stop: int) -> list[int]:

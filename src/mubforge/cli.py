@@ -3,17 +3,18 @@
 Exit codes: 0 = success (including empty search results and negative
 equivalence verdicts), 2 = validation or internal failure, named on stderr,
 1 = usage error.  A failed step leaves through `main`, which names it in
-one stderr line and exits 2.  Every stderr line goes through one writer,
-which drops a line that stderr cannot take, so a closed stderr changes no
-exit code.  Search output is JSON lines, handed to the writer as each
-spec is found, so long runs can be piped and truncated; identical commands
-with identical seeds produce byte-identical output.  Every command writes
-through one buffered text stream, stdout or --out alike and also under
-`python -u`, and flushes it once at the end: a failed write exits 2 and
-says so, and a pipe closed by its reader ends the output quietly.  Each
-subcommand imports only the modules it runs: `search` loads `search`,
-`construct` and what they import, never `entangle`, `pauli` or `equiv`,
-and `build`, `classify` and `equiv` never load `search`.
+one stderr line and exits 2.  Every stderr line, usage errors included,
+goes through one writer, which drops a line that stderr cannot take, so a
+closed or read-only stderr changes no exit code.  Search output is JSON
+lines, handed to the writer as each spec is found, so long runs can be
+piped and truncated; identical commands with identical seeds produce
+byte-identical output.  Every command writes through one buffered text
+stream, stdout or --out alike and also under `python -u`, and flushes it
+once at the end: a failed write exits 2 and says so, and a pipe closed by
+its reader ends the output quietly.  Each subcommand imports only the
+modules it runs: `search` loads `search`, `construct` and what they
+import, never `entangle`, `pauli` or `equiv`, and `build`, `classify` and
+`equiv` never load `search`.
 """
 
 from __future__ import annotations
@@ -42,18 +43,18 @@ import itertools
 import math
 import sys
 import time
-from contextlib import nullcontext, suppress
+from contextlib import nullcontext
 from pathlib import Path
 
 DEFAULT_NUMERIC_CAP = 5
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 (not 2) on usage errors."""
+    """argparse variant that exits 1 (not 2) on usage errors, written by `_stderr`."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        _stderr(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        sys.exit(1)
 
 
 def _build_parser() -> _Parser:
@@ -95,13 +96,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _say(args, text: str) -> None:
-    """Write one line to stderr, prefixed with the command; drop it if stderr cannot take it.
+def _stderr(text: str) -> None:
+    """Write and flush text to stderr; if stderr cannot take it, drop the text and stderr.
 
-    With fd 2 closed, sys.stderr is None or refuses writes: the line is never sent to stdout.
+    With fd 2 closed or read-only, sys.stderr is None or refuses writes.
+    Setting it to None leaves no unwritten bytes for the flush at exit to
+    fail on, which would exit 120, and the text never reaches stdout.
     """
-    with suppress(AttributeError, OSError):
-        sys.stderr.write(f"mubforge {args.command}: {text}\n")
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        sys.stderr = None
+
+
+def _say(args, text: str) -> None:
+    """Write one line to stderr, prefixed with the command."""
+    _stderr(f"mubforge {args.command}: {text}\n")
 
 
 def _write(args, chunks) -> bool:

@@ -29,20 +29,13 @@ def _mul(a: int, b: int) -> int:
     return c
 
 
-def _divmod(a: int, b: int) -> tuple[int, int]:
+def _mod(a: int, b: int) -> int:
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
-    db = _degree(b)
-    q = 0
-    while a and _degree(a) >= db:
-        shift = _degree(a) - db
-        q ^= 1 << shift
-        a ^= b << shift
-    return q, a
-
-
-def _mod(a: int, b: int) -> int:
-    return _divmod(a, b)[1]
+    db = b.bit_length()
+    while a.bit_length() >= db:
+        a ^= b << (a.bit_length() - db)
+    return a
 
 
 def _gcd(a: int, b: int) -> int:

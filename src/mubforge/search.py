@@ -327,8 +327,8 @@ def search_specs(
         raise ValueError(f"exhaustive {kind} search is capped at m = {cap}; pass a seed")
     if kind == "field":
         specs = (
-            StabilizerSpec.field(BitMatrix(m, m, rows))
-            for rows in backend.decode_hits(m, _field_hits(m, seed, stats))
+            StabilizerSpec.field(BitMatrix(m, m, backend.decode_symmetric(m, k)))
+            for k in _field_hits(m, seed, stats)
         )
     else:
         specs = _conjugate_specs(m, kind, seed, stats)

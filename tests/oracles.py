@@ -52,7 +52,9 @@
 - `standard_forms` lists all d + 1 standard forms of a set, and
   `class_generators` one 2m x m generator per class, where a
   `construct.GeneratorSet` holds the m + 1 matrices of the affine family.
-  `encode_symmetric` inverts `backend.decode_symmetric`.
+  `decode_symmetric` reads a candidate index one bit at a time, where
+  `backend.decode_symmetric` looks up 7 bits at a time in a table, and
+  `encode_symmetric` inverts both.
 - `echelon` is Gauss-Jordan elimination with the lowest pivot row, and
   `echelon_rank` and `echelon_inverse` (on [a | I]) are read off it, where
   `gf2.rank` and `gf2.mat_inverse` reduce rows, tagged with their indices,
@@ -63,6 +65,8 @@
 - `char_poly_bareiss` is det(xI + a) by fraction-free elimination over
   F2[x], where `gf2.char_poly` multiplies the minimal polynomials of
   Krylov chains.
+- `poly_divmod` is long division in F2[x] with its quotient, where
+  `poly2._mod` keeps only the remainder.
 - `fibonacci_poly` runs the recursion F_(j+1) = x F_j + F_(j-1) in full,
   where `poly2` reduces it modulo one polynomial by a doubling ladder.
 - `poly_of_matrix` (Horner) and `schmidt_rank` (an SVD across a qubit cut)
@@ -94,7 +98,7 @@ from typing import Iterator
 
 import numpy as np
 
-from mubforge import backend, construct, poly2, search
+from mubforge import construct, poly2, search
 from mubforge.construct import (
     Z_BASIS,
     GeneratorSet,
@@ -180,6 +184,18 @@ def standard_forms(gens: GeneratorSet) -> tuple:
 def class_generators(gens: GeneratorSet) -> list[BitMatrix]:
     """One 2m x m generator per class of a set, in the order of `standard_forms`."""
     return generators_of(gens.m, standard_forms(gens))
+
+
+def decode_symmetric(m: int, k: int) -> tuple[int, ...]:
+    """Row masks of the k-th symmetric matrix, read off the index one bit at a time."""
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    n = len(pairs)
+    rows = [0] * m
+    for b, (i, j) in enumerate(pairs):
+        if (k >> (n - 1 - b)) & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple(rows)
 
 
 def encode_symmetric(m: int, rows) -> int:
@@ -330,7 +346,7 @@ def find_addend_scan(B: BitMatrix, R: BitMatrix) -> BitMatrix | None:
     span = addend_excluded_span(B, R)
     npairs = m * (m + 1) // 2
     for k in range(min(1 << npairs, (1 << (2 * m)) + 1)):
-        A = BitMatrix(m, m, backend.decode_symmetric(m, k))
+        A = BitMatrix(m, m, decode_symmetric(m, k))
         if not span.contains(_vec(A)):
             return A
     return None
@@ -730,13 +746,25 @@ def char_poly_bareiss(a: BitMatrix) -> int:
             rik = M[i][k]
             for j in range(k + 1, m):
                 num = poly2._mul(pk, M[i][j]) ^ poly2._mul(rik, M[k][j])
-                q, rem = poly2._divmod(num, prev)
+                q, rem = poly_divmod(num, prev)
                 if rem:
                     raise RuntimeError("inexact division in fraction-free elimination")
                 M[i][j] = q
             M[i][k] = 0
         prev = pk
     return M[m - 1][m - 1]
+
+
+def poly_divmod(a: int, b: int) -> tuple[int, int]:
+    """Quotient and remainder of the masks a and b, by long division."""
+    if b == 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    q = 0
+    while a.bit_length() >= b.bit_length():
+        shift = a.bit_length() - b.bit_length()
+        q ^= 1 << shift
+        a ^= b << shift
+    return q, a
 
 
 def fibonacci_poly(n: int) -> int:

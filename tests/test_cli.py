@@ -646,6 +646,25 @@ class TestOutput:
             assert res.returncode == 2
             assert lines == []
 
+    @pytest.mark.parametrize("args, code", [
+        (["build", "missing.json"], 2),
+        (["search", "--m", "3", "--kind", "field", "--seed", "1", "--count", "100",
+          "--out", "x.jsonl"], 0),
+        (["search", "--m", "3", "--kind", "nope"], 1),
+    ], ids=["failed-step", "search", "usage-error"])
+    def test_read_only_stderr_keeps_the_exit_code(self, tmp_path, args, code):
+        # A stderr open read-only refuses every write.  Without
+        # PYTHONUNBUFFERED sys.stderr is buffered, and a refused line left in
+        # it made the flush at exit fail, which exits 120.
+        args = [str(tmp_path / a) if a.endswith((".json", ".jsonl")) else a for a in args]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open(os.devnull) as read_only:
+            res = subprocess.run(CLI + args, stdout=subprocess.PIPE, stderr=read_only, env=env,
+                                 timeout=300)
+        assert (res.returncode, res.stdout) == (code, b"")
+        if code == 0:  # the seeded search exhausts its space after 6 specs and says so
+            assert len((tmp_path / "x.jsonl").read_text().splitlines()) == 6
+
     def test_closed_pipe_ends_search_quietly(self, tmp_path):
         err = tmp_path / "err.txt"
         args = ["search", "--m", "4", "--kind", "group", "--exhaustive", "--count", "1048576"]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mubforge import backend, cli, search
 from mubforge.gf2 import BitMatrix, char_poly
 from mubforge.poly2 import fibonacci_index, stabilizer_char_polys
-from oracles import encode_symmetric, exhaustive_total
+from oracles import decode_symmetric, encode_symmetric, exhaustive_total
 
 
 def annihilates(rows, poly, m):
@@ -40,7 +40,7 @@ def horner_scan(m, good_polys, start, stop):
     return [
         k
         for k in range(start, stop)
-        if any(annihilates(backend.decode_symmetric(m, k), p, m) for p in good_polys)
+        if any(annihilates(decode_symmetric(m, k), p, m) for p in good_polys)
     ]
 
 
@@ -128,7 +128,7 @@ class TestScan:
 
 
 class TestDecodeHits:
-    """The block decoder of field hits against the scalar `decode_symmetric`."""
+    """The table decoder `backend.decode_symmetric` against the oracle bit loop."""
 
     @pytest.mark.parametrize("m, limit", [(1, None), (2, None), (3, None), (4, None),
                                           (5, None), (6, 3000)])
@@ -136,21 +136,21 @@ class TestDecodeHits:
         # Every hit of the full scans at m <= 5, and the first 3,000 at m = 6.
         hits = list(itertools.islice(search._field_hits(m, None), limit))
         assert len(hits) == (exhaustive_total(m, "field") if limit is None else limit)
-        expected = [backend.decode_symmetric(m, k) for k in hits]
-        assert list(backend.decode_hits(m, hits)) == expected
+        assert [backend.decode_symmetric(m, k) for k in hits] == [
+            decode_symmetric(m, k) for k in hits]
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), m=st.integers(1, 16))
     def test_any_index_sequence_matches_scalar_decoder(self, data, m):
         # Seeded search hands over one index at a time, from any block and in
-        # any order, up to MAX_M: each change of block decodes a new base.
+        # any order, up to MAX_M: indices near one another, and anywhere.
         n = m * (m + 1) // 2
         near = data.draw(st.integers(0, (1 << n) - 1))
         index = st.one_of(st.integers(0, (1 << n) - 1),
                           st.integers(max(0, near - 300), min((1 << n) - 1, near + 300)))
         hits = data.draw(st.lists(index, max_size=30))
-        expected = [backend.decode_symmetric(m, k) for k in hits]
-        assert list(backend.decode_hits(m, hits)) == expected
+        assert [backend.decode_symmetric(m, k) for k in hits] == [
+            decode_symmetric(m, k) for k in hits]
 
 
 # sha256 of `mubforge search --m M --kind KIND --exhaustive --count COUNT`,

@@ -11,7 +11,6 @@ import pytest
 
 from mubforge import poly2
 from mubforge.poly2 import (
-    _divmod,
     _mod,
     _mul,
     fibonacci_index,
@@ -20,7 +19,7 @@ from mubforge.poly2 import (
     poly_str,
     stabilizer_char_polys,
 )
-from oracles import fibonacci_poly
+from oracles import fibonacci_poly, poly_divmod
 
 X = 0b10  # x
 X2X1 = 0b111  # x^2 + x + 1
@@ -73,9 +72,10 @@ class TestArithmetic:
         assert poly2._gcd(0b101, 0b11) == 0b11
 
     def test_divmod(self):
-        q, r = _divmod(0b1001, 0b11)
+        q, r = poly_divmod(0b1001, 0b11)
         assert _mul(q, 0b11) ^ r == 0b1001
         assert degree(r) < 1
+        assert _mod(0b1001, 0b11) == r
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
