@@ -255,9 +255,12 @@ class GeneratorSet(NamedTuple):
     basis[k] for each set bit k of i.
     """
 
-    m: int
     A: BitMatrix
     basis: tuple[BitMatrix, ...]
+
+    @property
+    def m(self) -> int:
+        return self.A.rows
 
 
 def build_stabilizer(spec: StabilizerSpec) -> BitMatrix:
@@ -351,7 +354,7 @@ def generators(spec: StabilizerSpec, C: BitMatrix | None = None) -> GeneratorSet
         form = standard_form(gen)
         if form is Z_BASIS or not span.contains(_vec(form) ^ shift):
             raise StandardFormError(f"orbit step {step} leaves A + F2[B] R")
-    return GeneratorSet(m, spec.A, tuple(basis))
+    return GeneratorSet(spec.A, tuple(basis))
 
 
 # -- class-level checks ------------------------------------------------------
@@ -364,8 +367,8 @@ def bandyopadhyay_check(gens: GeneratorSet) -> bool:
     symmetric.  For the sets `generators` and `transport` return, every
     nonzero member of span(basis) is invertible.  It is q(B) R with q != 0
     and deg q < m, invertible because char(B) is irreducible and R is
-    invertible; a triangular f maps it to s q(B) R v^-1, which is
-    q(s B s^-1) (s R v^-1).  Then the criterion is exactly the partition of
+    invertible; a triangular f maps it to s q(B) R s^t, which is
+    q(s B s^-1) (s R s^t).  Then the criterion is exactly the partition of
     the 4^m - 1 nonzero Pauli labels into d + 1 commuting classes of d - 1:
 
     - Rank m makes the d forms A + span(basis) distinct, so there are

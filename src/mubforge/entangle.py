@@ -61,8 +61,11 @@ class EntanglementVector(NamedTuple):
     """Counts of bases per tensor-factor partition, in canonical order."""
 
     m: int
-    partitions: tuple[tuple[int, ...], ...]
     counts: tuple[int, ...]
+
+    @property
+    def partitions(self) -> tuple[tuple[int, ...], ...]:
+        return partitions_of(self.m)
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,12 +87,11 @@ def entanglement_vector(gens: GeneratorSet) -> EntanglementVector:
     if not all(f.is_symmetric() for f in mats):
         raise ValueError("standard form must be symmetric")
     form, *steps = (f.data for f in mats)
-    parts = partitions_of(m)
-    index = {p: i for i, p in enumerate(parts)}
-    counts = [0] * len(parts)
+    index = {p: i for i, p in enumerate(partitions_of(m))}
+    counts = [0] * len(index)
     counts[0] = 1  # Z_BASIS: every qubit its own factor
     for i in range(1 << m):
         if i:
             form = tuple(map(xor, form, steps[(i & -i).bit_length() - 1]))
         counts[index[_component_sizes(form)]] += 1
-    return EntanglementVector(m, parts, tuple(counts))
+    return EntanglementVector(m, tuple(counts))

@@ -21,9 +21,9 @@ Such an s exists iff char(B_a) = char(B_b), and then it is unique:
    is a nonzero element of F2[B_a], a field of 2^m elements.  Squaring is a
    bijection there, with inverse x -> x^(2^(m-1)), so c = S^(2^(m-1)),
    m - 1 squarings, is the only solution.
-5. s^-1 t = A_a + s^-1 A_b s^-t is symmetric, so f is symplectic, and it
-   maps p(B_a) R_a + A_a to s p(B_a) R_a s^t + s A_a s^t + t s^t
-   = p(B_b) R_b + A_b.
+5. s^-1 t = A_a + s^-1 A_b s^-t is symmetric, so f is symplectic (see
+   `transport`), and it maps p(B_a) R_a + A_a to
+   s p(B_a) R_a s^t + s A_a s^t + t s^t = p(B_b) R_b + A_b.
 
 With R = I this is the orthogonal intertwiner of two field-kind B.
 """
@@ -46,61 +46,33 @@ from .gf2 import (
 
 
 class SymplecticMap(NamedTuple):
-    """2m x 2m map over F2 in block form f = [[s, t], [u, v]]."""
+    """The 2m x 2m map f = [[s, t], [0, s^-t]] over F2, held by its top blocks."""
 
     s: BitMatrix
     t: BitMatrix
-    u: BitMatrix
-    v: BitMatrix
-
-    @property
-    def m(self) -> int:
-        return self.s.rows
 
     @property
     def matrix(self) -> BitMatrix:
-        return block2x2(self.s, self.t, self.u, self.v)
-
-    @classmethod
-    def identity(cls, m: int) -> "SymplecticMap":
-        eye = BitMatrix.identity(m)
-        zero = BitMatrix.zero(m)
-        return cls(eye, zero, zero, eye)
-
-
-def symplectic_form(m: int) -> BitMatrix:
-    """J = [[0, I], [I, 0]]."""
-    eye = BitMatrix.identity(m)
-    zero = BitMatrix.zero(m)
-    return block2x2(zero, eye, eye, zero)
-
-
-def is_symplectic(f: SymplecticMap) -> bool:
-    """f^t J f = J over F2."""
-    mat = f.matrix
-    J = symplectic_form(f.m)
-    return mat_mul(mat_mul(mat.transpose(), J), mat) == J
+        zero = BitMatrix.zero(self.s.rows)
+        return block2x2(self.s, self.t, zero, mat_inverse(self.s.transpose()))
 
 
 def transport(f: SymplecticMap, gens: GeneratorSet) -> GeneratorSet:
-    """The classes f G for a block-triangular symplectic f = [[s, t], [0, v]].
+    """The classes f G for f = [[s, t], [0, s^-t]].
 
+    f^t J f has off-diagonal blocks s^t s^-t = I and lower-right block
+    (s^-1 t)^t + s^-1 t, so f is symplectic iff s^-1 t is symmetric.  Any
+    other f raises ValueError, and so does a singular s (NotInvertibleError).
     f maps (I; 0) to (s; 0), the class Z_BASIS again, and (M; I) to
-    (s M + t; v), whose standard form is (s M + t) v^-1.  That is affine in
-    M, so the image of A + span(basis) is (s A + t) v^-1 + span{s X v^-1}.
-    Every map `equivalence_map` builds has this shape; any other f raises
-    ValueError.
+    (s M + t; s^-t), whose standard form is (s M + t) s^t.  That is affine
+    in M, so the image of A + span(basis) is (s A + t) s^t + span{s X s^t}:
+    every matrix X goes to s X s^t, and A also gains t s^t.
     """
-    if not is_symplectic(f):
-        raise ValueError("transport requires a symplectic map")
-    if not f.u.is_zero():
-        raise ValueError("transport requires a block-triangular map (lower-left block 0)")
-    v_inv = mat_inverse(f.v)
-    return GeneratorSet(
-        gens.m,
-        mat_mul(mat_mul(f.s, gens.A) + f.t, v_inv),
-        tuple(mat_mul(mat_mul(f.s, x), v_inv) for x in gens.basis),
-    )
+    if not mat_mul(mat_inverse(f.s), f.t).is_symmetric():
+        raise ValueError("transport requires a symplectic map (s^-1 t symmetric)")
+    st = f.s.transpose()
+    A, *basis = (mat_mul(mat_mul(f.s, x), st) for x in (gens.A, *gens.basis))
+    return GeneratorSet(A + mat_mul(f.t, st), tuple(basis))
 
 
 def classes_equal(a: GeneratorSet, b: GeneratorSet) -> bool:
@@ -156,12 +128,11 @@ def equivalence_map(a: StabilizerSpec, b: StabilizerSpec) -> tuple[SymplecticMap
     if a.m != b.m:
         raise ValueError("qubit count mismatch")
     if a == b:
-        return SymplecticMap.identity(a.m), "identical specs"
+        return SymplecticMap(BitMatrix.identity(a.m), BitMatrix.zero(a.m)), "identical specs"
     s = _intertwiner(a, b)
     if s is None:
         return None, "characteristic polynomials of B differ (distinct class families)"
-    v = mat_inverse(s.transpose())
-    f = SymplecticMap(s, mat_mul(s, a.A) + mat_mul(b.A, v), BitMatrix.zero(a.m), v)
+    f = SymplecticMap(s, mat_mul(s, a.A) + mat_mul(b.A, mat_inverse(s.transpose())))
     gens_a = generators(a, build_stabilizer(a))
     if not classes_equal(transport(f, gens_a), generators(b, build_stabilizer(b))):
         return None, "transport failed to reproduce the target classes"

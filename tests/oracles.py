@@ -31,9 +31,11 @@
   under the derived seed.
 - `class_canonical` is the reduced echelon basis of a class's column space,
   where `equiv.classes_equal` compares the spans of two affine families.
-- `transport_forms` maps every class generator by any symplectic f and
-  takes standard forms, where `equiv.transport` maps the affine family of
-  a set by a block-triangular f in closed form.
+- `transport_forms` maps every class generator by any 2m x 2m symplectic
+  matrix and takes standard forms, where `equiv.transport` maps the affine
+  family of a set by a block-triangular f in closed form.  It checks its
+  map with `is_symplectic`, f^t J f = J on 2m x 2m products, where
+  `equiv.transport` tests that s^-1 t is symmetric.
 - `intertwiner_scan` enumerates the solution space of s B_a = B_b s
   (a `nullspace`) for every invertible s with s R_a s^t = R_b, where
   `equiv._intertwiner` computes the unique one from Krylov matrices.
@@ -42,8 +44,8 @@
   field anchor per spec, the orthogonal intertwiner w of the two anchors,
   and fb w fa^-1 composed from 2m x 2m products, where `equivalence_map`
   builds [[s, t], [0, s^-t]] from one intertwiner of the specs themselves.
-  `triangular_map(u, t)` builds the block-triangular map [[u, t], [0, u^-t]]
-  that tests and `field_anchor` transport sets by.
+  `anchored_equivalence_map` reads (s, t) off the top blocks of the product
+  and asserts that its lower blocks are 0 and s^-t.
   The `gram_factor` docstring proves that no valid spec has an
   alternating R.
 - `offdiag_components` and `partition_of` find the tensor factors of one
@@ -106,11 +108,12 @@ from mubforge.construct import (
     _vec,
     standard_form,
 )
-from mubforge.equiv import SymplecticMap, classes_equal, is_symplectic, transport
+from mubforge.equiv import SymplecticMap, classes_equal, transport
 from mubforge.gf2 import (
     BitMatrix,
     _SpanReducer,
     _transpose_rows,
+    block2x2,
     is_invertible,
     mat_inverse,
     mat_mul,
@@ -385,16 +388,28 @@ def search_specs_oracle(
     return out
 
 
-def transport_forms(f: SymplecticMap, m: int, forms) -> list:
-    """Standard forms of f G for the generator G of every form, for any symplectic f.
+def symplectic_form(m: int) -> BitMatrix:
+    """J = [[0, I], [I, 0]]."""
+    eye = BitMatrix.identity(m)
+    zero = BitMatrix.zero(m)
+    return block2x2(zero, eye, eye, zero)
+
+
+def is_symplectic(mat: BitMatrix) -> bool:
+    """mat^t J mat = J over F2, for any 2m x 2m mat."""
+    J = symplectic_form(mat.rows // 2)
+    return mat_mul(mat_mul(mat.transpose(), J), mat) == J
+
+
+def transport_forms(f: BitMatrix, forms) -> list:
+    """Standard forms of f G for the generator G of every form, for any 2m x 2m symplectic f.
 
     Raises StandardFormError when an image has a singular nonzero lower
     block.
     """
     if not is_symplectic(f):
         raise ValueError("transport requires a symplectic map")
-    mat = f.matrix
-    return [standard_form(mat_mul(mat, g)) for g in generators_of(m, forms)]
+    return [standard_form(mat_mul(f, g)) for g in generators_of(f.rows // 2, forms)]
 
 
 def echelon(data: list[int], n_rows: int, pivot_cols: int) -> tuple[list[int], list[int]]:
@@ -592,11 +607,6 @@ def gram_factor(R: BitMatrix) -> BitMatrix:
     return mat_inverse(q)
 
 
-def triangular_map(u: BitMatrix, t: BitMatrix) -> SymplecticMap:
-    """f = [[u, t], [0, (u^t)^-1]]; symplectic iff u^-1 t is symmetric."""
-    return SymplecticMap(u, t, BitMatrix.zero(u.rows), mat_inverse(u.transpose()))
-
-
 def field_anchor(spec: StabilizerSpec) -> tuple[SymplecticMap, StabilizerSpec]:
     """Triangular f and field spec whose transport reproduces spec's classes.
 
@@ -606,25 +616,27 @@ def field_anchor(spec: StabilizerSpec) -> tuple[SymplecticMap, StabilizerSpec]:
     `gram_factor`).
     """
     if spec.kind == "field":
-        return SymplecticMap.identity(spec.m), spec
+        return SymplecticMap(BitMatrix.identity(spec.m), BitMatrix.zero(spec.m)), spec
     u = gram_factor(spec.R).transpose()
     u_inv = mat_inverse(u)
     anchor_B = mat_mul(mat_mul(u_inv, spec.B), u)
     t = mat_mul(spec.A, u_inv.transpose())
-    return triangular_map(u, t), StabilizerSpec.field(anchor_B)
+    return SymplecticMap(u, t), StabilizerSpec.field(anchor_B)
 
 
 def _map_of(f: BitMatrix) -> SymplecticMap:
-    """The four m x m blocks of a 2m x 2m matrix."""
+    """(s, t) read off the top blocks of a 2m x 2m f = [[s, t], [0, s^-t]].
+
+    Asserts that the lower blocks are 0 and s^-t.
+    """
     m = f.rows // 2
     low = (1 << m) - 1
-    top, bottom = f.data[:m], f.data[m:]
-    return SymplecticMap(
-        BitMatrix(m, m, (r & low for r in top)),
-        BitMatrix(m, m, (r >> m for r in top)),
-        BitMatrix(m, m, (r & low for r in bottom)),
-        BitMatrix(m, m, (r >> m for r in bottom)),
-    )
+    s = BitMatrix(m, m, (r & low for r in f.data[:m]))
+    t = BitMatrix(m, m, (r >> m for r in f.data[:m]))
+    assert all(r & low == 0 for r in f.data[m:]), "lower-left block of f is not 0"
+    v = BitMatrix(m, m, (r >> m for r in f.data[m:]))
+    assert v == mat_inverse(s.transpose()), "lower-right block of f is not s^-t"
+    return SymplecticMap(s, t)
 
 
 def anchored_equivalence_map(
@@ -639,7 +651,7 @@ def anchored_equivalence_map(
     if a.m != b.m:
         raise ValueError("qubit count mismatch")
     if a.to_json_dict() == b.to_json_dict():
-        return SymplecticMap.identity(a.m), "identical specs"
+        return SymplecticMap(BitMatrix.identity(a.m), BitMatrix.zero(a.m)), "identical specs"
     fa, anchor_a = field_anchor(a)
     fb, anchor_b = field_anchor(b)
     ws = intertwiner_scan(anchor_a, anchor_b)
@@ -647,9 +659,7 @@ def anchored_equivalence_map(
         # The anchors are orthogonally conjugate iff char(B_a) = char(B_b),
         # as the `equiv` module docstring shows, so the verdicts agree.
         return None, "characteristic polynomials of B differ (distinct class families)"
-    w = ws[0]
-    zero = BitMatrix.zero(a.m)
-    w_map = SymplecticMap(w, zero, zero, mat_inverse(w.transpose()))
+    w_map = SymplecticMap(ws[0], BitMatrix.zero(a.m))
     f = _map_of(mat_mul(mat_mul(fb.matrix, w_map.matrix), mat_inverse(fa.matrix)))
     gens_a = construct.generators(a)
     if not classes_equal(transport(f, gens_a), construct.generators(b)):

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from mubforge import cli, construct, equiv, pauli, search
 from mubforge.construct import MAX_M, StabilizerSpec, StandardFormError
 from mubforge.search import search_specs
-from mubforge.gf2 import BitMatrix, char_poly
-from oracles import exhaustive_total
+from mubforge.gf2 import BitMatrix, char_poly, mat_inverse
+from oracles import exhaustive_total, is_symplectic
 
 CLI = [sys.executable, "-m", "mubforge.cli"]
 
@@ -814,10 +814,11 @@ def _check_equiv_verdict(verdict, path_a, path_b):
         BitMatrix.from_rows([row[c:c + m] for row in rows[r:r + m]])
         for r in (0, m) for c in (0, m)
     )
-    f = equiv.SymplecticMap(s, t, u, v)
-    assert equiv.is_symplectic(f)
+    assert u.is_zero(), "lower-left block"
+    assert v == mat_inverse(s.transpose()), "lower-right block"
+    assert is_symplectic(BitMatrix.from_rows(rows))
     gens_a, gens_b = construct.generators(a), construct.generators(b)
-    assert equiv.classes_equal(equiv.transport(f, gens_a), gens_b)
+    assert equiv.classes_equal(equiv.transport(equiv.SymplecticMap(s, t), gens_a), gens_b)
 
 
 @pytest.fixture(scope="module")

@@ -27,7 +27,7 @@ from mubforge.construct import (
     standard_form,
 )
 from mubforge.entangle import entanglement_vector
-from mubforge.equiv import classes_equal, symplectic_form
+from mubforge.equiv import classes_equal
 from mubforge.gf2 import (
     BitMatrix,
     block2x2,
@@ -60,6 +60,7 @@ from oracles import (
     poly_of_matrix,
     search_specs_oracle,
     standard_forms,
+    symplectic_form,
 )
 
 B1 = BitMatrix.from_rows([[1]])
@@ -93,7 +94,7 @@ def walked(spec):
 def field_family(B):
     """The affine family 0 + span{I, B, ..., B^(m-1)} of C = [[B, I], [I, 0]]."""
     m = B.rows
-    return GeneratorSet(m, BitMatrix.zero(m), tuple(B**k for k in range(m)))
+    return GeneratorSet(BitMatrix.zero(m), tuple(B**k for k in range(m)))
 
 
 def random_invertible(rng, m):

@@ -100,9 +100,9 @@ class TestEntanglementVector:
         zero, eye = BitMatrix.zero(2), BitMatrix.identity(2)
         asym = BitMatrix.from_rows([[0, 1], [0, 0]])
         with pytest.raises(ValueError, match="symmetric"):
-            entanglement_vector(GeneratorSet(2, zero, (eye, asym)))
+            entanglement_vector(GeneratorSet(zero, (eye, asym)))
         with pytest.raises(ValueError, match="symmetric"):
-            entanglement_vector(GeneratorSet(2, asym, (eye, zero)))
+            entanglement_vector(GeneratorSet(asym, (eye, zero)))
 
     @settings(max_examples=30, deadline=None)
     @given(kind=st.sampled_from(KINDS), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
@@ -116,7 +116,7 @@ class TestEntanglementVector:
             assert ent.counts == tuple(hist[p] for p in ent.partitions)
 
     def test_json_dict(self):
-        ent = EntanglementVector(3, partitions_of(3), (3, 0, 6))
+        ent = EntanglementVector(3, (3, 0, 6))
         assert ent.to_json_dict() == {
             "partitions": [[1, 1, 1], [2, 1], [3]],
             "counts": [3, 0, 6],

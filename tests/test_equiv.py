@@ -19,8 +19,6 @@ from mubforge.equiv import (
     _intertwiner,
     classes_equal,
     equivalence_map,
-    is_symplectic,
-    symplectic_form,
     transport,
 )
 from mubforge.gf2 import (
@@ -41,9 +39,10 @@ from oracles import (
     gram_factor,
     intertwiner_scan,
     is_polynomial_in,
+    is_symplectic,
     standard_forms,
+    symplectic_form,
     transport_forms,
-    triangular_map,
 )
 
 
@@ -89,12 +88,6 @@ def same_seed_specs(m, seed):
     return specs
 
 
-def swap_map(m):
-    """J = [[0, I], [I, 0]] as a map."""
-    zero, eye = BitMatrix.zero(m), BitMatrix.identity(m)
-    return SymplecticMap(zero, eye, eye, zero)
-
-
 def sym_invertible_matrices(m):
     from mubforge.backend import decode_symmetric
 
@@ -104,27 +97,51 @@ def sym_invertible_matrices(m):
             yield mat
 
 
+def random_asymmetric(rng, m):
+    while True:
+        mat = BitMatrix(m, m, (rng.getrandbits(m) for _ in range(m)))
+        if not mat.is_symmetric():
+            return mat
+
+
 class TestIsSymplectic:
+    """`SymplecticMap(s, t).matrix` against the 2m x 2m oracle f^t J f = J."""
+
     def test_identity(self):
-        assert is_symplectic(SymplecticMap.identity(3))
+        f = SymplecticMap(BitMatrix.identity(3), BitMatrix.zero(3)).matrix
+        assert f == BitMatrix.identity(6)
+        assert is_symplectic(f)
 
     def test_block_diagonal_family(self):
         rng = random.Random(2)
         for m in (1, 2, 3, 4):
             s = random_invertible(rng, m)
-            f = SymplecticMap(
-                s, BitMatrix.zero(m), BitMatrix.zero(m), mat_inverse(s.transpose())
-            )
+            assert is_symplectic(SymplecticMap(s, BitMatrix.zero(m)).matrix)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_symmetric_s_inverse_t_is_symplectic(self, m):
+        # The lower blocks of f are 0 and s^-t, and f^t J f = J.
+        rng = random.Random(m)
+        for _ in range(5):
+            s = random_invertible(rng, m)
+            f = SymplecticMap(s, mat_mul(s, random_symmetric(rng, m))).matrix
+            assert f.data[m:] == tuple(r << m for r in mat_inverse(s.transpose()).data)
             assert is_symplectic(f)
 
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_asymmetric_s_inverse_t_is_not(self, m):
+        rng = random.Random(m)
+        for _ in range(5):
+            s = random_invertible(rng, m)
+            f = SymplecticMap(s, mat_mul(s, random_asymmetric(rng, m))).matrix
+            assert not is_symplectic(f)
+
     def test_swap_form(self):
-        J = swap_map(2)
-        assert J.matrix == symplectic_form(2)
-        assert is_symplectic(J)
+        assert is_symplectic(symplectic_form(2))
 
     def test_singular_blocks_rejected(self):
-        eye = BitMatrix.identity(2)
-        assert not is_symplectic(SymplecticMap(eye, eye, eye, eye))
+        # [[I, I], [I, I]] = J + I, which no symplectic matrix is.
+        assert not is_symplectic(symplectic_form(2) + BitMatrix.identity(4))
 
 
 class TestGramFactor:
@@ -162,7 +179,7 @@ class TestGramFactor:
 class TestTransport:
     def test_identity_map_is_noop(self):
         gens = generators(next(iter(search_specs(2, "field", 1))))
-        moved = transport(SymplecticMap.identity(2), gens)
+        moved = transport(SymplecticMap(BitMatrix.identity(2), BitMatrix.zero(2)), gens)
         assert classes_equal(moved, gens)
         assert standard_forms(moved) == standard_forms(gens)
 
@@ -175,8 +192,8 @@ class TestTransport:
             u = random_invertible(rng, 3)
             S = random_symmetric(rng, 3)
             t = mat_mul(u, S)  # u^-1 t = S keeps f symplectic
-            f = triangular_map(u, t)
-            assert is_symplectic(f)
+            f = SymplecticMap(u, t)
+            assert is_symplectic(f.matrix)
             field_gens = generators(StabilizerSpec.field(B0))
             moved = transport(f, field_gens)
             assert bandyopadhyay_check(moved)
@@ -191,7 +208,7 @@ class TestTransport:
         rng = random.Random(8)
         B0 = next(search_specs(3, "field")).B
         u = random_invertible(rng, 3)
-        f = triangular_map(u, BitMatrix.zero(3))
+        f = SymplecticMap(u, BitMatrix.zero(3))
         moved = transport(f, generators(StabilizerSpec.field(B0)))
         B = mat_mul(mat_mul(u, B0), mat_inverse(u))
         target = StabilizerSpec("group", 3, B, mat_mul(u, u.transpose()), BitMatrix.zero(3))
@@ -199,10 +216,14 @@ class TestTransport:
         assert classes_equal(moved, generators(target))
 
     def test_requires_symplectic(self):
+        # s^-1 t = [[1, 1], [0, 1]] is not symmetric, and a singular s has no s^-t.
         gens = generators(next(search_specs(2, "field")))
         eye = BitMatrix.identity(2)
+        upper = BitMatrix.from_rows([[1, 1], [0, 1]])
         with pytest.raises(ValueError, match="symplectic"):
-            transport(SymplecticMap(eye, eye, eye, eye), gens)
+            transport(SymplecticMap(eye, upper), gens)
+        with pytest.raises(ValueError):
+            transport(SymplecticMap(BitMatrix.from_rows([[1, 1], [1, 1]]), BitMatrix.zero(2)), gens)
 
     @settings(max_examples=30, deadline=None)
     @given(kind=st.sampled_from(KINDS), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
@@ -211,11 +232,11 @@ class TestTransport:
         # symplectic; the affine image must hold the classes of f G.
         rng = random.Random(seed)
         u = random_invertible(rng, m)
-        f = triangular_map(u, mat_mul(u, random_symmetric(rng, m)))
+        f = SymplecticMap(u, mat_mul(u, random_symmetric(rng, m)))
         for spec in search_specs(m, kind, 1, seed=seed):
             gens = generators(spec)
             moved = transport(f, gens)
-            oracle = generators_of(m, transport_forms(f, m, standard_forms(gens)))
+            oracle = generators_of(m, transport_forms(f.matrix, standard_forms(gens)))
             assert sorted(map(class_canonical, class_generators(moved))) == sorted(
                 map(class_canonical, oracle)
             )
@@ -225,17 +246,8 @@ class TestTransport:
         # under the swap map; that failure must surface, not be patched.
         m = 2
         M = BitMatrix.from_rows([[1, 0], [0, 0]])
-        J = swap_map(m)
         with pytest.raises(StandardFormError):
-            transport_forms(J, m, [M])
-
-    def test_non_triangular_map_rejected(self):
-        # The closed form covers block-triangular maps only; the swap map is
-        # symplectic but has a nonzero lower-left block.
-        gens = generators(next(search_specs(2, "field")))
-        J = swap_map(2)
-        with pytest.raises(ValueError, match="block-triangular"):
-            transport(J, gens)
+            transport_forms(symplectic_form(m), [M])
 
 
 class TestClassesEqual:
@@ -288,7 +300,7 @@ class TestClassesEqual:
             field,
             generators(StabilizerSpec.field(mat_mul(B, B))),
             generators(next(search_specs(m, "field", seed=seed + 1))),
-            transport(triangular_map(u, BitMatrix.zero(m)), field),
+            transport(SymplecticMap(u, BitMatrix.zero(m)), field),
         ]
         for kind in ("group", "semigroup"):
             for spec in search_specs(m, kind, 1, seed=seed):
@@ -308,8 +320,8 @@ class TestClassesEqual:
         # b's classes are among a's, each four times against a's twice: the
         # basis of b lies in a's span, so only the ranks tell them apart.
         zero, eye = BitMatrix.zero(2), BitMatrix.identity(2)
-        a = GeneratorSet(2, zero, (eye, zero))
-        b = GeneratorSet(2, zero, (zero, zero))
+        a = GeneratorSet(zero, (eye, zero))
+        b = GeneratorSet(zero, (zero, zero))
         assert sorted(map(class_canonical, class_generators(a))) != sorted(
             map(class_canonical, class_generators(b))
         )
@@ -357,7 +369,7 @@ class TestFieldAnchor:
         f, anchor = field_anchor(spec)
         anchor.validate()
         assert anchor.kind == "field"
-        assert is_symplectic(f)
+        assert is_symplectic(f.matrix)
         assert classes_equal(transport(f, generators(anchor)), generators(spec))
 
     def test_field_spec_is_its_own_anchor(self):
@@ -452,7 +464,7 @@ class TestEquivalenceMap:
         group = next(iter(search_specs(3, "group", 1)))
         f, _ = equivalence_map(field, group)
         assert f is not None
-        assert is_symplectic(f)
+        assert is_symplectic(f.matrix)
         assert classes_equal(transport(f, generators(field)), generators(group))
 
     def test_group_vs_semigroup_same_pair(self):
