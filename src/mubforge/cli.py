@@ -12,34 +12,22 @@ byte-identical output.  Every command writes through one buffered text
 stream, stdout or --out alike and also under `python -u`, and flushes it
 once at the end: a failed write exits 2 and says so, and a pipe closed by
 its reader ends the output quietly.  Each subcommand imports only the
-modules it runs: `search` loads `search`, `construct` and what they
-import, never `entangle`, `pauli` or `equiv`, and `build`, `classify` and
-`equiv` never load `search`.
+modules it runs: `search` loads `search` and what it imports, never
+`construct`, `entangle`, `pauli` or `equiv`, since the search writes its
+lines itself, and `build`, `classify` and `equiv` never load `search`.
 """
 
 from __future__ import annotations
 
 # Every process compiles and runs each module it imports, so the top imports
-# only `construct`, which every subcommand runs, and each handler imports the
-# rest it runs.  `construct` comes before the standard library: compiled after
-# argparse, it raised peak RSS by about 0.25 MB.  Imported here, `search`
+# only `gf2`, which every subcommand runs, and `main` and the handlers import
+# the rest: `search` for search, `entangle` or `equiv` (and so `construct`)
+# for the others, and argparse only once those are compiled (see `main`).  Imported here, `search`
 # raised the peak RSS of build, classify and equiv jobs by 0.1-0.2 MB, and
 # importing `json`, which no search uses, took each search job about 2.5 ms.
-from .construct import (
-    DEFAULT_TOL,
-    KINDS,
-    MAX_M,
-    NUMERIC_QUBIT_CAP,
-    SpecValidationError,
-    StabilizerSpec,
-    bandyopadhyay_check,
-    build_stabilizer,
-    cyclicity_check,
-    generators,
-)
+from .gf2 import DEFAULT_TOL, KINDS, MAX_M, NUMERIC_QUBIT_CAP
 
-import argparse
-import itertools
+import importlib
 import math
 import sys
 import time
@@ -49,15 +37,16 @@ from pathlib import Path
 DEFAULT_NUMERIC_CAP = 5
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 (not 2) on usage errors, written by `_stderr`."""
+def _build_parser():
+    import argparse
 
-    def error(self, message):
-        _stderr(f"{self.format_usage()}{self.prog}: error: {message}\n")
-        sys.exit(1)
+    class _Parser(argparse.ArgumentParser):
+        """argparse variant that exits 1 (not 2) on usage errors, written by `_stderr`."""
 
+        def error(self, message):
+            _stderr(f"{self.format_usage()}{self.prog}: error: {message}\n")
+            sys.exit(1)
 
-def _build_parser() -> _Parser:
     parser = _Parser(prog="mubforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -146,27 +135,34 @@ def _open_output(args):
     return open(fd, "w", encoding=sys.stdout.encoding, errors=sys.stdout.errors, closefd=False)
 
 
-def _load_spec(path: Path) -> StabilizerSpec:
+def _load_spec(path: Path):
+    from .construct import StabilizerSpec
+
     return StabilizerSpec.from_json(path.read_text(encoding="utf-8"))
 
 
 def _cmd_search(args) -> int:
-    from .search import MAX_ATTEMPTS, search_specs
+    from .search import MAX_ATTEMPTS, search_lines
 
     if args.count < 1:
         _say(args, "error: --count must be >= 1")
         return 1
     stats: dict = {}
     try:
-        specs = search_specs(args.m, args.kind, args.count, args.seed, stats)
+        texts = search_lines(args.m, args.kind, args.count, args.seed, stats)
     except ValueError as exc:
         _say(args, f"error: {exc}")
         return 1
-    drawn = itertools.count()  # zip ticks it once per spec taken, so next(drawn) counts them
-    lines = (spec.to_json() + "\n" for spec, _ in zip(specs, drawn))
-    if not _write(args, lines):
+    found = 0
+
+    def counted():
+        nonlocal found
+        for text in texts:
+            found += text.count("\n")
+            yield text
+
+    if not _write(args, counted()):
         return 2
-    found = next(drawn)
     stop = stats.get("stop")  # set only when a seeded stream ends short of --count
     if stop:
         why = (f"MAX_ATTEMPTS = {MAX_ATTEMPTS} draws ran out before every index was drawn"
@@ -185,6 +181,7 @@ def _cmd_search(args) -> int:
 def _cmd_build(args) -> int:
     import json
 
+    from .construct import bandyopadhyay_check, build_stabilizer, cyclicity_check, generators
     from .entangle import entanglement_vector
 
     if not (math.isfinite(args.tol) and args.tol > 0):
@@ -255,6 +252,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .construct import SpecValidationError, generators
     from .entangle import entanglement_vector
 
     rows = []
@@ -280,6 +278,7 @@ def _cmd_classify(args) -> int:
 def _cmd_equiv(args) -> int:
     import json
 
+    from .construct import SpecValidationError
     from .equiv import equivalence_map
 
     spec_a = _load_spec(args.spec_a)
@@ -296,6 +295,15 @@ def _cmd_equiv(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # The subcommand's modules are compiled before argparse is loaded and the
+    # parser built: compiled on top of those, `search` raised the peak RSS of
+    # a search job by about 0.1 MB, and `construct` (which `entangle` and
+    # `equiv` import) that of a build or classify job by 0.1-0.25 MB.  The
+    # handlers import what they run either way.
+    command = argv[0] if argv else ""
+    importlib.import_module({"search": ".search", "equiv": ".equiv"}.get(command, ".entangle"),
+                            __package__)
     args = _build_parser().parse_args(argv)
     handlers = dict(search=_cmd_search, build=_cmd_build, classify=_cmd_classify, equiv=_cmd_equiv)
     try:

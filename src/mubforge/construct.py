@@ -24,23 +24,11 @@ from typing import NamedTuple
 
 from . import poly2
 from .gf2 import (
-    BitMatrix,
-    NotInvertibleError,
-    _SpanReducer,
-    block2x2,
-    char_poly,
-    is_invertible,
-    mat_inverse,
-    mat_mul,
-    vstack,
+    KINDS, MAX_M, BitMatrix, NotInvertibleError, _pack, _SpanReducer, block2x2, char_poly,
+    is_invertible, mat_inverse, mat_mul, matrix_text, vstack,
 )
 
-KINDS = ("field", "group", "semigroup")
 _KIND_JSON = {kind: f'"{kind}"' for kind in KINDS}  # each kind as `to_json` writes it
-
-MAX_M = 16
-NUMERIC_QUBIT_CAP = 8     # numeric tier in `pauli`: d powers of one d x d unitary
-DEFAULT_TOL = 1e-10       # numeric tier in `pauli` and `build --tol`
 
 
 class SpecValidationError(ValueError):
@@ -81,39 +69,8 @@ def _matrix_from_json(obj: dict, name: str) -> BitMatrix:
         raise SpecValidationError("schema", f'"{name}": {exc}') from exc
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _row_json(mask: int, width: int) -> str:
-    """One matrix row in the wire format, as `BitMatrix.to_lists` + json.dumps give it."""
-    return "[" + ",".join("1" if (mask >> j) & 1 else "0" for j in range(width)) + "]"
-
-
-def _matrix_json(mat: BitMatrix) -> str:
-    """The matrix in the wire format, written once and kept on the matrix.
-
-    Search shares one B, R or A among many specs; a dropped matrix takes its text along.
-    """
-    text = getattr(mat, "_json", None)
-    if text is None:
-        text = "[" + ",".join([_row_json(r, mat.cols) for r in mat.data]) + "]"
-        object.__setattr__(mat, "_json", text)
-    return text
-
-
-def _pack(rows, width: int) -> int:
-    """Row masks packed into one vector, row i at bits i*width .. (i+1)*width - 1."""
-    v = 0
-    for i, r in enumerate(rows):
-        v |= r << (i * width)
-    return v
-
-
 def _vec(mat: BitMatrix) -> int:
     return _pack(mat.data, mat.cols)
-
-
-def reverse_bits(x: int, n: int) -> int:
-    """x < 2^n with its n bits in reverse order."""
-    return int(f"{x:0{n}b}"[::-1], 2)
 
 
 @functools.lru_cache(maxsize=MAX_M)
@@ -191,22 +148,23 @@ class StabilizerSpec(NamedTuple):
         return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """The spec as compact JSON, written straight from the row masks.
+        """The spec as compact JSON, written from the row masks by `gf2.matrix_text`.
 
         The keys are m, kind and B, then R for the group and semigroup kinds
-        and A for the semigroup kind: the forced blocks are left out.
+        and A for the semigroup kind: the forced blocks are left out.  The
+        search writes its lines the same way, with the same writer.
         """
         kind, m, B, R, A = self
         text = _KIND_JSON.get(kind)
         if text is None:  # a kind outside KINDS, which `validate` rejects
             import json
             text = json.dumps(kind)
-        head = f'{{"m":{m},"kind":{text},"B":{_matrix_json(B)}'
+        line = f'{{"m":{m},"kind":{text},"B":{matrix_text(B.data, B.cols)}'
+        if kind in ("group", "semigroup"):
+            line += f',"R":{matrix_text(R.data, R.cols)}'
         if kind == "semigroup":
-            return f'{head},"R":{_matrix_json(R)},"A":{_matrix_json(A)}}}'
-        if kind == "group":
-            return f'{head},"R":{_matrix_json(R)}}}'
-        return head + "}"
+            line += f',"A":{matrix_text(A.data, A.cols)}'
+        return line + "}"
 
     @classmethod
     def from_json_dict(cls, obj) -> "StabilizerSpec":

@@ -9,14 +9,23 @@ inverts, `+` adds and `**` takes powers n >= 0; entries are read through
 keeps a basis with distinct leading bits.  Its size is the rank, membership
 is a zero remainder, and vectors tagged in their low bits with their index
 give the inverse (`_inverse_rows`) and the Krylov chains of `char_poly`.
+
+Every job loads this module, so it also holds what the CLI parser and the
+search need without `construct`: the spec kinds, the size limits and the
+defaults, and the writer of matrices in the spec wire format.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 from . import poly2
 
+KINDS = ("field", "group", "semigroup")
+MAX_M = 16
+NUMERIC_QUBIT_CAP = 8     # numeric tier in `pauli`: d powers of one d x d unitary
+DEFAULT_TOL = 1e-10       # numeric tier in `pauli` and `build --tol`
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
@@ -26,13 +35,9 @@ class NotInvertibleError(ValueError):
 
 
 class BitMatrix:
-    """Immutable rectangular matrix over F2; rows held as integer bitmasks.
+    """Immutable rectangular matrix over F2; rows held as integer bitmasks."""
 
-    The slot `_json` stays unset until `construct` writes the matrix in the
-    spec wire format, and then holds that text.
-    """
-
-    __slots__ = ("rows", "cols", "data", "_json")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Iterable[int]):
         if rows < 1 or cols < 1:
@@ -130,6 +135,42 @@ class BitMatrix:
 # -- free functions (the operation surface) --------------------------------
 
 
+def reverse_bits(x: int, n: int) -> int:
+    """x < 2^n with its n bits in reverse order."""
+    return int(f"{x:0{n}b}"[::-1], 2)
+
+
+def _pack(rows, width: int) -> int:
+    """Row masks packed into one vector, row i at bits i*width .. (i+1)*width - 1."""
+    v = 0
+    for i, r in enumerate(rows):
+        v |= r << (i * width)
+    return v
+
+
+class _RowTexts(dict):
+    """Row mask -> the row in the wire format, "[0,1,...]" with entry j j-th, for one width.
+
+    A row's text is written on its first lookup, so the table holds only the
+    rows met, at most 2^width of them.  `_row_texts` keeps one per width.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+
+    def __missing__(self, mask: int) -> str:
+        text = self[mask] = "[" + ",".join(f"{mask:0{self.width}b}"[::-1]) + "]"
+        return text
+
+
+_row_texts = functools.lru_cache(maxsize=MAX_M)(_RowTexts)
+
+
+def matrix_text(rows: Iterable[int], width: int) -> str:
+    """Row masks in the spec wire format: the rows of `BitMatrix.to_lists` as compact JSON."""
+    return "[" + ",".join(map(_row_texts(width).__getitem__, rows)) + "]"
+
+
 def mat_mul(lhs: BitMatrix, rhs: BitMatrix) -> BitMatrix:
     """Product over F2 (XOR-accumulated AND)."""
     if lhs.cols != rhs.rows:
@@ -165,28 +206,31 @@ def _transpose_rows(rows: Sequence[int], cols: int) -> list[int]:
 class _SpanReducer:
     """Incremental span of packed F2 vectors: a basis and membership.
 
-    The basis vectors have distinct leading bits and are kept highest first,
-    so one pass of `reduce` clears every leading bit v shares with them, and
-    the basis size is the rank of the vectors added.
+    The basis maps each leading bit, as a bit length, to the one basis
+    vector that leads with it, so `reduce` clears v's leading bit while a
+    basis vector shares it, and the basis size is the rank of the vectors
+    added.
     """
 
     def __init__(self, vectors: Iterable[int] = ()):
-        self.basis: list[int] = []
+        self.basis: dict[int, int] = {}
         for v in vectors:
             self.add(v)
 
     def reduce(self, v: int) -> int:
-        for b in self.basis:
-            if v.bit_length() == b.bit_length():
-                v ^= b
+        basis = self.basis
+        while v:
+            b = basis.get(v.bit_length())
+            if b is None:
+                break
+            v ^= b
         return v
 
     def add(self, v: int) -> bool:
         v = self.reduce(v)
         if v == 0:
             return False
-        self.basis.append(v)
-        self.basis.sort(key=int.bit_length, reverse=True)
+        self.basis[v.bit_length()] = v
         return True
 
     def contains(self, v: int) -> bool:
@@ -216,14 +260,14 @@ def _inverse_rows(rows: Sequence[int]) -> list[int] | None:
 
     Row i is reduced as (r << m) | (1 << i), so the low m bits of each basis
     vector name the rows that sum to it.  The matrix is singular iff some
-    basis vector has no bit above the tags; the smallest one is checked, as
-    the basis is kept highest first.  Otherwise every bit above the tags
-    leads a basis vector, so e_j shifted above them reduces to the tags of
-    the rows that sum to e_j: row j of the inverse.
+    basis vector has no bit above the tags, i.e. leads at bit length m or
+    less.  Otherwise every bit above the tags leads a basis vector, so e_j
+    shifted above them reduces to the tags of the rows that sum to e_j: row
+    j of the inverse.
     """
     m = len(rows)
     span = _SpanReducer((r << m) | (1 << i) for i, r in enumerate(rows))
-    if span.basis[-1] >> m == 0:
+    if min(span.basis) <= m:
         return None
     return [span.reduce(1 << (m + j)) for j in range(m)]
 

@@ -61,8 +61,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .construct import DEFAULT_TOL, NUMERIC_QUBIT_CAP, StabilizerSpec, reverse_bits
-from .gf2 import BitMatrix, mat_inverse, mat_mul
+from .construct import StabilizerSpec
+from .gf2 import DEFAULT_TOL, NUMERIC_QUBIT_CAP, BitMatrix, mat_inverse, mat_mul, reverse_bits
 
 _POWERS_OF_I = (1 + 0j, 1j, -1 + 0j, -1j)
 

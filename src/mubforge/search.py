@@ -1,6 +1,9 @@
-"""Search for complete cyclic MUB specs: the field scan and the conjugator walk.
+"""Search for complete cyclic MUB specs: the field scan, the conjugator walk and their lines.
 
-`search_specs(m, kind, count, seed)` is the one search.  No seed means the
+`search_lines(m, kind, count, seed)` is the one search.  It writes each
+spec it finds as the JSON line `StabilizerSpec.to_json` gives, straight
+from row masks, so a search job builds no spec and loads no `construct`;
+`search_specs` reads the lines back as specs.  No seed means the
 exhaustive scan, a seed seeded sampling, and one generator of candidate
 indices serves both: the field kind streams its hits, and the group and
 semigroup kinds take its first hit, under a seed derived from theirs, as
@@ -50,19 +53,32 @@ key.  R = u u^t is keyed by its Gram parities, which the same recursion
 carries.  B, its verdict and its addend are computed on the first visit of
 a key, and R on the first visit of its Gram key: at m = 4 the 19,440 specs
 of either kind hold 1,296 distinct B (of 1,344 cosets) and 419 distinct R.
+Their text is kept the same way: a line is the head (up to and with B) and
+the tail (A and the end) of its coset key around the R text of its Gram key.
+
+On the first visit of a key, B comes from 2^m-entry tables instead of an
+inverse and two products: with t0[x] = x B0 and cu[c] = c u, coord[y] =
+y u^-1 is the c with cu[c] = y, and row i of B = u B0 u^-1 is
+coord[t0[u_i]].  The tables are built where cosets are keyed, at m <=
+EXHAUSTIVE_CONJ_CAP; above it each u takes the products, which need no
+table of 2^m entries.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 import sys
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from . import backend, poly2
-from .construct import KINDS, MAX_M, StabilizerSpec, _forced_blocks, _pack, _vec, reverse_bits
-from .gf2 import BitMatrix, _inverse_rows, _mul_rows, _SpanReducer, _transpose_rows, char_poly
+from .gf2 import (
+    KINDS, MAX_M, BitMatrix, _inverse_rows, _mul_rows, _pack, _row_texts, _SpanReducer,
+    _transpose_rows, char_poly, matrix_text, reverse_bits,
+)
+
+if TYPE_CHECKING:
+    from .construct import StabilizerSpec
 
 EXHAUSTIVE_CAP = 6        # symmetric-candidate space, <= 2^21 candidates
 EXHAUSTIVE_CONJ_CAP = 4   # conjugator space for group/semigroup, <= 2^16
@@ -86,10 +102,10 @@ def _pair_candidates(m: int) -> tuple[int, tuple[tuple[int, BitMatrix], ...]]:
         offdiag ^= 1 << (i * m + i)
     pairs = []
     for b in range(m * (m + 1) // 2):
-        A = BitMatrix(m, m, backend.decode_symmetric(m, 1 << b))
-        v = _vec(A)
+        rows = backend.decode_symmetric(m, 1 << b)
+        v = _pack(rows, m)
         if v & offdiag:
-            pairs.append((v, A))
+            pairs.append((v, BitMatrix(m, m, rows)))
     return offdiag, tuple(pairs)
 
 
@@ -158,7 +174,7 @@ def _field_hits(m: int, seed: int | None, stats: dict | None = None) -> Iterator
     Admissible means irreducible with Fibonacci index d + 1.  With no seed
     the kernel scans all 2^(m(m+1)/2) candidates in ascending order, one
     call per block of 2^BLOCK_BITS; this is the only loop over blocks.  The
-    caller, `search_specs`, has checked the cap.  With a seed the
+    caller, `search_lines`, has checked the cap.  With a seed the
     candidates come from `_draws`, and each is tested directly, so no table
     of admissible polynomials is built.
     """
@@ -181,6 +197,17 @@ def _derived_seed(seed: int, salt: int) -> int:
     return (seed * 2654435761 + salt) % (1 << 32)
 
 
+def _combinations(rows: Rows) -> list[int]:
+    """c -> c rows, the XOR of the rows picked by the bits of c, for every c < 2^len(rows).
+
+    Entry c + 2^j is entry c XOR row j, so the table is built by doubling.
+    """
+    out = [0]
+    for r in rows:
+        out += [x ^ r for x in out]
+    return out
+
+
 def _normal_forms(m: int, b0: Rows) -> list[list[int] | None]:
     """N[x] = (z -> z q_x) for each row x != 0, as a list over z; N[0] is None.
 
@@ -189,27 +216,31 @@ def _normal_forms(m: int, b0: Rows) -> list[list[int] | None]:
     Each nonzero q in F2[B0] is sum c_k B0^k over the set bits k of a mask
     c; its row images z q name the x it normalizes, the z with z q = e_0.
     """
-    size = 1 << m
     powers = [tuple(1 << i for i in range(m))]
     for _ in range(m - 1):
         powers.append(tuple(_mul_rows(powers[-1], b0)))
-    table: list[list[int] | None] = [None] * size
-    for c in range(1, size):
-        q = [0] * m
-        for k in range(m):
-            if c >> k & 1:
-                q = [a ^ b for a, b in zip(q, powers[k])]
-        images = _mul_rows(range(size), q)  # row z is z q
+    q_rows = [_combinations(column) for column in zip(*powers)]  # row i of q, by c
+    table: list[list[int] | None] = [None] * (1 << m)
+    for c in range(1, 1 << m):
+        images = _combinations([q[c] for q in q_rows])  # entry z is z q
         table[images.index(1)] = images
     return table
 
 
-def _iter_conjugators(
-    m: int, b0: Rows, seed: int | None, stats: dict | None = None
-) -> Iterator[tuple[Rows, int | None, int | None]]:
-    """Invertible u, each once, as (u, key, gram): u as row masks, and the keys of its B and R.
+def _iter_conjugators(m: int, b0: Rows, seed: int | None, stats: dict | None = None):
+    """The u of `_conjugator_batches` one at a time, as (u, key, gram)."""
+    for rows, lasts in _conjugator_batches(m, b0, seed, stats):
+        for r, key, gram in lasts:
+            yield (*rows, r), key, gram
 
-    Two u share a key iff they share B = u B0 u^-1: the key is the packed
+
+def _conjugator_batches(
+    m: int, b0: Rows, seed: int | None, stats: dict | None = None
+) -> Iterator[tuple[Rows, list[tuple[int, int | None, int | None]]]]:
+    """Invertible u, each once, with the keys of its B and R, in batches (rows, [(r, key, gram)]).
+
+    u is the rows of the batch and then its last row r, as row masks.  Two
+    u share a key iff they share B = u B0 u^-1: the key is the packed
     normal form of u's coset u F2[B0]* (see the module docstring), so B0
     must have an irreducible characteristic polynomial.  Two u share a gram
     iff they share R = u u^t.  A key or gram of None is shared with no u:
@@ -217,7 +248,7 @@ def _iter_conjugators(
     EXHAUSTIVE_CONJ_CAP, and only the exhaustive walk keys R.
 
     With no seed every u comes in row-major lexicographic order
-    (`search_specs` has checked the cap), with a seed in the order `_draws`
+    (`search_lines` has checked the cap), with a seed in the order `_draws`
     gives the m^2-bit indices, of which the singular ones are dropped; the
     draws stop once all 2^(m^2) bit patterns have been drawn.  An index k
     holds row i of u in its i-th group of m bits from the top, with column
@@ -226,50 +257,40 @@ def _iter_conjugators(
     The exhaustive walk builds u one row at a time in that order and skips
     any row in the span of the rows above it, so every u it yields is
     invertible and no rank test is needed.  A recursion builds the first
-    m - 1 rows, and one loop picks the last, so each u leaves through one
-    generator frame.  The recursion carries each prefix's part of the key,
-    and of the gram: R_ij = <u_i, u_j> is a parity, and each row adds the
-    column of its parities with the rows above it and itself.
+    m - 1 rows, and one loop picks the last, so the u of one such prefix
+    leave together, as one batch; a seeded u is a batch of its own.  The
+    recursion carries each prefix's part of the key, and of the gram:
+    R_ij = <u_i, u_j> is a parity, and each row r adds its gram column,
+    <r, r> and then <u_i, r> for the rows above it.  The column is read
+    from a table over r that each row extends by one bit, from the table
+    of parities <x, y>.
     """
     normal = _normal_forms(m, b0) if m <= EXHAUSTIVE_CONJ_CAP else None
     if seed is None:
-        rev = [reverse_bits(p, m) for p in range(1 << m)]
-        last = m - 1
-
-        def gram_columns(rows: Rows) -> list[int]:
-            """For each row r: <u_i, r> at bit i, and <r, r> = the parity of r above them.
-
-            The column is linear in r, so entry r is the XOR of the columns
-            of the set bits j of r, built by doubling over j.
-            """
-            cols = [0]
-            for t in _transpose_rows(rows, m):
-                c = t | 1 << len(rows)
-                cols += [c ^ x for x in cols]
-            return cols
+        size = 1 << m
+        rev = [reverse_bits(p, m) for p in range(size)]
+        dot = [[(x & y).bit_count() & 1 for y in range(size)] for x in range(size)]
 
         def prefixes(
-            rows: Rows, span: frozenset[int], key: int, gram: int, nx: list[int]
-        ) -> Iterator[tuple[Rows, frozenset[int], int, int, list[int]]]:
+            rows: Rows, span: set[int], key: int, gram: int, nx: list[int], cols: list[int]
+        ) -> Iterator[tuple[Rows, set[int], int, int, list[int], list[int]]]:
             k = len(rows)
-            if k == last:
-                yield rows, span, key << m, gram << m, nx
+            if k == m - 1:
+                yield rows, span, key << m, gram << m, nx, cols
                 return
-            cols = gram_columns(rows)
             for r in rev:
                 if r not in span:
                     nr = nx if rows else normal[r]  # the first row picks N[u_0]
-                    wider = span | {v ^ r for v in span}
+                    next_cols = [c | d << (k + 1) for c, d in zip(cols, dot[r])]
                     yield from prefixes(
-                        (*rows, r), wider, key << m | nr[r], gram << (k + 1) | cols[r], nr
+                        (*rows, r), span | {v ^ r for v in span}, key << m | nr[r],
+                        gram << (k + 1) | cols[r], nr, next_cols,
                     )
 
         # At m = 1 the one row is also the first; N[1] maps it to itself.
-        for rows, span, key, gram, nx in prefixes((), frozenset((0,)), 0, 0, normal[1]):
-            cols = gram_columns(rows)
-            for r in rev:
-                if r not in span:
-                    yield (*rows, r), key | nx[r], gram | cols[r]
+        first_cols = [row[x] for x, row in enumerate(dot)]  # <r, r> for each first row r
+        for rows, span, key, gram, nx, cols in prefixes((), {0}, 0, 0, normal[1], first_cols):
+            yield rows, [(r, key | nx[r], gram | cols[r]) for r in rev if r not in span]
         return
     mask = (1 << m) - 1
     for k in _draws(_derived_seed(seed, 0xC0), m * m, stats):
@@ -278,25 +299,25 @@ def _iter_conjugators(
         u = tuple(rows >> (i * m) & mask for i in range(m))
         if _inverse_rows(u) is None:
             continue
-        key = None
-        if normal is not None:
-            nx = normal[u[0]]
-            key = 0
-            for v in u:
-                key = key << m | nx[v]
-        yield u, key, None
+        key = None if normal is None else _pack([normal[u[0]][v] for v in u], m)
+        yield u[:-1], [(u[-1], key, None)]
 
 
-def search_specs(
+def search_lines(
     m: int, kind: str, count: int | None = 1, seed: int | None = None, stats: dict | None = None
-) -> Iterator[StabilizerSpec]:
-    """Return a stream of up to `count` specs of the requested kind (None: all).
+) -> Iterator[str]:
+    """Return a stream of up to `count` specs of the requested kind (None: all), as JSON lines.
+
+    Each line is a spec as `StabilizerSpec.to_json` writes it, and each text
+    of the stream holds one or more whole lines: a field hit, a seeded u, or
+    the u of one leaf prefix of the exhaustive walk, so lines leave as they
+    are found.
 
     With no seed the search is exhaustive: field specs come in ascending
     candidate order, which is capped at m = EXHAUSTIVE_CAP, and group and
     semigroup specs walk every conjugator u, which is capped at
     m = EXHAUSTIVE_CONJ_CAP.  Both caps and the other arguments are checked
-    when search_specs is called, before it returns the stream, so a bad
+    when search_lines is called, before it returns the stream, so a bad
     argument raises ValueError at the call and before any scan.  A seed
     selects seeded uniform sampling, up to MAX_M: B and u are drawn by
     `_draws`, which skips repeats and stops once every index has been
@@ -326,26 +347,82 @@ def search_specs(
     if seed is None and m > cap:
         raise ValueError(f"exhaustive {kind} search is capped at m = {cap}; pass a seed")
     if kind == "field":
-        specs = (
-            StabilizerSpec.field(BitMatrix(m, m, backend.decode_symmetric(m, k)))
-            for k in _field_hits(m, seed, stats)
-        )
+        batches = _field_lines(m, _field_hits(m, seed, stats))
     else:
-        specs = _conjugate_specs(m, kind, seed, stats)
-    # islice takes no stop above sys.maxsize, and no stream gets that far: an
-    # exhaustive one is finite and a seeded one stops after MAX_ATTEMPTS draws.
-    return itertools.islice(specs, None if count is None else min(count, sys.maxsize))
+        batches = _conjugate_lines(m, kind, seed, stats)
+    return _take(batches, count)
 
 
-def _conjugate_specs(
-    m: int, kind: str, seed: int | None, stats: dict | None
+def search_specs(
+    m: int, kind: str, count: int | None = 1, seed: int | None = None, stats: dict | None = None
 ) -> Iterator[StabilizerSpec]:
-    """Every group or semigroup spec the conjugator walk reaches, in its order.
+    """The specs of `search_lines(m, kind, count, seed, stats)`, each line read back as a spec.
 
-    Each B is decided on the first visit of its key (see the module
-    docstring): `cosets` maps the key to None when B is symmetric, else to
-    the BitMatrix B and its addend.  `grams` maps the gram key to the
-    BitMatrix R.  Both are filled only for keys that are not None, so at
+    The arguments are checked as there, at the call.
+    """
+    from .construct import StabilizerSpec
+
+    texts = search_lines(m, kind, count, seed, stats)
+    return (StabilizerSpec.from_json(line) for text in texts for line in text.splitlines())
+
+
+def _take(batches: Iterator[list[str]], count: int | None) -> Iterator[str]:
+    """Each batch of lines as one text, cut after `count` lines in all (None: no cut).
+
+    No batch is asked for once `count` lines are out, so a count of 0 runs no search.
+    """
+    left = sys.maxsize if count is None else count
+    for lines in batches if left else ():
+        yield "".join(lines[:left])
+        left -= len(lines)
+        if left <= 0:
+            return
+
+
+# -- the wire format ----------------------------------------------------------
+#
+# Each line is as `StabilizerSpec.to_json` writes it, plus the newline.  A
+# group or semigroup line is head + R + tail: the head runs up to and with
+# B, and the tail holds A for the semigroup kind.  A field line is its head
+# and the end.
+
+
+def _head(kind: str, m: int, b: Rows) -> str:
+    return f'{{"m":{m},"kind":"{kind}","B":{matrix_text(b, m)}'
+
+
+def _r_text(m: int, r: Rows) -> str:
+    return f',"R":{matrix_text(r, m)}'
+
+
+def _tail(kind: str, m: int, a: Rows) -> str:
+    return f',"A":{matrix_text(a, m)}}}\n' if kind == "semigroup" else "}\n"
+
+
+def _field_lines(m: int, hits: Iterator[int]) -> Iterator[list[str]]:
+    """The line of the field spec of each candidate index, one batch per index.
+
+    A field line is its head, written here from B's rows, and the end.
+    """
+    head, row = f'{{"m":{m},"kind":"field","B":[', _row_texts(m).__getitem__
+    for k in hits:
+        yield [head + ",".join(map(row, backend.decode_symmetric(m, k))) + "]}\n"]
+
+
+def _gram(u: Rows) -> list[int]:
+    """Row masks of R = u u^t."""
+    return _mul_rows(u, _transpose_rows(u, len(u)))
+
+
+def _conjugate_lines(m: int, kind: str, seed: int | None, stats: dict | None) -> Iterator[list]:
+    """The line of every group or semigroup spec the conjugator walk reaches, in its order.
+
+    One batch per batch of the walk.  Each B is decided on the first visit
+    of its key (see the module docstring): `cosets` maps the key to None
+    when B is symmetric, else to the head and tail texts of its lines, which
+    hold B and the addend.  `grams` maps the gram key to the text of R.  So
+    a line costs two lookups and two concatenations once its key and gram
+    have been seen.  Both are filled only for keys that are not None, so at
     m <= EXHAUSTIVE_CONJ_CAP they hold at most |GL(4, 2)| / 15 = 1,344
     cosets and 2^10 symmetric R, however long the walk; above that each u
     is decided afresh and nothing is stored.
@@ -355,37 +432,54 @@ def _conjugate_specs(
     if k0 is None:
         return
     b0 = backend.decode_symmetric(m, k0)
-    zero = _forced_blocks(m)[1]
-    cosets: dict[int, tuple[BitMatrix, BitMatrix] | None] = {}
-    grams: dict[int, BitMatrix] = {}
-    for u, key, gram in _iter_conjugators(m, b0, seed, stats):
-        coset = cosets.get(key, ())  # () for a B not seen yet
-        if coset is None:
-            continue
-        if not coset:
-            b = tuple(_mul_rows(_mul_rows(u, b0), _inverse_rows(u)))
-            if b == tuple(_transpose_rows(b, m)):
-                # R = u u^t is a polynomial in B = u B0 u^-1 (see the module
-                # docstring): R is symmetric and invertible, B R = u B0 u^t is
-                # symmetric, and char(B) = char(B0) is irreducible.
-                if key is not None:
-                    cosets[key] = None
+    # Where u are keyed by coset, B is read off 2^m-entry tables; above the
+    # cap each u is decided afresh by products, which hold no table.
+    t0 = _combinations(b0) if m <= EXHAUSTIVE_CONJ_CAP else None  # x -> x B0
+    cosets: dict[int, tuple[str, str] | None] = {}
+    grams: dict[int, str] = {}
+    for rows, lasts in _conjugator_batches(m, b0, seed, stats):
+        lines = []
+        for r, key, gram in lasts:
+            coset = cosets.get(key, ())  # () for a key not seen yet
+            if coset is None:
                 continue
-        R = grams.get(gram)
-        if R is None:
-            R = BitMatrix(m, m, _mul_rows(u, _transpose_rows(u, m)))
-            if gram is not None:
-                grams[gram] = R
-        if not coset:
-            B = BitMatrix(m, m, b)
-            A = zero if kind == "group" else find_addend(B, R)
-            if A is None:
-                # No nonzero p(B) R is diagonal: it would be an invertible
-                # diagonal matrix, so I, and R = p(B)^-1 would lie in F2[B].
-                # So W = span{B^k R} + diagonals has dim 2m for every u here,
-                # and None means m(m + 1)/2 <= 2m, i.e. m <= 3, for all u.
-                return
-            coset = (B, A)
-            if key is not None:
-                cosets[key] = coset
-        yield StabilizerSpec._make((kind, m, coset[0], R, coset[1]))
+            text = grams.get(gram)
+            if not coset or text is None:  # the first visit of the key or of the gram
+                u = (*rows, r)
+                if not coset:
+                    if t0 is None:
+                        b = _mul_rows(_mul_rows(u, b0), _inverse_rows(u))
+                    else:
+                        # Row i of B = u B0 u^-1 is (u_i B0) u^-1; y u^-1 is the c with c u = y.
+                        coord = [0] * len(t0)
+                        for c, y in enumerate(_combinations(u)):
+                            coord[y] = c
+                        b = [coord[t0[x]] for x in u]
+                    if b == _transpose_rows(b, m):
+                        # R = u u^t is a polynomial in B = u B0 u^-1 (see the module
+                        # docstring): R is symmetric and invertible, B R = u B0 u^t is
+                        # symmetric, and char(B) = char(B0) is irreducible.
+                        if key is not None:
+                            cosets[key] = None
+                        continue
+                    a = (0,) * m
+                    if kind == "semigroup":
+                        A = find_addend(BitMatrix(m, m, b), BitMatrix(m, m, _gram(u)))
+                        if A is None:
+                            # No nonzero p(B) R is diagonal: it would be an invertible
+                            # diagonal matrix, so I, and R = p(B)^-1 would lie in F2[B].
+                            # So W = span{B^k R} + diagonals has dim 2m for every u here,
+                            # and None means m(m + 1)/2 <= 2m, i.e. m <= 3, for all u:
+                            # this is the first coset decided, and no line was written.
+                            return
+                        a = A.data
+                    coset = (_head(kind, m, b), _tail(kind, m, a))
+                    if key is not None:
+                        cosets[key] = coset
+                if text is None:
+                    text = _r_text(m, _gram(u))
+                    if gram is not None:
+                        grams[gram] = text
+            lines.append(f"{coset[0]}{text}{coset[1]}")
+        if lines:
+            yield lines

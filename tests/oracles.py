@@ -89,7 +89,7 @@
 
 The label and walk oracles cost O(4^m) and O(d) steps, so tests use them
 for m <= 8.  The eigenbasis and dense Pauli oracles stop at
-ORACLE_QUBIT_CAP = 6, the full powers at construct.NUMERIC_QUBIT_CAP = 8.
+ORACLE_QUBIT_CAP = 6, the full powers at gf2.NUMERIC_QUBIT_CAP = 8.
 """
 
 import itertools
@@ -110,6 +110,7 @@ from mubforge.construct import (
 )
 from mubforge.equiv import SymplecticMap, classes_equal, transport
 from mubforge.gf2 import (
+    NUMERIC_QUBIT_CAP,
     BitMatrix,
     _SpanReducer,
     _transpose_rows,
@@ -1029,9 +1030,9 @@ def _hadamard_rows(M: np.ndarray) -> None:
 
 def generator_powers(spec: StabilizerSpec, count: int) -> Iterator[np.ndarray]:
     """U^1, ..., U^count as d x d complex matrices, each a new array."""
-    if spec.m > construct.NUMERIC_QUBIT_CAP:
+    if spec.m > NUMERIC_QUBIT_CAP:
         raise ValueError(
-            f"the numeric tier is capped at m = {construct.NUMERIC_QUBIT_CAP}, got m = {spec.m}"
+            f"the numeric tier is capped at m = {NUMERIC_QUBIT_CAP}, got m = {spec.m}"
         )
     pre, post, src = _generator_layers(spec)
     M = np.eye(spec.d, dtype=complex)

@@ -186,19 +186,19 @@ class TestSearch:
         assert "cannot write output" in err and str(out) in err
 
     def test_lines_leave_as_they_are_found(self, monkeypatch):
-        # The second spec is asked for only after the first line was written.
+        # The second line is asked for only after the first line was written.
         out = io.StringIO()
-        first, second = search_specs(3, "field", 2)
+        first, second = (spec.to_json() + "\n" for spec in search_specs(3, "field", 2))
 
-        def two_specs(*args):
+        def two_lines(*args):
             yield first
-            assert out.getvalue() == first.to_json() + "\n"
+            assert out.getvalue() == first
             yield second
 
-        monkeypatch.setattr(search, "search_specs", two_specs)
+        monkeypatch.setattr(search, "search_lines", two_lines)
         monkeypatch.setattr(sys, "stdout", out)
         assert cli.main(["search", "--m", "3", "--kind", "field", "--exhaustive"]) == 0
-        assert out.getvalue() == first.to_json() + "\n" + second.to_json() + "\n"
+        assert out.getvalue() == first + second
 
     def test_usage_error_leaves_out_untouched(self, tmp_path, capsys):
         out = tmp_path / "specs.jsonl"
@@ -275,7 +275,6 @@ class TestBuild:
 
         monkeypatch.setattr(StabilizerSpec, "validate", counting_validate)
         monkeypatch.setattr(construct, "build_stabilizer", counting_build)
-        monkeypatch.setattr(cli, "build_stabilizer", counting_build)
         assert cli.main(["build", str(spec_files["group3"])]) == 0
         assert calls == {"validate": 1, "build_stabilizer": 1}
         capsys.readouterr()
@@ -358,7 +357,7 @@ class TestBuild:
         def broken(spec, C):
             raise ValueError("class step failed")
 
-        monkeypatch.setattr(cli, "generators", broken)
+        monkeypatch.setattr(construct, "generators", broken)
         assert cli.main(["build", str(spec_files["field3"])]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -904,7 +903,8 @@ run("classify", f"{tmp}/field6.json", f"{tmp}/group6.json", f"{tmp}/semigroup6.j
     "--out", f"{tmp}/classify.txt")
 run("equiv", f"{tmp}/field6.json", f"{tmp}/group6.json", "--out", f"{tmp}/equiv.json")
 run("build", f"{tmp}/semigroup6.json", "--numeric-cap", 6, "--out", f"{tmp}/report6.json")
-assert "mubforge.search" not in sys.modules, "build, classify or equiv loaded mubforge.search"
+loaded = {"mubforge.search", "mubforge.backend"} & set(sys.modules)
+assert not loaded, f"build, classify or equiv loaded {sorted(loaded)}"
 for kind in ("field", "group", "semigroup"):
     run("search", "--m", 16, "--kind", kind, "--seed", 3, "--out", f"{tmp}/{kind}16.jsonl")
 run("search", "--m", 5, "--kind", "field", "--exhaustive", "--count", 1 << 20,
@@ -926,7 +926,7 @@ for kind in ("field", "group", "semigroup"):
     for mode in (["--seed", "3"], ["--exhaustive"]):
         assert cli.main(["search", "--m", "4", "--kind", kind, *mode, "--out", sys.argv[1]]) == 0
     assert cli.main(["search", "--m", "4", "--kind", kind, "--seed", "3"]) == 0  # to stdout
-unwanted = {"json", "mubforge.entangle", "mubforge.equiv", "mubforge.pauli"}
+unwanted = {"json", "mubforge.construct", "mubforge.entangle", "mubforge.equiv", "mubforge.pauli"}
 print(sorted(unwanted & (set(sys.modules) - before)), file=sys.stderr)
 """
 
@@ -937,8 +937,8 @@ def test_cli_commands_never_import_numpy(tmp_path):
     # tier (at m = 6 and m = 8), classify and equiv run without it.  Importing
     # the CLI loads neither inspect nor dataclasses, which cost about a
     # quarter of its import time.  Each command loads only the modules it
-    # runs: build does not load equiv, and build, classify and equiv do not
-    # load search.
+    # runs: build does not load equiv, and build, classify and equiv load
+    # neither search nor backend.
     for kind in ("field", "group", "semigroup"):
         spec = next(search_specs(6, kind, seed=3))
         (tmp_path / f"{kind}6.json").write_text(spec.to_json())
@@ -960,8 +960,9 @@ def test_cli_commands_never_import_numpy(tmp_path):
 
 def test_search_loads_no_entangle_equiv_or_pauli(tmp_path):
     # Search of every kind, seeded and exhaustive, to --out and to stdout, in
-    # one process: it loads none of these, and no json either, which it would
-    # pay for at every start and never use.
+    # one process: it loads none of these, no construct, since search writes
+    # its lines itself, and no json either, which it would pay for at every
+    # start and never use.
     res = subprocess.run([sys.executable, "-c", SEARCH_ONLY_RUN, str(tmp_path / "specs.jsonl")],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
@@ -989,8 +990,10 @@ class TestStreamPins:
              "abfdf88f5e7597afaa9f0e21f42c417da434140604e45ae4a14468619602be0e"),
             (6, "field", 3000, 3000,
              "c3657bbb6f8c298bb50ddabb107ed35a1403c41d6672c6aba8f1b108c3613b12"),
+            (6, "field", 1 << 20, 92160,
+             "02e2c578ca3c74b3e6455ec9e74da46fd4f8b7f5ec273b6489a557c4f41e417f"),
         ],
-        ids=["group-4", "semigroup-4", "group-3", "field-5", "field-6-count-3000"],
+        ids=["group-4", "semigroup-4", "group-3", "field-5", "field-6-count-3000", "field-6"],
     )
     def test_exhaustive_stream(self, capsys, m, kind, count, lines, digest):
         argv = ["search", "--m", str(m), "--kind", kind, "--exhaustive", "--count", str(count)]

@@ -301,8 +301,8 @@ class TestGenerators:
         monkeypatch.setattr(construct, "build_stabilizer", lambda _spec: unshifted)
         with pytest.raises(StandardFormError, match="orbit step 1 leaves A"):
             generators(spec)
-        # `build` builds C once and hands it to `generators`.
-        monkeypatch.setattr(cli, "build_stabilizer", lambda _spec: unshifted)
+        # `build` builds C once, by the patched `construct.build_stabilizer`,
+        # and hands it to `generators`.
         path = tmp_path / "semigroup.json"
         path.write_text(spec.to_json())
         assert cli.main(["build", str(path)]) == 2
@@ -700,10 +700,11 @@ class TestConjugators:
 
     @pytest.mark.parametrize("kind", ["group", "semigroup"])
     def test_exhaustive_walk_takes_products_per_coset(self, monkeypatch, kind):
-        # The m = 4 walk takes products for the table N (18), for B on the
-        # first visit of each of the 1,344 keys (2 each), for R on the first
-        # visit of each gram (1 each), and in find_addend for each of the
-        # 1,296 distinct B (3 each): a bound per coset, not per u.
+        # The m = 4 walk takes products for the powers of B0 behind the table
+        # N (3) and for R on the first visit of each gram (1 each); for the
+        # semigroup kind also for R and in find_addend for each of the 1,296
+        # distinct B (1 + 3 each).  B itself is read off tables.  A bound per
+        # coset, not per u.
         calls = []
         mul_rows = search._mul_rows
 
@@ -879,3 +880,21 @@ class TestJson:
             wire["A"] = A.to_lists()
         assert spec.to_json() == json.dumps(wire, separators=(",", ":"))
         assert spec.to_json_dict() == wire
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(KINDS), m=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    def test_search_line_matches_to_json(self, kind, m, seed):
+        # The search writes each line from row masks.  A field line comes
+        # straight from the candidate index, decoded to B's rows; a group or
+        # semigroup line from the parts kept per coset and per gram key: the
+        # head up to B, then R, then the tail with A and the end of the line.
+        rng = random.Random(seed)
+        B, R, A = (BitMatrix(m, m, [rng.getrandbits(m) for _ in range(m)]) for _ in range(3))
+        if kind == "field":
+            k = rng.getrandbits(m * (m + 1) // 2)
+            B = BitMatrix(m, m, decode_symmetric(m, k))
+            [line] = next(search._field_lines(m, iter([k])))
+        else:
+            line = search._head(kind, m, B.data) + search._r_text(m, R.data)
+            line += search._tail(kind, m, A.data)
+        assert line == StabilizerSpec(kind, m, B, R, A).to_json() + "\n"
